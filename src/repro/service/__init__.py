@@ -13,9 +13,10 @@ load.  This package is that serving layer:
   invalidation;
 * :mod:`repro.service.batching` — time-/size-bounded micro-batching
   over :func:`repro.crypto.dsa.batch_verify`;
-* :mod:`repro.service.server` — the asyncio TCP server with
-  bounded-queue backpressure and structured metrics;
-* :mod:`repro.service.cluster` — the gateway tier: consistent-hash
+* :mod:`repro.service.server` — the one asyncio frame server and
+  thread host, and the verifier role on top of them: bounded-queue
+  backpressure and structured metrics;
+* :mod:`repro.service.cluster` — the gateway role: consistent-hash
   routing (:mod:`repro.service.ring`), health checking
   (:mod:`repro.service.health`), idempotent failover, and the local
   multi-process launcher;
@@ -41,8 +42,6 @@ The one way to talk to any of it::
     verifier = await connect("127.0.0.1:7753")
     response = await verifier.verify(signer, message, signature)
 """
-
-import warnings
 
 from repro.exceptions import RetryExhausted
 from repro.service.api import Verifier, connect, resolve_endpoint
@@ -124,34 +123,4 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "split_frames",
-    # Deprecated (still importable, warn on access).
-    "ServiceClient",
-    "ServiceResponseError",
-    "connect_with_retry",
 ]
-
-#: Old facade names → (replacement hint).  Accessing them through the
-#: package still works for one release but warns; the implementation
-#: modules themselves (``repro.service.client``) stay warning-free for
-#: internal use.
-_DEPRECATED = {
-    "ServiceClient": "repro.service.connect(endpoint)",
-    "connect_with_retry": "repro.service.connect(endpoint)",
-    "ServiceResponseError": "repro.service.client.ServiceResponseError",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        warnings.warn(
-            "repro.service.%s is deprecated; use %s instead"
-            % (name, _DEPRECATED[name]),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.service import client as _client
-
-        return getattr(_client, name)
-    raise AttributeError(
-        "module %r has no attribute %r" % (__name__, name)
-    )

@@ -30,7 +30,11 @@ from repro.service.loadgen import (
     fetch_server_stats,
     run_loadgen,
 )
-from repro.service.server import ServiceConfig, VerificationService
+from repro.service.server import (
+    FrameServer,
+    ServiceConfig,
+    VerificationService,
+)
 from repro.sim.fleet import FleetConfig
 
 
@@ -194,26 +198,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
 
-    async def _serve() -> None:
-        service = VerificationService(config)
-        host, port = await service.start()
-        print("crypto backend: %s; table cache: %s"
-              % (service.backend.name,
-                 cache.directory if cache is not None else "off"),
-              flush=True)
-        print("listening on %s:%d" % (host, port), flush=True)
-        try:
-            await service.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
+    service = VerificationService(config)
+    return _run_endpoint(
+        service,
+        "crypto backend: %s; table cache: %s"
+        % (service.backend.name,
+           cache.directory if cache is not None else "off"),
+    )
 
 
 def _gateway_config(args: argparse.Namespace,
@@ -236,21 +227,33 @@ def _gateway_config(args: argparse.Namespace,
 
 
 def _run_gateway(config: ClusterConfig) -> int:
+    return _run_endpoint(
+        ClusterGateway(config),
+        "routing over %d backend(s): %s"
+        % (len(config.backends),
+           ", ".join("%s:%d" % address for address in config.backends)),
+        label="cluster listening",
+    )
+
+
+def _run_endpoint(endpoint: FrameServer, banner: str,
+                  label: str = "listening") -> int:
+    """Serve ``endpoint`` until interrupted, announcing its address.
+
+    The ``<label> on HOST:PORT`` line is what CI and
+    :func:`repro.service.cluster.spawn_verifier` wait for.
+    """
+
     async def _serve() -> None:
-        gateway = ClusterGateway(config)
-        host, port = await gateway.start()
-        print("routing over %d backend(s): %s"
-              % (len(config.backends),
-                 ", ".join("%s:%d" % address
-                           for address in config.backends)),
-              flush=True)
-        print("cluster listening on %s:%d" % (host, port), flush=True)
+        host, port = await endpoint.start()
+        print(banner, flush=True)
+        print("%s on %s:%d" % (label, host, port), flush=True)
         try:
-            await gateway.serve_forever()
+            await endpoint.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
-            await gateway.stop()
+            await endpoint.stop()
 
     try:
         asyncio.run(_serve())

@@ -2,9 +2,10 @@
 
 One verifier process caps the fleet a deployment can protect at
 whatever a single CPU verifies.  This module scales the trusted party
-*out*: a :class:`ClusterGateway` accepts the exact wire protocol of a
-single server (:mod:`repro.service.wire` framing, same ops — clients
-cannot tell a gateway from a verifier) and fans requests over N backend
+*out*: a :class:`ClusterGateway` is the gateway role of the one
+:class:`~repro.service.server.FrameServer`, so it accepts the exact wire
+protocol of a single verifier (same framing, same ops — clients cannot
+tell a gateway from a verifier) and fans requests over N backend
 verifier processes.
 
 Design points, in the order a request meets them:
@@ -52,40 +53,31 @@ from __future__ import annotations
 
 import asyncio
 import os
-import secrets
 import subprocess
 import sys
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.canonical import canonical_encode
-from repro.crypto.dsa import RecoverableSignature
 from repro.exceptions import (
     ConfigurationError,
-    FrameTooLarge,
-    MalformedFrame,
     NoBackendAvailable,
     ServiceError,
     ServiceUnavailable,
-    TruncatedFrame,
 )
-from repro.obs import STATS_SCHEMA, new_registry
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.health import BackendState, HealthMonitor
 from repro.service.ring import DEFAULT_REPLICAS, HashRing
-from repro.service.server import ServiceConfig
-from repro.service.wire import (
-    MAX_FRAME_BYTES,
-    WIRE_VERSION,
-    check_wire_version,
-    decode_body,
-    encode_frame,
-    read_frame,
+from repro.service.server import (
+    EndpointThread,
+    FrameCounters,
+    FrameServer,
+    ServiceConfig,
 )
+from repro.service.wire import MAX_FRAME_BYTES, check_wire_version
 
 __all__ = [
     "ClusterConfig",
@@ -144,31 +136,17 @@ class ClusterConfig:
 
 
 @dataclass
-class _GatewayCounters:
-    """Aggregate gateway accounting (everything its stats op reports)."""
+class _GatewayCounters(FrameCounters):
+    """The gateway's accounting: the shared counters plus routing."""
 
-    connections: int = 0
-    requests: int = 0
-    verify_requests: int = 0
-    batch_requests: int = 0
-    session_requests: int = 0
-    cache_hits: int = 0
     dedup_hits: int = 0
     failovers: int = 0
     reissues: int = 0
     breaker_trips: int = 0
     breaker_shed: int = 0
     no_backend: int = 0
-    busy: int = 0
-    errors: int = 0
     restarts_detected: int = 0
     invalidated_verdicts: int = 0
-    frames_rejected_oversize: int = 0
-    frames_rejected_malformed: int = 0
-    frames_truncated: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 def _backend_name(address: Tuple[str, int]) -> str:
@@ -182,7 +160,7 @@ class _BackendBatcher:
     shape, one tier up: a window closes at ``max_batch`` items or
     ``max_delay`` seconds after its first item, then ships as one
     frame.  A failed shipment fails every window item's future — the
-    gateway's dispatch loop re-routes and re-issues them.
+    gateway's routing loop re-routes and re-issues them.
     """
 
     def __init__(self, gateway: "ClusterGateway", name: str,
@@ -250,16 +228,18 @@ class _BackendBatcher:
         }
 
 
-class ClusterGateway:
-    """Wire-compatible front door routing over N verifier backends."""
+class ClusterGateway(FrameServer):
+    """The gateway role: wire-compatible front door over N verifiers."""
+
+    role = "gateway"
+    metric_prefix = "gateway"
 
     def __init__(self, config: ClusterConfig) -> None:
         if not config.backends:
             raise ConfigurationError(
                 "a cluster gateway needs at least one backend address"
             )
-        self.config = config
-        self.instance_id = secrets.token_hex(8)
+        super().__init__(config, _GatewayCounters())
         self._addresses: Dict[str, Tuple[str, int]] = {
             _backend_name(address): (str(address[0]), int(address[1]))
             for address in config.backends
@@ -278,11 +258,10 @@ class ClusterGateway:
         )
         for name in self._addresses:
             self.monitor.add(name)
-        self.counters = _GatewayCounters()
         #: Request-path breakers, one per backend.  The health monitor
         #: sees probe results; a *flapping* backend passes probes yet
         #: fails real requests, so the breakers are fed exclusively by
-        #: the dispatch loops — never by :meth:`_probe`.
+        #: the routing loop — never by :meth:`_probe`.
         self._breakers: Dict[str, CircuitBreaker] = (
             {
                 name: CircuitBreaker(
@@ -296,15 +275,6 @@ class ClusterGateway:
             }
             if config.breaker_threshold > 0 else {}
         )
-        self.metrics = new_registry()
-        # Latency histograms exist only for the known ops — request
-        # bodies carry attacker-chosen op strings, which must never
-        # mint new metric names.
-        self._op_latency = {
-            op: self.metrics.histogram("gateway.op.%s.seconds" % op)
-            for op in ("verify", "verify-batch", "check-session",
-                       "stats", "ping")
-        }
         self._backend_metrics = {
             name: {
                 "routed": self.metrics.counter(
@@ -326,9 +296,6 @@ class ClusterGateway:
         }
         #: In-flight dedup: content key → the one future answering it.
         self._pending: Dict[Any, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._address: Optional[Tuple[str, int]] = None
-        self._client_writers: set = set()
 
     # -- backend connections -----------------------------------------------------
 
@@ -434,224 +401,44 @@ class ClusterGateway:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)``; only valid after :meth:`start`."""
-        if self._address is None:
-            raise RuntimeError("the gateway has not been started")
-        return self._address
-
     async def start(self) -> Tuple[str, int]:
         """Probe every backend once, start the monitor, bind the listener."""
         await self.monitor.probe_once()
         self.monitor.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self._address = (sockname[0], sockname[1])
-        return self._address
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        return await super().start()
 
     async def stop(self) -> None:
+        """Stop probing, ship open windows, close, drop backend clients."""
         await self.monitor.stop()
         for batcher in self._batchers.values():
             batcher.flush()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._client_writers):
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+        await super().stop()
         for name in list(self._clients):
             await self._drop_client(name)
-        await asyncio.sleep(0)
-
-    # -- connection handling (same loop shape as the single server) -------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.counters.connections += 1
-        self._client_writers.add(writer)
-        tasks: List["asyncio.Task[None]"] = []
-        try:
-            while True:
-                try:
-                    body = await read_frame(reader, self.config.max_frame)
-                except (ConnectionError, OSError):
-                    break
-                except FrameTooLarge as exc:
-                    self.counters.frames_rejected_oversize += 1
-                    self._write(writer, self._error_response(
-                        None, "frame-too-large", str(exc)
-                    ))
-                    break
-                except TruncatedFrame:
-                    self.counters.frames_truncated += 1
-                    break
-                if body is None:
-                    break
-                try:
-                    request = decode_body(body)
-                except MalformedFrame as exc:
-                    self.counters.frames_rejected_malformed += 1
-                    self._write(writer, self._error_response(
-                        None, "malformed-frame", str(exc)
-                    ))
-                    continue
-                task = asyncio.ensure_future(self._process(request, writer))
-                tasks.append(task)
-                tasks = [t for t in tasks if not t.done()]
-        finally:
-            for task in tasks:
-                if not task.done():
-                    try:
-                        await asyncio.wait_for(task, timeout=None)
-                    except Exception:  # noqa: BLE001 - teardown must finish
-                        pass
-            self._client_writers.discard(writer)
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    def _write(self, writer: asyncio.StreamWriter,
-               response: Dict[str, Any]) -> None:
-        try:
-            frame = encode_frame(response, self.config.max_frame)
-        except FrameTooLarge:
-            self.counters.errors += 1
-            frame = encode_frame(self._error_response(
-                response.get("id"), "response-too-large",
-                "the response exceeded the %d-byte frame limit"
-                % self.config.max_frame,
-            ))
-        try:
-            writer.write(frame)
-        except (ConnectionError, OSError):
-            pass
-
-    async def _process(self, request: Any,
-                       writer: asyncio.StreamWriter) -> None:
-        response = await self._respond(request)
-        self._write(writer, response)
-        try:
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
 
     # -- request handling --------------------------------------------------------
 
-    async def _respond(self, request: Any) -> Dict[str, Any]:
-        if not isinstance(request, dict):
-            self.counters.errors += 1
-            return self._error_response(
-                None, "malformed-request", "request must be a mapping"
-            )
-        histogram = self._op_latency.get(request.get("op"))
-        if histogram is None:
-            return await self._dispatch_request(request)
-        started = time.perf_counter()
-        try:
-            return await self._dispatch_request(request)
-        finally:
-            histogram.observe(time.perf_counter() - started)
-
-    async def _dispatch_request(
-        self, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        request_id = request.get("id")
-        op = request.get("op")
-        self.counters.requests += 1
-        try:
-            if op == "verify":
-                self.counters.verify_requests += 1
-                response = await self._verify_item(request)
-                response["id"] = request_id
-                return response
-            if op == "verify-batch":
-                return await self._handle_batch(request_id, request)
-            if op == "check-session":
-                return await self._handle_session(request_id, request)
-            if op == "stats":
-                return {"id": request_id, "status": "ok",
-                        "stats": self.stats()}
-            if op == "ping":
-                return {"id": request_id, "status": "ok",
-                        "wire": WIRE_VERSION,
-                        "instance": self.instance_id,
-                        "role": "gateway"}
-            self.counters.errors += 1
-            return self._error_response(
-                request_id, "unknown-op", "unsupported op %r" % (op,)
-            )
-        except NoBackendAvailable as exc:
-            return self._error_response(request_id, "no-backend", str(exc))
-        except Exception as exc:  # noqa: BLE001 - a request must never kill the gateway
-            self.counters.errors += 1
-            return self._error_response(
-                request_id, "internal-error",
-                "%s: %s" % (type(exc).__name__, exc),
-            )
-
-    async def _handle_batch(self, request_id: Any,
-                            request: Dict[str, Any]) -> Dict[str, Any]:
-        self.counters.batch_requests += 1
-        items = request.get("items")
-        if not isinstance(items, list):
-            self.counters.errors += 1
-            return self._error_response(
-                request_id, "malformed-request",
-                "verify-batch needs items:list",
-            )
-        self.counters.verify_requests += len(items)
-        results = await asyncio.gather(*(
-            self._verify_item(item if isinstance(item, dict) else {})
-            for item in items
-        ))
-        return {"id": request_id, "status": "ok", "results": list(results)}
-
     async def _verify_item(self, item: Dict[str, Any]) -> Dict[str, Any]:
-        """Settle one verify item to a per-item response (no ``id``)."""
+        self.counters.verify_requests += 1
         try:
             return await self._settle_verify(item)
         except NoBackendAvailable as exc:
             self.counters.no_backend += 1
-            return {"status": "error", "error": "no-backend",
-                    "detail": str(exc)}
+            return self._item_error("no-backend", str(exc))
         except ServiceUnavailable as exc:
             self.counters.busy += 1
             return {"status": "busy", "reason": str(exc)}
         except Exception as exc:  # noqa: BLE001 - per-item isolation
             self.counters.errors += 1
-            return {"status": "error", "error": "gateway-error",
-                    "detail": "%s: %s" % (type(exc).__name__, exc)}
+            return self._item_error(
+                "gateway-error", "%s: %s" % (type(exc).__name__, exc)
+            )
 
     async def _settle_verify(self, item: Dict[str, Any]) -> Dict[str, Any]:
-        signer = item.get("signer")
-        message = item.get("message")
-        signature_data = item.get("signature")
-        if (not isinstance(signer, str) or not isinstance(message, bytes)
-                or not isinstance(signature_data, dict)):
-            self.counters.errors += 1
-            return {"status": "error", "error": "malformed-request",
-                    "detail": "verify needs signer:str, message:bytes, "
-                              "signature:dict"}
-        try:
-            signature = RecoverableSignature.from_canonical(signature_data)
-        except Exception:
-            self.counters.errors += 1
-            return {"status": "error", "error": "malformed-request",
-                    "detail": "undecodable signature"}
+        parsed = self._parse_verify(item)
+        if isinstance(parsed, dict):
+            return parsed
+        signer, message, signature = parsed
 
         key = VerdictCache.key(signer, message, signature)
         if self.cache is not None:
@@ -676,7 +463,9 @@ class ClusterGateway:
         try:
             wire_item = {"signer": signer, "message": message,
                          "signature": signature.to_canonical()}
-            result, backend = await self._dispatch(key, wire_item)
+            result, backend = await self._route(
+                key, lambda backend: self._batchers[backend].submit(wire_item)
+            )
             result = dict(result)
             result.setdefault("backend", backend)
             if (self.cache is not None and result.get("status") == "ok"
@@ -695,12 +484,46 @@ class ClusterGateway:
         finally:
             self._pending.pop(key, None)
 
-    async def _dispatch(
-        self, key: Any, item: Dict[str, Any]
+    async def _handle_session(self, request_id: Any,
+                              request: Dict[str, Any]) -> Dict[str, Any]:
+        self.counters.session_requests += 1
+        payload = {
+            name: request.get(name)
+            for name in ("prev_session", "observed_state",
+                         "checked_host", "checking_host")
+        }
+        payload["op"] = "check-session"
+
+        async def send(backend: str) -> Dict[str, Any]:
+            client = await self._client(backend)
+            return await client.request(payload)
+
+        # Session checks route by their canonical content, through the
+        # same failover loop as verifies — re-execution is pure too.
+        try:
+            response, backend = await self._route(
+                canonical_encode(payload), send
+            )
+        except NoBackendAvailable as exc:
+            self.counters.no_backend += 1
+            return self._error_response(request_id, "no-backend", str(exc))
+        response = dict(response)
+        response["id"] = request_id
+        response.setdefault("backend", backend)
+        return response
+
+    async def _route(
+        self, key: Any,
+        send: Callable[[str], Awaitable[Dict[str, Any]]],
     ) -> Tuple[Dict[str, Any], str]:
-        """Route ``key`` to a live backend, re-issuing across failures."""
+        """``send`` to ``key``'s live backend, re-issuing across failures.
+
+        Raises :class:`NoBackendAvailable` when every backend is down,
+        or the last transport error once ``max_attempts`` are spent.
+        """
+        attempts = max(1, self.config.max_attempts)
         last_error: Optional[BaseException] = None
-        for attempt in range(max(1, self.config.max_attempts)):
+        for attempt in range(attempts):
             backend = self.ring.route_avoiding(key, self._avoid_names())
             if backend is None:
                 raise NoBackendAvailable(
@@ -710,16 +533,17 @@ class ClusterGateway:
             if breaker is not None:
                 breaker.begin_attempt()
             try:
-                result = await self._batchers[backend].submit(item)
+                result = await send(backend)
             except (ServiceError, ConnectionError, OSError,
                     asyncio.IncompleteReadError) as exc:
                 # The backend died under a real request: mark it down on
-                # the spot and re-route.  Verification is pure, so the
-                # re-issue is idempotent by construction.
+                # the spot and re-route.  Verification and session
+                # re-execution are pure, so the re-issue is idempotent
+                # by construction.
                 last_error = exc
                 self.counters.failovers += 1
                 self._backend_metrics[backend]["failovers"].inc()
-                if attempt + 1 < max(1, self.config.max_attempts):
+                if attempt + 1 < attempts:
                     self.counters.reissues += 1
                     self._backend_metrics[backend]["reissues"].inc()
                 self._note_backend_result(backend, ok=False)
@@ -732,72 +556,8 @@ class ClusterGateway:
         assert last_error is not None
         raise last_error
 
-    async def _handle_session(self, request_id: Any,
-                              request: Dict[str, Any]) -> Dict[str, Any]:
-        self.counters.session_requests += 1
-        payload = {
-            name: request.get(name)
-            for name in ("prev_session", "observed_state",
-                         "checked_host", "checking_host")
-        }
-        payload["op"] = "check-session"
-        # Session checks route by their canonical content, with the
-        # same failover loop as verifies — re-execution is pure too.
-        route_key = canonical_encode(payload)
-        last_error: Optional[BaseException] = None
-        for attempt in range(max(1, self.config.max_attempts)):
-            backend = self.ring.route_avoiding(
-                route_key, self._avoid_names()
-            )
-            if backend is None:
-                raise NoBackendAvailable(
-                    "all %d verifier backends are down" % len(self.ring)
-                )
-            breaker = self._breakers.get(backend)
-            if breaker is not None:
-                breaker.begin_attempt()
-            try:
-                client = await self._client(backend)
-                response = await client.request(payload)
-            except (ServiceError, ConnectionError, OSError,
-                    asyncio.IncompleteReadError) as exc:
-                last_error = exc
-                self.counters.failovers += 1
-                self._backend_metrics[backend]["failovers"].inc()
-                if attempt + 1 < max(1, self.config.max_attempts):
-                    self.counters.reissues += 1
-                    self._backend_metrics[backend]["reissues"].inc()
-                self._note_backend_result(backend, ok=False)
-                self.monitor.record_failure(backend, immediate=True)
-                await self._drop_client(backend)
-                continue
-            self._note_backend_result(backend, ok=True)
-            self._backend_metrics[backend]["routed"].inc()
-            response = dict(response)
-            response["id"] = request_id
-            response.setdefault("backend", backend)
-            return response
-        assert last_error is not None
-        raise last_error
-
-    @staticmethod
-    def _error_response(request_id: Any, error: str,
-                        detail: str) -> Dict[str, Any]:
-        return {
-            "id": request_id,
-            "status": "error",
-            "error": error,
-            "detail": detail,
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        """Gateway metrics: counters, cache, health, ring, aggregation.
-
-        Shares the ``schema``/``role``/``instance``/``wire``/
-        ``counters``/``telemetry``/``config`` envelope with
-        :meth:`repro.service.server.VerificationService.stats`; the
-        parity test in ``tests/service/test_api.py`` pins the shape.
-        """
+    def _role_stats(self) -> Dict[str, Any]:
+        """Cache, health, ring, aggregation, breakers and config."""
         if self.metrics.enabled:
             state_codes = {"closed": 0, "half-open": 1, "open": 2}
             for name, breaker in self._breakers.items():
@@ -812,12 +572,6 @@ class ClusterGateway:
                     self.cache.stats().get("hit_rate") or 0.0
                 )
         return {
-            "schema": STATS_SCHEMA,
-            "role": "gateway",
-            "instance": self.instance_id,
-            "wire": WIRE_VERSION,
-            "counters": self.counters.snapshot(),
-            "telemetry": self.metrics.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
             "health": self.monitor.stats(),
             "ring": {
@@ -848,83 +602,14 @@ class ClusterGateway:
         }
 
 
-class ClusterThread:
-    """Hosts a :class:`ClusterGateway` on a background event loop.
+class ClusterThread(EndpointThread):
+    """An :class:`EndpointThread` hosting a :class:`ClusterGateway`."""
 
-    The blocking twin of the gateway, mirroring
-    :class:`~repro.service.server.ServiceThread` so tests and the local
-    launcher get a live gateway without surrendering their thread.
-    """
+    start_timeout = 30.0
 
     def __init__(self, config: ClusterConfig) -> None:
         self.gateway = ClusterGateway(config)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.gateway.address
-
-    def start(self, timeout: float = 30.0) -> Tuple[str, int]:
-        if self._thread is not None:
-            return self.gateway.address
-        self._thread = threading.Thread(
-            target=self._run, name="repro-gateway", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("gateway thread failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "gateway failed to start: %r" % (self._startup_error,)
-            )
-        return self.gateway.address
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.gateway.start())
-        except BaseException as exc:  # noqa: BLE001 - reported to starter
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.gateway.stop())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-        self._thread = None
-        self._loop = None
-
-    def stats(self) -> Dict[str, Any]:
-        """The hosted gateway's unified stats envelope."""
-        return self.gateway.stats()
-
-    def __enter__(self) -> "ClusterThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        super().__init__(self.gateway)
 
 
 # -- local multi-process launcher ------------------------------------------------
@@ -1084,22 +769,9 @@ class LocalCluster:
                     self._template.service,
                     table_cache=self._table_cache,
                 ))
-            self.config = ClusterConfig(
+            self.config = replace(
+                self._template,
                 backends=tuple(v.address for v in self.verifiers),
-                host=self._template.host,
-                port=self._template.port,
-                service=self._template.service,
-                cache_entries=self._template.cache_entries,
-                gather_batch=self._template.gather_batch,
-                gather_delay=self._template.gather_delay,
-                connections_per_backend=(
-                    self._template.connections_per_backend
-                ),
-                health_interval=self._template.health_interval,
-                failure_threshold=self._template.failure_threshold,
-                max_attempts=self._template.max_attempts,
-                ring_replicas=self._template.ring_replicas,
-                max_frame=self._template.max_frame,
             )
             self.gateway_thread = ClusterThread(self.config)
             return self.gateway_thread.start()

@@ -1,10 +1,16 @@
-"""The asyncio reference-state verification server.
+"""The asyncio frame server and the reference-state verifier.
 
 Hohl's framework places verification at trusted parties that many
-migrating agents contact — the shape of a network service.  This module
-is that service: an asyncio TCP server accepting length-prefixed
-canonical-encoded requests (:mod:`repro.service.wire`), answering two
-kinds of verification:
+migrating agents contact — the shape of a network service.
+:class:`FrameServer` is the one asyncio TCP server of the service tier:
+it accepts length-prefixed canonical-encoded requests
+(:mod:`repro.service.wire`), maps frame errors to typed answers, and
+serves ``ping`` and ``stats``.  Two roles subclass it — the verifier
+below and the cluster gateway (:mod:`repro.service.cluster`) — and
+:class:`EndpointThread` hosts either on a background event loop.
+
+The verifier, :class:`VerificationService`, answers two kinds of
+verification:
 
 * ``verify`` — a raw DSA verification (signer name, message bytes,
   recoverable signature).  Concurrent requests are coalesced into
@@ -37,7 +43,7 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 # Importing the workloads registers the fleet agent code with the
 # process-wide registry, so session re-execution can resolve the code
@@ -67,6 +73,8 @@ from repro.service.wire import (
 from repro.sim.fleet import FleetConfig, fleet_host_names
 
 __all__ = [
+    "EndpointThread",
+    "FrameServer",
     "ServiceConfig",
     "VerificationService",
     "ServiceThread",
@@ -136,17 +144,20 @@ def build_service_keystore(num_hosts: int,
     return keystore
 
 
+#: The ops every endpoint answers; per-op latency histograms exist for
+#: these names only.
+_OPS = ("verify", "verify-batch", "check-session", "stats", "ping")
+
+
 @dataclass
-class _Counters:
-    """Aggregate request accounting (everything the stats op reports)."""
+class FrameCounters:
+    """Request accounting kept by the accept loop and the dispatcher."""
 
     connections: int = 0
     requests: int = 0
     verify_requests: int = 0
     batch_requests: int = 0
     session_requests: int = 0
-    verdicts_true: int = 0
-    verdicts_false: int = 0
     cache_hits: int = 0
     busy: int = 0
     errors: int = 0
@@ -158,69 +169,55 @@ class _Counters:
         return dict(self.__dict__)
 
 
-class VerificationService:
-    """One server instance: listener, batcher, cache, and metrics.
+@dataclass
+class _Counters(FrameCounters):
+    """The verifier's accounting: the shared counters plus verdicts."""
 
-    Parameters
-    ----------
-    config:
-        The server tunables.
-    keystore:
-        Public-key directory; defaults to the deterministic
-        fleet-shaped PKI of :func:`build_service_keystore`.
-    code_registry:
-        Agent-code registry for session re-execution; defaults to the
-        process-wide registry (the workload agents register on import).
+    verdicts_true: int = 0
+    verdicts_false: int = 0
+
+
+class FrameServer:
+    """One asyncio listener speaking the :mod:`repro.service.wire` protocol.
+
+    The verifier (:class:`VerificationService`) and the cluster gateway
+    (:class:`repro.service.cluster.ClusterGateway`) are two roles of
+    this one server.  The base owns the listener, the frame loop with
+    its error mapping, response writing, per-op latency telemetry, op
+    dispatch, the ``verify-batch`` fan-out and the shared ``stats()``
+    envelope.  A role supplies how one verify item settles
+    (:meth:`_verify_item`), how a session check is answered
+    (:meth:`_handle_session`), its counters and its own ``stats()``
+    sections (:meth:`_role_stats`).
+
+    ``config`` must carry ``host``, ``port`` and ``max_frame``.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        keystore: Optional[KeyStore] = None,
-        code_registry: Optional[Any] = None,
-    ) -> None:
-        self.config = config or ServiceConfig()
-        if self.config.backend is not None:
-            set_backend(self.config.backend)
-        # Resolve (and thereby pin) the engine before any key material
-        # is built, so the whole lifetime of this instance runs on it.
-        self.backend = get_backend()
-        self.keystore = keystore if keystore is not None else (
-            build_service_keystore(
-                self.config.fleet_hosts, self.config.extra_principals
-            )
-        )
-        self.code_registry = code_registry
-        self.batcher = MicroBatcher(
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay,
-        )
-        self.cache: Optional[VerdictCache] = (
-            VerdictCache(self.config.cache_entries)
-            if self.config.cache_entries > 0 else None
-        )
-        self.counters = _Counters()
+    #: ``ping``/``stats`` role name; also names the thread host.
+    role = ""
+    #: Prefix of the per-op latency histograms (``<prefix>.op.<op>.seconds``).
+    metric_prefix = ""
+
+    def __init__(self, config: Any, counters: FrameCounters) -> None:
+        self.config = config
+        self.counters = counters
         # A fresh random id per *process instance*: a restarted backend
         # announces a different id in its ping, which is how the cluster
         # gateway detects the restart and invalidates that backend's
         # cached verdicts.
         self.instance_id = secrets.token_hex(8)
-        # Side-band telemetry (repro.obs): per-op latency histograms
-        # plus the verify path's queue-wait/batch-size distributions.
-        # The aggregate request counters stay in ``self.counters`` —
-        # telemetry complements them with the latency answers counters
-        # cannot give.
+        # Side-band telemetry (repro.obs): latency distributions that
+        # the exact request counters in ``self.counters`` cannot give.
+        # Histograms exist only for the known ops — request bodies carry
+        # attacker-chosen op strings, which must never mint new metric
+        # names.
         self.metrics = new_registry()
         self._op_latency = {
-            op: self.metrics.histogram("service.op.%s.seconds" % op)
-            for op in ("verify", "verify-batch", "check-session",
-                       "stats", "ping")
+            op: self.metrics.histogram(
+                "%s.op.%s.seconds" % (self.metric_prefix, op)
+            )
+            for op in _OPS
         }
-        self._m_queue_wait = self.metrics.histogram(
-            "service.verify.queue_wait.seconds"
-        )
-        self._m_batch_size = self.metrics.histogram("service.batch_size")
-        self._inflight = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
         self._client_writers: set = set()
@@ -231,7 +228,7 @@ class VerificationService:
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``; only valid after :meth:`start`."""
         if self._address is None:
-            raise RuntimeError("the service has not been started")
+            raise RuntimeError("the %s has not been started" % self.role)
         return self._address
 
     async def start(self) -> Tuple[str, int]:
@@ -252,8 +249,11 @@ class VerificationService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener and settle anything still queued."""
-        self.batcher.flush()
+        """Close the listener and every client connection.
+
+        Roles extend this: work they still hold is settled before, and
+        outbound resources are released after.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -274,7 +274,7 @@ class VerificationService:
                                  writer: asyncio.StreamWriter) -> None:
         self.counters.connections += 1
         self._client_writers.add(writer)
-        tasks = []
+        tasks: List["asyncio.Future[None]"] = []
         try:
             while True:
                 try:
@@ -364,10 +364,8 @@ class VerificationService:
             return self._error_response(
                 None, "malformed-request", "request must be a mapping"
             )
-        # Per-op latency is only recorded for known ops: metric names
-        # must never be attacker-chosen (an unknown ``op`` string would
-        # otherwise mint a new histogram per request).
-        histogram = self._op_latency.get(request.get("op"))
+        op = request.get("op")
+        histogram = self._op_latency.get(op) if isinstance(op, str) else None
         if histogram is None:
             return await self._dispatch(request)
         started = time.perf_counter()
@@ -386,7 +384,7 @@ class VerificationService:
             if op == "verify-batch":
                 return await self._handle_verify_batch(request_id, request)
             if op == "check-session":
-                return self._handle_session(request_id, request)
+                return await self._handle_session(request_id, request)
             if op == "stats":
                 return {"id": request_id, "status": "ok",
                         "stats": self.stats()}
@@ -397,7 +395,7 @@ class VerificationService:
                 return {"id": request_id, "status": "ok",
                         "wire": WIRE_VERSION,
                         "instance": self.instance_id,
-                        "role": "verifier"}
+                        "role": self.role}
             self.counters.errors += 1
             return self._error_response(
                 request_id, "unknown-op", "unsupported op %r" % (op,)
@@ -411,7 +409,7 @@ class VerificationService:
 
     async def _handle_verify(self, request_id: Any,
                              request: Dict[str, Any]) -> Dict[str, Any]:
-        response = await self._verify_one(request)
+        response = await self._verify_item(request)
         response["id"] = request_id
         return response
 
@@ -419,8 +417,8 @@ class VerificationService:
                                    request: Dict[str, Any]) -> Dict[str, Any]:
         """The inter-tier aggregation op (``wire/2``).
 
-        The cluster gateway ships one frame carrying many verify items;
-        each settles through the same cache/keystore/batcher path as a
+        The cluster gateway ships one frame carrying many verify items
+        to a verifier; each settles through the same path as a
         standalone ``verify`` (so gateway aggregation and server-side
         micro-batching compose), and the response carries one result per
         item, in order.  Per-item failures (busy, malformed) stay
@@ -435,17 +433,28 @@ class VerificationService:
                 "verify-batch needs items:list",
             )
         results: List[Dict[str, Any]] = await asyncio.gather(*(
-            self._verify_one(item if isinstance(item, dict) else {})
+            self._verify_item(item if isinstance(item, dict) else {})
             for item in items
         ))
         return {"id": request_id, "status": "ok", "results": results}
 
-    async def _verify_one(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _verify_item(self, item: Dict[str, Any]) -> Dict[str, Any]:
         """Settle one verify item; the response carries no ``id`` yet."""
-        self.counters.verify_requests += 1
-        signer = request.get("signer")
-        message = request.get("message")
-        signature_data = request.get("signature")
+        raise NotImplementedError
+
+    async def _handle_session(self, request_id: Any,
+                              request: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one ``check-session`` request."""
+        raise NotImplementedError
+
+    def _parse_verify(
+        self, item: Dict[str, Any]
+    ) -> Union[Dict[str, Any], Tuple[str, bytes, RecoverableSignature]]:
+        """A verify item's ``(signer, message, signature)``, or the
+        per-item error response (counted) when it does not decode."""
+        signer = item.get("signer")
+        message = item.get("message")
+        signature_data = item.get("signature")
         if (not isinstance(signer, str) or not isinstance(message, bytes)
                 or not isinstance(signature_data, dict)):
             self.counters.errors += 1
@@ -460,6 +469,111 @@ class VerificationService:
             return self._item_error(
                 "malformed-request", "undecodable signature"
             )
+        return signer, message, signature
+
+    # -- response shapes ---------------------------------------------------------
+
+    @staticmethod
+    def _item_error(error: str, detail: str) -> Dict[str, Any]:
+        return {"status": "error", "error": error, "detail": detail}
+
+    @staticmethod
+    def _error_response(request_id: Any, error: str,
+                        detail: str) -> Dict[str, Any]:
+        return {
+            "id": request_id,
+            "status": "error",
+            "error": error,
+            "detail": detail,
+        }
+
+    def stats(self) -> Dict[str, Any]:
+        """The ``repro-stats/1`` envelope plus the role's own sections.
+
+        ``schema``/``role``/``instance``/``wire``/``counters``/
+        ``telemetry``/``config`` are present for every role — the parity
+        test in ``tests/service/test_api.py`` pins the shape.
+        """
+        # The role refreshes its gauges before telemetry is snapshotted.
+        sections = self._role_stats()
+        return {
+            "schema": STATS_SCHEMA,
+            "role": self.role,
+            "instance": self.instance_id,
+            "wire": WIRE_VERSION,
+            "counters": self.counters.snapshot(),
+            "telemetry": self.metrics.snapshot(),
+            **sections,
+        }
+
+    def _role_stats(self) -> Dict[str, Any]:
+        """Role-specific ``stats()`` sections, ``config`` included."""
+        raise NotImplementedError
+
+
+class VerificationService(FrameServer):
+    """The verifier role: batcher, verdict cache and session checks.
+
+    Parameters
+    ----------
+    config:
+        The server tunables.
+    keystore:
+        Public-key directory; defaults to the deterministic
+        fleet-shaped PKI of :func:`build_service_keystore`.
+    code_registry:
+        Agent-code registry for session re-execution; defaults to the
+        process-wide registry (the workload agents register on import).
+    """
+
+    role = "verifier"
+    metric_prefix = "service"
+
+    def __init__(
+        self,
+        config: Optional[ServiceConfig] = None,
+        keystore: Optional[KeyStore] = None,
+        code_registry: Optional[Any] = None,
+    ) -> None:
+        super().__init__(config or ServiceConfig(), _Counters())
+        if self.config.backend is not None:
+            set_backend(self.config.backend)
+        # Resolve (and thereby pin) the engine before any key material
+        # is built, so the whole lifetime of this instance runs on it.
+        self.backend = get_backend()
+        self.keystore = keystore if keystore is not None else (
+            build_service_keystore(
+                self.config.fleet_hosts, self.config.extra_principals
+            )
+        )
+        self.code_registry = code_registry
+        self.batcher = MicroBatcher(
+            max_batch=self.config.max_batch,
+            max_delay=self.config.max_delay,
+        )
+        self.cache: Optional[VerdictCache] = (
+            VerdictCache(self.config.cache_entries)
+            if self.config.cache_entries > 0 else None
+        )
+        self._m_queue_wait = self.metrics.histogram(
+            "service.verify.queue_wait.seconds"
+        )
+        self._m_batch_size = self.metrics.histogram("service.batch_size")
+        self._inflight = 0
+
+    async def stop(self) -> None:
+        """Settle anything still queued, then close the listener."""
+        self.batcher.flush()
+        await super().stop()
+
+    # -- request processing ------------------------------------------------------
+
+    async def _verify_item(self, item: Dict[str, Any]) -> Dict[str, Any]:
+        self.counters.verify_requests += 1
+        parsed = self._parse_verify(item)
+        if isinstance(parsed, dict):
+            return parsed
+        signer, message, signature = parsed
 
         key = VerdictCache.key(signer, message, signature)
         if self.cache is not None:
@@ -503,8 +617,8 @@ class VerificationService:
             batch_size=settled.batch_size, queue_wait=settled.queue_wait,
         )
 
-    def _handle_session(self, request_id: Any,
-                        request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _handle_session(self, request_id: Any,
+                              request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
         prev_session = request.get("prev_session")
         observed_state = request.get("observed_state")
@@ -560,28 +674,8 @@ class VerificationService:
             response["reason"] = reason
         return response
 
-    @staticmethod
-    def _item_error(error: str, detail: str) -> Dict[str, Any]:
-        return {"status": "error", "error": error, "detail": detail}
-
-    @staticmethod
-    def _error_response(request_id: Any, error: str,
-                        detail: str) -> Dict[str, Any]:
-        return {
-            "id": request_id,
-            "status": "error",
-            "error": error,
-            "detail": detail,
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        """Aggregate server metrics: counters, cache, batching, crypto.
-
-        The envelope keys ``schema``/``role``/``instance``/``wire``/
-        ``counters``/``telemetry``/``config`` are shared with
-        :meth:`repro.service.cluster.ClusterGateway.stats` — the parity
-        test in ``tests/service/test_api.py`` pins the shape.
-        """
+    def _role_stats(self) -> Dict[str, Any]:
+        """Cache, batching, in-flight, crypto engine and config."""
         if self.metrics.enabled:
             self.metrics.gauge("service.inflight").set(self._inflight)
             if self.cache is not None:
@@ -590,15 +684,9 @@ class VerificationService:
                     cache_stats.get("hit_rate") or 0.0
                 )
         return {
-            "schema": STATS_SCHEMA,
-            "role": "verifier",
-            "counters": self.counters.snapshot(),
-            "telemetry": self.metrics.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
             "batching": self.batcher.stats(),
             "inflight": self._inflight,
-            "instance": self.instance_id,
-            "wire": WIRE_VERSION,
             "crypto": {
                 "backend": self.backend.name,
                 "table_cache": table_cache_info(),
@@ -615,21 +703,21 @@ class VerificationService:
         }
 
 
-class ServiceThread:
-    """Hosts a :class:`VerificationService` on a background event loop.
+class EndpointThread:
+    """Hosts a :class:`FrameServer` on a background event loop.
 
-    The benchmark harness and the test-suite need a live server inside
-    the current process without surrendering the main thread to an
-    event loop; this helper owns a daemon thread running the loop and
-    exposes ``start()``/``stop()`` with plain blocking semantics.
+    The benchmark harness, the local cluster launcher and the test-suite
+    need a live endpoint inside the current process without surrendering
+    the main thread to an event loop; this helper owns a daemon thread
+    running the loop and exposes ``start()``/``stop()`` with plain
+    blocking semantics.
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None,
-                 keystore: Optional[KeyStore] = None,
-                 code_registry: Optional[Any] = None) -> None:
-        self.service = VerificationService(
-            config=config, keystore=keystore, code_registry=code_registry
-        )
+    #: Default seconds :meth:`start` waits for the endpoint to bind.
+    start_timeout = 10.0
+
+    def __init__(self, endpoint: FrameServer) -> None:
+        self.endpoint = endpoint
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
@@ -639,30 +727,33 @@ class ServiceThread:
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — makes a started thread a valid
         endpoint for :func:`repro.service.connect`."""
-        return self.service.address
+        return self.endpoint.address
 
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
-        """Start the loop thread and the server; returns the address."""
+    def start(self, timeout: Optional[float] = None) -> Tuple[str, int]:
+        """Start the loop thread and the endpoint; returns the address."""
         if self._thread is not None:
-            return self.service.address
+            return self.endpoint.address
+        role = self.endpoint.role
         self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
+            target=self._run, name="repro-%s" % role, daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("service thread failed to start in time")
+        if not self._started.wait(
+            self.start_timeout if timeout is None else timeout
+        ):
+            raise RuntimeError("%s thread failed to start in time" % role)
         if self._startup_error is not None:
             raise RuntimeError(
-                "service failed to start: %r" % (self._startup_error,)
+                "%s failed to start: %r" % (role, self._startup_error)
             )
-        return self.service.address
+        return self.endpoint.address
 
     def _run(self) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            loop.run_until_complete(self.service.start())
+            loop.run_until_complete(self.endpoint.start())
         except BaseException as exc:  # noqa: BLE001 - reported to starter
             self._startup_error = exc
             self._started.set()
@@ -672,7 +763,7 @@ class ServiceThread:
         try:
             loop.run_forever()
         finally:
-            loop.run_until_complete(self.service.stop())
+            loop.run_until_complete(self.endpoint.stop())
             # Connection handlers may still be parked on reads; cancel
             # and drain them so closing the loop is silent.
             pending = asyncio.all_tasks(loop)
@@ -685,7 +776,7 @@ class ServiceThread:
             loop.close()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the server and join the loop thread."""
+        """Stop the endpoint and join the loop thread."""
         if self._loop is None or self._thread is None:
             return
         self._loop.call_soon_threadsafe(self._loop.stop)
@@ -694,12 +785,24 @@ class ServiceThread:
         self._loop = None
 
     def stats(self) -> Dict[str, Any]:
-        """The hosted service's unified stats envelope."""
-        return self.service.stats()
+        """The hosted endpoint's unified stats envelope."""
+        return self.endpoint.stats()
 
-    def __enter__(self) -> "ServiceThread":
+    def __enter__(self) -> "EndpointThread":
         self.start()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+
+class ServiceThread(EndpointThread):
+    """An :class:`EndpointThread` hosting a :class:`VerificationService`."""
+
+    def __init__(self, config: Optional[ServiceConfig] = None,
+                 keystore: Optional[KeyStore] = None,
+                 code_registry: Optional[Any] = None) -> None:
+        self.service = VerificationService(
+            config=config, keystore=keystore, code_registry=code_registry
+        )
+        super().__init__(self.service)

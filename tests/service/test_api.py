@@ -158,23 +158,20 @@ class TestPublicSurface:
         assert repro.ServiceConfig is repro.service.ServiceConfig
         assert repro.ClusterConfig is repro.service.ClusterConfig
 
-    def test_deprecated_names_still_work_but_warn(self):
+    def test_removed_shims_raise_attribute_error(self):
+        # The package-level deprecation shims are gone: the old names
+        # are neither advertised nor resolvable from ``repro.service``.
         import repro.service as service
 
         for name in ("ServiceClient", "connect_with_retry",
                      "ServiceResponseError"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                attribute = getattr(service, name)
-            assert attribute is not None
-            assert any(
-                issubclass(warning.category, DeprecationWarning)
-                for warning in caught
-            ), name
+            assert name not in service.__all__
+            with pytest.raises(AttributeError):
+                getattr(service, name)
 
     def test_implementation_module_imports_stay_warning_free(self):
-        # Internal call sites import from repro.service.client directly;
-        # only the package-level facade access warns.
+        # Internal call sites import from repro.service.client directly,
+        # and that import stays warning-free.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             from repro.service.client import ServiceClient  # noqa: F401

@@ -210,6 +210,38 @@ class TestFailover:
 
         asyncio.run(run())
 
+    def test_all_backends_down_session_check_counts_no_backend(self):
+        # A refused check-session is accounted like a refused verify:
+        # exactly one no_backend per request the gateway turns away.
+        async def run():
+            backends, gateway, client = await _start_cluster(
+                2, max_attempts=3
+            )
+            try:
+                for backend in backends:
+                    await backend.stop()
+                # Mark both backends down through the request path.
+                message, signature = _signed(1, prefix=b"gone")[0]
+                await client.request({
+                    "op": "verify", "signer": "host-001",
+                    "message": message,
+                    "signature": signature.to_canonical(),
+                })
+                before = gateway.counters.no_backend
+                response = await client.request({
+                    "op": "check-session",
+                    "prev_session": {},
+                    "observed_state": {},
+                    "checking_host": "home",
+                })
+                assert response["status"] == "error"
+                assert response["error"] == "no-backend"
+                assert gateway.counters.no_backend == before + 1
+            finally:
+                await _teardown(backends, gateway, client)
+
+        asyncio.run(run())
+
     def test_session_checks_fail_over_too(self):
         async def run():
             backends, gateway, client = await _start_cluster(2)

@@ -2,17 +2,21 @@
 
 Each test drives a real :class:`VerificationService` over loopback TCP
 with the pooled client, in one event loop (``asyncio.run`` per test).
+The malformed-traffic tests also run against a cluster gateway, the
+frame server's other role.
 """
 
 from __future__ import annotations
 
 import asyncio
+from contextlib import asynccontextmanager
 
 import pytest
 
 from repro.crypto.keys import Identity
 from repro.exceptions import ServiceError, ServiceUnavailable
 from repro.service.client import ServiceClient, ServiceResponseError
+from repro.service.cluster import ClusterConfig, ClusterGateway
 from repro.service.server import (
     ServiceConfig,
     ServiceThread,
@@ -20,6 +24,7 @@ from repro.service.server import (
     build_service_keystore,
 )
 from repro.service.wire import (
+    MAX_FRAME_BYTES,
     decode_body,
     encode_frame,
     read_frame,
@@ -213,15 +218,57 @@ class TestBackpressure:
         _run_with_service(config, body)
 
 
-class TestMalformedTraffic:
-    def test_malformed_frame_gets_typed_error_and_stream_survives(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+@asynccontextmanager
+async def _verifier_endpoint(max_frame=MAX_FRAME_BYTES):
+    """A started verifier."""
+    service = VerificationService(ServiceConfig(fleet_hosts=4,
+                                                max_frame=max_frame))
+    await service.start()
+    try:
+        yield service
+    finally:
+        await service.stop()
 
+
+@asynccontextmanager
+async def _gateway_endpoint(max_frame=MAX_FRAME_BYTES):
+    """A started gateway in front of one verifier, on this loop."""
+    backend = VerificationService(ServiceConfig(fleet_hosts=4,
+                                                max_delay=0.001))
+    gateway = ClusterGateway(ClusterConfig(
+        backends=(await backend.start(),), gather_delay=0.001,
+        health_interval=30.0, max_frame=max_frame,
+    ))
+    await gateway.start()
+    try:
+        yield gateway
+    finally:
+        await gateway.stop()
+        await backend.stop()
+
+
+class TestMalformedTraffic:
+    """Frame errors and bad requests against a verifier endpoint.
+
+    :class:`TestGatewayMalformedTraffic` reruns every test here against
+    a cluster gateway: both roles share one frame server, and these
+    tests pin that they answer hostile traffic identically.
+    """
+
+    role = "verifier"
+    endpoint = staticmethod(_verifier_endpoint)
+
+    @staticmethod
+    def unstarted(max_frame):
+        return VerificationService(ServiceConfig(fleet_hosts=2,
+                                                 max_frame=max_frame))
+
+    def test_malformed_frame_gets_typed_error_and_stream_survives(self):
         async def run():
-            service = VerificationService(config)
-            host, port = await service.start()
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
+            async with self.endpoint() as endpoint:
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
                 garbage = b"\x99not canonical at all"
                 writer.write(len(garbage).to_bytes(4, "big") + garbage)
                 writer.write(encode_frame({"id": 7, "op": "ping"}))
@@ -230,61 +277,53 @@ class TestMalformedTraffic:
                 second = decode_body(await read_frame(reader))
                 assert first["status"] == "error"
                 assert first["error"] == "malformed-frame"
+                assert endpoint.counters.frames_rejected_malformed == 1
                 # The connection survived and served the next frame
                 # (a wire/2 ping: the hello advertisement rides along).
                 assert second["id"] == 7
                 assert second["status"] == "ok"
                 assert second["wire"] == "wire/2"
-                assert second["role"] == "verifier"
+                assert second["role"] == self.role
                 assert isinstance(second["instance"], str)
                 writer.close()
-            finally:
-                await service.stop()
 
         asyncio.run(run())
 
     def test_oversized_frame_is_rejected_before_decode(self):
-        config = ServiceConfig(fleet_hosts=4, max_frame=1024)
-
         async def run():
-            service = VerificationService(config)
-            host, port = await service.start()
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
+            async with self.endpoint(max_frame=1024) as endpoint:
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
                 # Declare a huge body but never send it: the server must
-                # answer from the header alone (nothing to decode).
+                # answer from the header alone (nothing to decode), then
+                # close the connection.
                 writer.write((1 << 20).to_bytes(4, "big"))
                 await writer.drain()
                 response = decode_body(await read_frame(reader))
                 assert response["status"] == "error"
                 assert response["error"] == "frame-too-large"
-                assert service.counters.frames_rejected_oversize == 1
+                assert endpoint.counters.frames_rejected_oversize == 1
+                assert await read_frame(reader) is None
                 writer.close()
-            finally:
-                await service.stop()
 
         asyncio.run(run())
 
     def test_truncated_frame_closes_quietly_and_server_survives(self):
-        config = ServiceConfig(fleet_hosts=4)
-
         async def run():
-            service = VerificationService(config)
-            host, port = await service.start()
-            try:
+            async with self.endpoint() as endpoint:
+                host, port = endpoint.address
                 _, writer = await asyncio.open_connection(host, port)
                 frame = encode_frame({"op": "ping", "id": 1})
                 writer.write(frame[:len(frame) - 2])
                 await writer.drain()
                 writer.close()
                 await asyncio.sleep(0.05)
-                assert service.counters.frames_truncated == 1
+                assert endpoint.counters.frames_truncated == 1
                 # A fresh connection still works.
                 client = await ServiceClient.connect(host, port)
                 assert await client.ping()
                 await client.close()
-            finally:
-                await service.stop()
 
         asyncio.run(run())
 
@@ -293,8 +332,7 @@ class TestMalformedTraffic:
         # blows past max_frame) must degrade into a small typed error
         # response — the client always gets an answer for the id, never
         # silence.
-        service = VerificationService(ServiceConfig(fleet_hosts=2,
-                                                    max_frame=64))
+        endpoint = self.unstarted(max_frame=64)
 
         class _Writer:
             def __init__(self):
@@ -304,52 +342,96 @@ class TestMalformedTraffic:
                 self.chunks.append(data)
 
         writer = _Writer()
-        service._write(writer, {"id": 1, "status": "ok",
-                                "blob": b"x" * 500})
+        endpoint._write(writer, {"id": 1, "status": "ok",
+                                 "blob": b"x" * 500})
         frames = split_frames(b"".join(writer.chunks))
         assert len(frames) == 1
         assert frames[0]["status"] == "error"
         assert frames[0]["error"] == "response-too-large"
         assert frames[0]["id"] == 1
+        assert endpoint.counters.errors == 1
 
     def test_request_on_a_dead_connection_fails_fast(self):
         # Once the server is gone, a pooled connection must raise
         # instead of registering a future nothing will ever resolve
         # (writes to closed transports are silently discarded).
         async def run():
-            service = VerificationService(ServiceConfig(fleet_hosts=2))
-            host, port = await service.start()
-            client = await ServiceClient.connect(host, port)
-            try:
-                assert await client.ping()
-                await service.stop()
-                await asyncio.sleep(0.05)  # reader observes the EOF
-                with pytest.raises(ServiceError):
-                    await asyncio.wait_for(
-                        client.request({"op": "ping"}), timeout=5.0
-                    )
-            finally:
-                await client.close()
+            async with self.endpoint() as endpoint:
+                client = await ServiceClient.connect(*endpoint.address)
+                try:
+                    assert await client.ping()
+                    await endpoint.stop()
+                    await asyncio.sleep(0.05)  # reader observes the EOF
+                    with pytest.raises(ServiceError):
+                        await asyncio.wait_for(
+                            client.request({"op": "ping"}), timeout=5.0
+                        )
+                finally:
+                    await client.close()
 
         asyncio.run(run())
 
     def test_unknown_op_and_malformed_request_are_typed_errors(self):
-        config = ServiceConfig(fleet_hosts=4)
+        async def run():
+            async with self.endpoint() as endpoint:
+                client = await ServiceClient.connect(*endpoint.address)
+                try:
+                    with pytest.raises(ServiceResponseError):
+                        await client.request_checked({"op": "explode"})
+                    with pytest.raises(ServiceResponseError):
+                        await client.request_checked({"op": "verify",
+                                                      "signer": 5})
+                    # and a non-mapping request
+                    response = await client.request({
+                        "op": "verify", "message": "not-bytes",
+                        "signer": "host-001", "signature": {},
+                    })
+                    assert response["status"] == "error"
+                    # An unhashable op is answered, not dropped.
+                    response = await asyncio.wait_for(
+                        client.request({"op": ["verify"]}), timeout=5.0
+                    )
+                    assert response["error"] == "unknown-op"
+                finally:
+                    await client.close()
 
-        async def body(service, client):
-            with pytest.raises(ServiceResponseError):
-                await client.request_checked({"op": "explode"})
-            with pytest.raises(ServiceResponseError):
-                await client.request_checked({"op": "verify",
-                                              "signer": 5})
-            # and a non-mapping request
-            response = await client.request({"op": "verify",
-                                             "message": "not-bytes",
-                                             "signer": "host-001",
-                                             "signature": {}})
-            assert response["status"] == "error"
+        asyncio.run(run())
 
-        _run_with_service(config, body)
+
+class TestGatewayMalformedTraffic(TestMalformedTraffic):
+    role = "gateway"
+    endpoint = staticmethod(_gateway_endpoint)
+
+    @staticmethod
+    def unstarted(max_frame):
+        return ClusterGateway(ClusterConfig(backends=(("127.0.0.1", 9),),
+                                            max_frame=max_frame))
+
+
+class TestCounterNames:
+    """Each role's ``stats()["counters"]``: the counters the frame
+    server keeps for both roles, plus the role's own."""
+
+    SHARED = {
+        "connections", "requests", "verify_requests", "batch_requests",
+        "session_requests", "cache_hits", "busy", "errors",
+        "frames_rejected_oversize", "frames_rejected_malformed",
+        "frames_truncated",
+    }
+
+    def test_verifier_counter_names(self):
+        service = VerificationService(ServiceConfig(fleet_hosts=2))
+        assert set(service.stats()["counters"]) == self.SHARED | {
+            "verdicts_true", "verdicts_false",
+        }
+
+    def test_gateway_counter_names(self):
+        gateway = ClusterGateway(ClusterConfig(backends=(("127.0.0.1", 9),)))
+        assert set(gateway.stats()["counters"]) == self.SHARED | {
+            "dedup_hits", "failovers", "reissues", "breaker_trips",
+            "breaker_shed", "no_backend", "restarts_detected",
+            "invalidated_verdicts",
+        }
 
 
 class TestOps:

@@ -62,11 +62,34 @@ def reference(tmp_path_factory):
         return result.deterministic_signature(), handle.read()
 
 
+#: Seconds an untargeted worker waits before its first queue pull.
+#: Work stealing is schedule-dependent: a sibling that warms up first
+#: can drain the whole queue before the targeted worker leases the unit
+#: its fault is aimed at, and then nothing crashes.  Holding the
+#: siblings back hands the targeted worker the leases it needs.
+_SIBLING_STALL = 2.0
+
+
+def _pool(config, plan, respawn_budget=None):
+    """A 2-worker pool in which every fault of ``plan`` fires.
+
+    When the plan targets only some workers, the others stall (the
+    pool's ``stall_seconds`` hook) until the targeted worker has leased
+    its faulted unit.  Plans aimed at every worker need no stall: each
+    dies on its first lease while the queue still holds units.
+    """
+    targeted = {fault.worker for fault in plan.faults}
+    stalls = {worker: _SIBLING_STALL
+              for worker in range(2) if worker not in targeted}
+    return FleetWorkerPool(2, warm_config=config, fault_plan=plan,
+                           respawn_budget=respawn_budget,
+                           stall_seconds=stalls)
+
+
 def _chaotic_run(tmp_path, plan, respawn_budget=None):
     path = str(tmp_path / "chaotic.jsonl")
     config = _config(trace_path=path)
-    with FleetWorkerPool(2, warm_config=config, fault_plan=plan,
-                         respawn_budget=respawn_budget) as pool:
+    with _pool(config, plan, respawn_budget) as pool:
         result = run_fleet(config, workers=2, pool=pool)
         supervision = pool.supervision_report()
     with open(path, "rb") as handle:
@@ -187,8 +210,7 @@ class TestSupervisionPlumbing:
         plan = FaultPlan(faults=(
             Fault(kind=WORKER_CRASH, worker=0, at_unit=0),
         ))
-        with FleetWorkerPool(2, warm_config=config,
-                             fault_plan=plan) as pool:
+        with _pool(config, plan) as pool:
             result = run_fleet(config, workers=2, pool=pool)
         supervision = result.worker_report["supervision"]
         assert supervision["respawn_budget"] == 2
