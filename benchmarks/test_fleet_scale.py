@@ -1,12 +1,14 @@
-"""Fleet-scale benchmarks: 1000 concurrent journeys and batched crypto.
+"""Fleet-scale benchmarks: 1000 concurrent journeys and scaling gates.
 
-Two claims are measured here:
+Three claims are measured here:
 
 1. the discrete-event engine completes a deterministic, seeded run of
    at least 1000 interleaved agent journeys with mixed honest and
    malicious hosts and reports aggregate detection / latency metrics;
 2. the batched signature-verification path is measurably faster than
-   verifying every signature individually (per-journey style).
+   verifying every signature individually (per-journey style);
+3. a pre-warmed 4-worker pool runs the fleet at least 2.5x faster than
+   one process, with the same deterministic signature.
 
 The crypto comparison is run at the primitive level (identical inputs,
 repeated, best-of-N) so it stays robust on loaded CI machines; the
@@ -15,34 +17,71 @@ fleet-level batched run is additionally checked for semantic parity.
 
 from __future__ import annotations
 
+import os
+import time
+from random import Random
+
 import pytest
 
 from benchmarks.reportutil import write_report
-from repro.bench.harness import bench_dsa_verification
+from repro.crypto.dsa import batch_verify, generate_keypair
 from repro.sim import FleetConfig, FleetEngine
+from repro.sim.shard import DEFAULT_UNITS_PER_WORKER, FleetWorkerPool, run_fleet
 from repro.bench.fleet import fleet_detection_report, fleet_summary_markdown
+
+#: Batched DSA verification must beat one-by-one verification by more
+#: than this factor on a fleet-shaped stream.
+MIN_BATCH_VERIFY_SPEEDUP = 1.15
+
+#: The 4-worker pool must run the scaling fleet at least this much
+#: faster than one process.
+FLEET_GATE_WORKERS = 4
+MIN_FLEET_SPEEDUP = 2.5
+
+
+def _best_of(func, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        func()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def test_batched_verification_is_measurably_faster():
-    # One definition of the "fleet-shaped" DSA benchmark: the perf
-    # harness (BENCH_fleet.json) and this gate must measure the same
-    # workload, so the stream builder and timing live in
-    # repro.bench.harness and are reused here.
-    result = bench_dsa_verification(signatures=160, signers=8, repeats=3)
+    # Fleet-shaped stream: few signers, many messages.
+    signatures, signers, repeats = 160, 8, 3
+    keys = [generate_keypair(seed=index) for index in range(signers)]
+    items = []
+    for index in range(signatures):
+        private, public = keys[index % signers]
+        message = b"fleet-transfer-%06d" % index
+        items.append((public, message, private.sign_recoverable(message)))
+
+    def individually() -> None:
+        assert all(
+            public.verify_recoverable(message, signature)
+            for public, message, signature in items
+        )
+
+    def batched() -> None:
+        assert batch_verify(items, rng=Random(42))
+
+    individual_seconds = _best_of(individually, repeats)
+    batched_seconds = _best_of(batched, repeats)
+    speedup = individual_seconds / batched_seconds
 
     write_report("fleet_batch_verification.md", "\n".join([
         "# Batched vs. individual DSA verification",
         "",
-        "%d signatures from %d signers" % (
-            result["signatures"], result["signers"],
-        ),
+        "%d signatures from %d signers" % (signatures, signers),
         "",
-        "| path | seconds (best of %d) |" % result["repeats"],
+        "| path | seconds (best of %d) |" % repeats,
         "|---|---|",
-        "| individual | %.4f |" % result["individual_seconds"],
-        "| batched | %.4f |" % result["batched_seconds"],
+        "| individual | %.4f |" % individual_seconds,
+        "| batched | %.4f |" % batched_seconds,
         "",
-        "speedup: %.1fx" % result["speedup"],
+        "speedup: %.1fx" % speedup,
         "",
     ]))
     # The batch test replaces the per-signature exponentiations by one
@@ -52,8 +91,62 @@ def test_batched_verification_is_measurably_faster():
     # signature are already cheap, so the batch advantage narrowed from
     # ~5x to ~1.4x — still a win on fleet-shaped streams (few signers,
     # many messages), and this gate keeps it from regressing below one.
-    assert result["speedup"] > 1.15, (
-        "batched verification only %.2fx faster" % result["speedup"]
+    assert speedup > MIN_BATCH_VERIFY_SPEEDUP, (
+        "batched verification only %.2fx faster" % speedup
+    )
+
+
+def test_warm_worker_pool_scales_the_fleet():
+    """4 pre-warmed workers beat one process by 2.5x, bit-identically.
+
+    Both legs run after the pool has warmed every worker *and* this
+    process (keys and fixed-base tables), so neither pays spawn or
+    crypto warm-up inside the timed window.
+    """
+    cpus = os.cpu_count() or 1
+    if cpus < FLEET_GATE_WORKERS:
+        pytest.skip(
+            "parallel speedup needs %d CPUs, this machine has %d"
+            % (FLEET_GATE_WORKERS, cpus)
+        )
+    config = FleetConfig(
+        num_agents=600,
+        num_hosts=20,
+        hops_per_journey=3,
+        malicious_host_fraction=0.2,
+        seed=2026,
+        batched_verification=True,
+    )
+    walls = {}
+    signatures = {}
+    with FleetWorkerPool(FLEET_GATE_WORKERS, warm_config=config) as pool:
+        for workers in (1, FLEET_GATE_WORKERS):
+            started = time.perf_counter()
+            result = run_fleet(config, workers=workers, pool=pool)
+            walls[workers] = time.perf_counter() - started
+            signatures[workers] = result.deterministic_signature()
+    speedup = walls[1] / walls[FLEET_GATE_WORKERS]
+
+    write_report("fleet_worker_scaling.md", "\n".join([
+        "# Fleet scaling across a warm worker pool",
+        "",
+        "%d journeys, %d hosts, %d hops, %d CPUs" % (
+            config.num_agents, config.num_hosts,
+            config.hops_per_journey, cpus,
+        ),
+        "",
+        "| workers | seconds |",
+        "|---|---|",
+        "| 1 | %.3f |" % walls[1],
+        "| %d | %.3f |" % (FLEET_GATE_WORKERS, walls[FLEET_GATE_WORKERS]),
+        "",
+        "speedup: %.2fx (gate %.1fx)" % (speedup, MIN_FLEET_SPEEDUP),
+        "",
+    ]))
+    assert signatures[FLEET_GATE_WORKERS] == signatures[1]
+    assert speedup >= MIN_FLEET_SPEEDUP, (
+        "%d-worker speedup %.2fx below %.1fx"
+        % (FLEET_GATE_WORKERS, speedup, MIN_FLEET_SPEEDUP)
     )
 
 
@@ -101,14 +194,14 @@ def test_sharded_1000_agent_run_matches_single_process(fleet_1000):
     The merged result of a 1000-agent run across a 4-process pool must
     carry the same deterministic signature as the single-process run
     (trace byte-identity at small scale is pinned in tier-1:
-    tests/sim/test_shard.py).
+    tests/sim/test_shard.py).  The work-stealing scheduler splits a
+    4-worker run into ``DEFAULT_UNITS_PER_WORKER`` units per worker.
     """
-    from repro.sim import run_fleet
-
     _, result = fleet_1000
     sharded = run_fleet(result.config, workers=4)
     assert sharded.deterministic_signature() == result.deterministic_signature()
-    assert sharded.shards is not None and len(sharded.shards) == 4
+    assert sharded.shards is not None
+    assert len(sharded.shards) == 4 * DEFAULT_UNITS_PER_WORKER
 
 
 def test_fleet_run_is_seed_deterministic_at_scale(fleet_1000):

@@ -1,0 +1,189 @@
+"""Service and cluster speed gates, measured on one fleet request stream.
+
+Three claims are measured here, all on the verify traffic of one
+150-journey protected fleet (:mod:`repro.sim.requests`) replayed over
+loopback TCP:
+
+1. micro-batching beats batch-size-1 by at least 1.3x on the same
+   stream (cache-less, so the ratio measures batching alone);
+2. the batched service reaches at least half the signature-verification
+   rate of the same fleet run in process, single worker;
+3. a gateway over 3 verifier subprocesses beats the same gateway over
+   one verifier by at least 1.6x.
+
+Every timed replay must also match the in-process verdicts with zero
+drops.  Verdict parity, the SIGKILL failover drill and the session
+checks have their own tests in ``tests/service``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+import time
+
+import pytest
+
+from benchmarks.reportutil import write_report
+from repro.service.cluster import ClusterConfig, LocalCluster
+from repro.service.loadgen import replay_requests
+from repro.service.server import ServiceConfig, VerificationService
+from repro.sim import FleetConfig
+from repro.sim.requests import journey_request_stream
+from repro.sim.shard import run_fleet
+
+#: Batched service throughput over batch-size-1 throughput.
+MIN_BATCHING_GAIN = 1.3
+
+#: Batched service throughput over the in-process fleet's
+#: signature-verification rate.
+MIN_SERVICE_FLEET_RATIO = 0.5
+
+#: 3-verifier cluster throughput over 1-verifier cluster throughput.
+CLUSTER_GATE_VERIFIERS = 3
+MIN_CLUSTER_SCALING = 1.6
+
+SERVICE_BATCH = 256
+SERVICE_DELAY = 0.010
+CLUSTER_BATCH = 64
+CONNECTIONS = 2
+MAX_INFLIGHT = 256
+
+CONFIG = FleetConfig(
+    num_agents=150,
+    num_hosts=20,
+    hops_per_journey=3,
+    malicious_host_fraction=0.2,
+    seed=2026,
+    protected=True,
+    batched_verification=True,
+)
+
+
+@pytest.fixture(scope="module")
+def verify_requests():
+    return journey_request_stream(CONFIG, max_session_checks=0).verify_requests
+
+
+async def _replay(endpoint, requests):
+    report = await replay_requests(
+        endpoint, requests,
+        connections=CONNECTIONS, max_inflight=MAX_INFLIGHT,
+    )
+    assert report.mismatches == 0 and report.dropped == 0, (
+        "verdicts diverged from the in-process ground truth "
+        "(mismatches=%d, dropped=%d): %r"
+        % (report.mismatches, report.dropped, report.mismatch_samples[:2])
+    )
+    return report
+
+
+def _best_service_rps(requests, max_batch: int) -> float:
+    """Best of two cache-less passes, one fresh in-process server each.
+
+    Server and client share one event loop: both ends are CPU-bound
+    Python, so a second thread would only add GIL noise.
+    """
+    async def one_pass() -> float:
+        service = VerificationService(ServiceConfig(
+            fleet_hosts=CONFIG.num_hosts, max_batch=max_batch,
+            max_delay=SERVICE_DELAY, cache_entries=0,
+        ))
+        await service.start()
+        try:
+            return (await _replay(service.address, requests)).achieved_rps
+        finally:
+            await service.stop()
+
+    return max(asyncio.run(one_pass()) for _ in range(2))
+
+
+def test_service_batching_and_fleet_ratio(verify_requests):
+    # In-process reference first: it also warms this process's keys and
+    # fixed-base tables, so no service leg pays for them.
+    started = time.perf_counter()
+    fleet = run_fleet(CONFIG, workers=1)
+    fleet_wall = time.perf_counter() - started
+    fleet_rate = fleet.verifier_stats["verified"] / fleet_wall
+
+    batched_rps = _best_service_rps(verify_requests, SERVICE_BATCH)
+    unbatched_rps = _best_service_rps(verify_requests, 1)
+    batching_gain = batched_rps / unbatched_rps
+    fleet_ratio = batched_rps / fleet_rate
+
+    write_report("service_scaling.md", "\n".join([
+        "# Verification service throughput",
+        "",
+        "%d verify requests from a %d-journey fleet" % (
+            len(verify_requests), CONFIG.num_agents,
+        ),
+        "",
+        "| leg | per second |",
+        "|---|---|",
+        "| batched (window %d) | %.1f |" % (SERVICE_BATCH, batched_rps),
+        "| batch size 1 | %.1f |" % unbatched_rps,
+        "| in-process fleet verifications | %.1f |" % fleet_rate,
+        "",
+        "batching gain: %.2fx (gate %.1fx)" % (
+            batching_gain, MIN_BATCHING_GAIN,
+        ),
+        "service / fleet: %.2fx (gate %.1fx)" % (
+            fleet_ratio, MIN_SERVICE_FLEET_RATIO,
+        ),
+        "",
+    ]))
+    assert batching_gain >= MIN_BATCHING_GAIN, (
+        "batching gain %.2fx below %.1fx"
+        % (batching_gain, MIN_BATCHING_GAIN)
+    )
+    assert fleet_ratio >= MIN_SERVICE_FLEET_RATIO, (
+        "service reaches %.2fx of the fleet verification rate, below %.1fx"
+        % (fleet_ratio, MIN_SERVICE_FLEET_RATIO)
+    )
+
+
+def test_cluster_scales_across_verifiers(verify_requests):
+    cpus = os.cpu_count() or 1
+    if cpus < CLUSTER_GATE_VERIFIERS + 1:
+        pytest.skip(
+            "cluster scaling needs %d CPUs (verifiers + gateway), this "
+            "machine has %d" % (CLUSTER_GATE_VERIFIERS + 1, cpus)
+        )
+    # Verdict caches off on both tiers: the legs measure routing and
+    # verification, not replay memoization.
+    template = ClusterConfig(
+        service=ServiceConfig(
+            fleet_hosts=CONFIG.num_hosts, max_batch=CLUSTER_BATCH,
+            max_delay=0.002, cache_entries=0,
+        ),
+        cache_entries=0,
+        gather_batch=CLUSTER_BATCH,
+        gather_delay=0.001,
+    )
+
+    def cluster_rps(verifiers: int) -> float:
+        with LocalCluster(verifiers=verifiers, config=template) as cluster:
+            report = asyncio.run(_replay(cluster.address, verify_requests))
+        return report.achieved_rps
+
+    single_rps = cluster_rps(1)
+    scaled_rps = cluster_rps(CLUSTER_GATE_VERIFIERS)
+    scaling = scaled_rps / single_rps
+
+    write_report("cluster_scaling.md", "\n".join([
+        "# Verification cluster scaling",
+        "",
+        "%d verify requests, %d CPUs" % (len(verify_requests), cpus),
+        "",
+        "| verifiers | per second |",
+        "|---|---|",
+        "| 1 | %.1f |" % single_rps,
+        "| %d | %.1f |" % (CLUSTER_GATE_VERIFIERS, scaled_rps),
+        "",
+        "scaling: %.2fx (gate %.1fx)" % (scaling, MIN_CLUSTER_SCALING),
+        "",
+    ]))
+    assert scaling >= MIN_CLUSTER_SCALING, (
+        "%d-verifier cluster only %.2fx the single verifier"
+        % (CLUSTER_GATE_VERIFIERS, scaling)
+    )

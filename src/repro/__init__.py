@@ -20,7 +20,8 @@ on:
   traces, and proof verification;
 * :mod:`repro.workloads` — the paper's generic agent plus shopping and
   survey applications;
-* :mod:`repro.bench` — the harness that regenerates Tables 1 and 2;
+* :mod:`repro.bench` — the timing harness that regenerates Tables 1
+  and 2 (performance numbers come from ``perfbench/run.py``);
 * :mod:`repro.sim` — the discrete-event fleet engine interleaving
   thousands of protected journeys, with replayable JSONL traces.
 

@@ -26,7 +26,6 @@ __all__ = [
     "DataState",
     "ExecutionState",
     "AgentState",
-    "encoding_cache_stats",
     "state_diff",
 ]
 
@@ -35,15 +34,6 @@ __all__ = [
 #: object reuses one canonical encoding (the hot path of fleet-scale
 #: checking).  Entries die with their states via weak references.
 _ENCODING_CACHE = HashCache()
-
-
-def encoding_cache_stats() -> Dict[str, Any]:
-    """Hit/miss statistics of the process-wide state-encoding cache.
-
-    The benchmark harness samples this before and after a fleet run to
-    report the canonical-hash cache hit rate of real checking traffic.
-    """
-    return _ENCODING_CACHE.stats()
 
 
 class DataState:

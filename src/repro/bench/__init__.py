@@ -1,9 +1,14 @@
-"""Benchmark harness: timing decomposition, table rendering, reporting."""
+"""Paper-table measurement: timing decomposition, table rendering, reporting."""
 
 from repro.bench.fleet import (
     fleet_detection_report,
     fleet_latency_rows,
     fleet_summary_markdown,
+)
+from repro.bench.harness import (
+    MeasurementResult,
+    measure_generic_agent,
+    run_measurement_grid,
 )
 from repro.bench.metrics import (
     CATEGORY_CYCLE,
@@ -39,20 +44,3 @@ __all__ = [
     "overall_factors",
 ]
 
-#: Exports resolved lazily from :mod:`repro.bench.harness` (PEP 562).
-#: The harness doubles as the ``python -m repro.bench.harness`` CLI;
-#: importing it eagerly here would leave it in ``sys.modules`` before
-#: ``runpy`` executes it and provoke a RuntimeWarning on every CLI run.
-_HARNESS_EXPORTS = (
-    "MeasurementResult",
-    "measure_generic_agent",
-    "run_measurement_grid",
-)
-
-
-def __getattr__(name):
-    if name in _HARNESS_EXPORTS:
-        from repro.bench import harness
-
-        return getattr(harness, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

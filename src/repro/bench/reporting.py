@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.bench.harness import run_measurement_grid
 from repro.bench.metrics import TimingBreakdown
 from repro.bench.tables import (
     PAPER_OVERALL_FACTORS,
@@ -80,9 +81,6 @@ def factor_section(protected: Sequence[TimingBreakdown],
 
 def generate_report(use_fast_cycles: bool = False) -> str:
     """Run both grids and produce the full Markdown comparison report."""
-    # Lazy import keeps `python -m repro.bench.harness` warning-free.
-    from repro.bench.harness import run_measurement_grid
-
     plain = [r.breakdown for r in run_measurement_grid(False, use_fast_cycles)]
     protected = [r.breakdown for r in run_measurement_grid(True, use_fast_cycles)]
     sections = [

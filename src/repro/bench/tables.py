@@ -11,33 +11,16 @@ overall overhead factors against the paper's.
 table: one row per mounted attack scenario with its Figure-2 area,
 expected detectability class, and the measured detection rate and mean
 hops-to-detection.
-
-``--table service`` and ``--table cluster`` read a harness report
-(``--report``) and render the verification-service and
-verification-cluster benchmark sections (legs, scaling, failover,
-parity) as fixed-width tables.
-
-``--table backends`` reads a harness report (``--report``) and renders
-the crypto-backend comparison: one row per measured
-:mod:`repro.crypto.backend` implementation with its sign / verify /
-batch-verify costs, annotated with which backend is active.
-
-``--table workers`` reads a harness report (``--report``) and renders
-the fleet section's work-stealing diagnostics: per-run useful-work vs
-busy fractions and the per-worker units / warmup / compute / serialize
-split, plus the coordinator merge time.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.bench.harness import MeasurementResult, run_measurement_grid
 from repro.bench.metrics import TimingBreakdown
-
-if TYPE_CHECKING:  # lazy: keeps `python -m repro.bench.harness` warning-free
-    from repro.bench.harness import MeasurementResult
-    from repro.sim.campaign import CampaignResult
+from repro.sim.campaign import CampaignResult, campaign_config, run_campaign
 
 __all__ = [
     "PAPER_TABLE_1",
@@ -47,11 +30,7 @@ __all__ = [
     "metric_cell",
     "format_table",
     "format_overhead_table",
-    "format_backend_table",
-    "format_cluster_table",
     "format_detectability_table",
-    "format_service_table",
-    "format_workers_table",
     "overall_factors",
     "main",
 ]
@@ -174,7 +153,7 @@ def metric_cell(value: Optional[float], fmt: str = "%.2f") -> str:
 
 
 def format_detectability_table(
-    campaign: "CampaignResult",
+    campaign: CampaignResult,
     title: str = "Detectability under reference states",
 ) -> str:
     """Render a campaign's per-scenario detection matrix as text.
@@ -216,237 +195,6 @@ def format_detectability_table(
     return "\n".join(lines)
 
 
-def format_service_table(
-    section: Dict[str, object],
-    title: str = "Verification service",
-) -> str:
-    """Render the harness's ``service`` benchmark section as text.
-
-    One row per measured leg (batched, batch-size-1, cached replay,
-    session checks), followed by the derived ratios the CI perf job
-    gates on, the batch-size histogram, and the parity line — the
-    service analogue of the paper-table renderers above.
-    """
-    header = "%-42s %9s %10s %10s %10s" % (
-        title, "requests", "rps", "p50 [ms]", "p99 [ms]",
-    )
-    lines = [header, "-" * len(header)]
-    rows = (
-        ("batched (window %s)" % section.get("max_batch"), "batched"),
-        ("batch size 1", "batch_size_1"),
-        ("cached replay", "cached"),
-        ("session checks", "sessions"),
-    )
-    for label, key in rows:
-        leg = section.get(key)
-        if not isinstance(leg, dict):
-            continue
-        latency = leg.get("latency_ms", {})
-        lines.append("%-42s %9d %10.1f %10s %10s" % (
-            label, leg.get("requests", 0), leg.get("rps", 0.0),
-            metric_cell(latency.get("p50")),
-            metric_cell(latency.get("p99")),
-        ))
-    lines.append("")
-    in_process = section.get("in_process", {})
-    cached = section.get("cached", {})
-    lines.append("batching gain vs batch size 1: %s" % metric_cell(
-        section.get("batching_gain"), "%.2fx",
-    ))
-    lines.append("in-process fleet verification rate: %s/s "
-                 "(service at %s of it)" % (
-                     metric_cell(in_process.get("fleet_verification_rate"),
-                                 "%.1f"),
-                     metric_cell(section.get("vs_fleet_ratio"), "%.2fx"),
-                 ))
-    lines.append("verdict cache hit rate on replay: %s" % metric_cell(
-        cached.get("cache_hit_rate"), "%.2f",
-    ))
-    histogram = section.get("batched", {}).get("batch_histogram", {})
-    if histogram:
-        cells = ", ".join(
-            "%s×%s" % (size, count)
-            for size, count in sorted(
-                histogram.items(), key=lambda pair: int(pair[0])
-            )
-        )
-        lines.append("batch-size histogram (size×windows): %s" % cells)
-    parity = section.get("parity", {})
-    lines.append(
-        "parity vs in-process verdicts: %s verify + %s sessions checked, "
-        "%s mismatches, %s dropped" % (
-            parity.get("verify_checked", 0),
-            parity.get("sessions_checked", 0),
-            parity.get("mismatches", 0),
-            parity.get("dropped", 0),
-        )
-    )
-    return "\n".join(lines)
-
-
-def format_cluster_table(
-    section: Dict[str, object],
-    title: str = "Verification cluster",
-) -> str:
-    """Render the harness's ``cluster`` benchmark section as text.
-
-    One row per measured leg (single verifier, N verifiers, the
-    mid-run SIGKILL failover drill), then the scaling ratio the CI perf
-    job gates on — flagged when the machine had too few CPUs for the
-    processes to actually run in parallel — and the failover and parity
-    lines.
-    """
-    header = "%-42s %9s %10s %10s %10s" % (
-        title, "requests", "rps", "p50 [ms]", "p99 [ms]",
-    )
-    lines = [header, "-" * len(header)]
-    verifiers = section.get("verifiers", "?")
-    rows = (
-        ("1 verifier", "single"),
-        ("%s verifiers" % verifiers, "scaled"),
-        ("failover (SIGKILL mid-run)", "failover"),
-    )
-    for label, key in rows:
-        leg = section.get(key)
-        if not isinstance(leg, dict):
-            continue
-        latency = leg.get("latency_ms", {})
-        lines.append("%-42s %9d %10.1f %10s %10s" % (
-            label, leg.get("requests", 0), leg.get("rps", 0.0),
-            metric_cell(latency.get("p50")),
-            metric_cell(latency.get("p99")),
-        ))
-    lines.append("")
-    lines.append("scaling vs single verifier: %s%s" % (
-        metric_cell(section.get("scaling_vs_single"), "%.2fx"),
-        "  [cpu-limited: %s CPUs]" % section.get("cpu_count")
-        if section.get("cpu_limited") else "",
-    ))
-    failover = section.get("failover")
-    if isinstance(failover, dict):
-        lines.append(
-            "failover: killed %s after %ss — %s failovers, %s reissues, "
-            "%s mismatches, %s dropped" % (
-                failover.get("killed", "?"),
-                failover.get("kill_after_seconds", "?"),
-                failover.get("failovers", 0), failover.get("reissues", 0),
-                failover.get("mismatches", 0), failover.get("dropped", 0),
-            )
-        )
-    parity = section.get("parity", {})
-    lines.append(
-        "parity vs in-process verdicts: %s checked, %s mismatches, "
-        "%s dropped" % (
-            parity.get("verify_checked", 0),
-            parity.get("mismatches", 0),
-            parity.get("dropped", 0),
-        )
-    )
-    return "\n".join(lines)
-
-
-def format_workers_table(
-    section: Dict[str, object],
-    title: str = "Fleet worker scheduling",
-) -> str:
-    """Render the harness's ``fleet`` section's scheduling diagnostics.
-
-    One block per measured run (``workers_1``, ``workers_N``): the
-    useful-parallel-work utilization next to the wall-clock busy
-    fraction, then one row per worker with its units / warmup /
-    compute / serialize split and the coordinator merge time — the
-    whole overhead budget of the work-stealing scheduler on one screen.
-    Every run renders through the same path; ``worker_utilization`` is
-    a plain float for single- and multi-worker runs alike.
-    """
-    lines = [title, "=" * len(title)]
-    lines.append("speedup vs single: %s%s" % (
-        metric_cell(section.get("speedup_vs_single"), "%.2fx"),
-        "  [cpu-limited: %s CPUs]" % section.get("cpu_count")
-        if section.get("cpu_limited") else "",
-    ))
-    runs = section.get("runs")
-    runs = runs if isinstance(runs, dict) else {}
-    for key in sorted(runs):
-        run = runs[key]
-        if not isinstance(run, dict):
-            continue
-        util = run.get("worker_utilization")
-        busy = run.get("busy_fraction")
-        lines.append("")
-        lines.append("%s (%s): wall %ss, useful-work %s, busy %s" % (
-            key, run.get("scheduler", "?"),
-            metric_cell(run.get("wall_seconds")),
-            metric_cell(100 * util if util is not None else None, "%.0f%%"),
-            metric_cell(100 * busy if busy is not None else None, "%.0f%%"),
-        ))
-        header = "  %-8s %6s %9s %12s %12s %12s" % (
-            "worker", "units", "journeys", "warmup [s]",
-            "compute [s]", "serialize [s]",
-        )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        detail = run.get("workers_detail")
-        for entry in detail if isinstance(detail, list) else []:
-            lines.append("  %-8s %6s %9s %12s %12s %12s" % (
-                entry.get("worker", "?"),
-                entry.get("units", 0),
-                entry.get("journeys", 0),
-                metric_cell(entry.get("warmup_seconds")),
-                metric_cell(entry.get("compute_seconds")),
-                metric_cell(entry.get("serialize_seconds")),
-            ))
-        lines.append("  coordinator merge: %ss" % metric_cell(
-            run.get("merge_seconds"), "%.3f",
-        ))
-    return "\n".join(lines)
-
-
-def format_backend_table(
-    section: Dict[str, object],
-    title: str = "Crypto backends",
-) -> str:
-    """Render the harness's ``crypto`` benchmark section as text.
-
-    One row per backend measured by
-    :func:`repro.bench.harness.bench_crypto_backends`, with the active
-    backend starred; the footer restates the bit-identity guarantee the
-    section enforced (every backend produced byte-identical signatures
-    and verdicts before any timing was kept).
-    """
-    header = "%-18s %14s %16s %22s" % (
-        title, "sign [µs/op]", "verify [µs/it]", "batch verify [µs/it]",
-    )
-    lines = [header, "-" * len(header)]
-    active = section.get("active_backend")
-    backends = section.get("backends")
-    backends = backends if isinstance(backends, dict) else {}
-    for name in sorted(backends):
-        leg = backends[name]
-        if not isinstance(leg, dict):
-            continue
-        label = "%s %s" % ("*" if name == active else " ", name)
-        lines.append("%-18s %14s %16s %22s" % (
-            label,
-            metric_cell(leg.get("sign_us_per_op"), "%.1f"),
-            metric_cell(leg.get("verify_us_per_item"), "%.1f"),
-            metric_cell(leg.get("batch_verify_us_per_item"), "%.1f"),
-        ))
-    lines.append("")
-    lines.append("workload: %s signatures from %s signers (best of %s)" % (
-        section.get("signatures", "?"), section.get("signers", "?"),
-        section.get("repeats", "?"),
-    ))
-    available = section.get("available_backends")
-    if isinstance(available, (list, tuple)):
-        lines.append("available backends: %s (* = active)"
-                     % ", ".join(str(name) for name in available))
-    if section.get("identical_signatures"):
-        lines.append("bit-identity: all backends produced identical "
-                     "signatures and verdicts")
-    return "\n".join(lines)
-
-
 def paper_reference_breakdowns(table: Dict[str, Dict[str, float]]
                                ) -> List[TimingBreakdown]:
     """The paper's reference numbers as breakdown rows (for reports)."""
@@ -470,16 +218,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Command line entry point: regenerate Table 1 and/or Table 2."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--table",
-                        choices=("1", "2", "both", "detectability",
-                                 "service", "cluster", "backends",
-                                 "workers"),
+                        choices=("1", "2", "both", "detectability"),
                         default="both",
                         help="which table to regenerate")
-    parser.add_argument("--report", default="BENCH_fleet.json",
-                        metavar="PATH",
-                        help="harness report to read for --table "
-                             "service/cluster/backends/workers "
-                             "(default: BENCH_fleet.json)")
     parser.add_argument("--fast-cycles", action="store_true",
                         help="use the C-level cycle loop (JIT ablation)")
     parser.add_argument("--campaign-agents", type=int, default=120,
@@ -489,40 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="campaign seed for --table detectability")
     options = parser.parse_args(argv)
 
-    if options.table in ("service", "cluster", "backends", "workers"):
-        import json
-
-        section_name = {
-            "service": "service", "cluster": "cluster",
-            "backends": "crypto", "workers": "fleet",
-        }[options.table]
-        try:
-            with open(options.report, "r", encoding="utf-8") as handle:
-                report = json.load(handle)
-        except OSError as exc:
-            print("cannot read %s (%s); run `python -m repro.bench.harness "
-                  "--sections %s` first"
-                  % (options.report, exc, section_name))
-            return 1
-        section = report.get("benchmarks", {}).get(section_name)
-        if section is None:
-            print("report %s has no %s section; re-run the harness "
-                  "with %s in --sections"
-                  % (options.report, section_name, section_name))
-            return 1
-        if options.table == "service":
-            print(format_service_table(section))
-        elif options.table == "cluster":
-            print(format_cluster_table(section))
-        elif options.table == "workers":
-            print(format_workers_table(section))
-        else:
-            print(format_backend_table(section))
-        return 0
-
     if options.table == "detectability":
-        from repro.sim.campaign import campaign_config, run_campaign
-
         campaign = run_campaign(campaign_config(
             num_agents=options.campaign_agents,
             num_hosts=10,
@@ -533,8 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ))
         print(format_detectability_table(campaign))
         return 0
-
-    from repro.bench.harness import run_measurement_grid
 
     plain = run_measurement_grid(protected=False,
                                  use_fast_cycles=options.fast_cycles)

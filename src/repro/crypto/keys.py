@@ -76,7 +76,7 @@ class Identity:
 
         Generation is a pure function of ``(name, parameters)`` — the
         key-derivation seed comes from the name alone — so results are
-        memoized process-wide.  Every fleet (and every harness section)
+        memoized process-wide.  Every fleet (and every service run)
         that rebuilds the same topology therefore reuses one key pair
         per host instead of re-running key generation, and reuses that
         key's cached fixed-base tables with it.

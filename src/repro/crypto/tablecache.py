@@ -36,8 +36,8 @@ which just means a fleet mixing backends stores each table twice).
 
 Caching is **disabled by default** for library users — importing
 :mod:`repro.crypto` must not touch the filesystem.  Entry points opt
-in: worker-pool warmup, ``python -m repro.service``, and the bench
-harness call :func:`enable_table_cache`; everyone else can opt in with
+in: worker-pool warmup and ``python -m repro.service`` call
+:func:`enable_table_cache`; everyone else can opt in with
 the ``REPRO_TABLE_CACHE`` environment variable (``0``/``off`` disables,
 ``1``/``on`` selects the default ``~/.cache/repro/tables``, anything
 else is used as a directory path).

@@ -32,9 +32,9 @@ load.  This package is that serving layer:
   request streams (:mod:`repro.sim.requests`) at a target RPS.
 
 ``python -m repro.service`` exposes the server, the cluster, and the
-loadgen on the command line; the benchmark harness's ``service`` and
-``cluster`` sections measure the whole stack against the in-process
-ground truth.
+loadgen on the command line; ``benchmarks/test_service_scaling.py``
+gates the whole stack's speed, checking every verdict against the
+in-process ground truth.
 
 The one way to talk to any of it::
 

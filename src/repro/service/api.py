@@ -13,7 +13,7 @@ tuple, a started :class:`~repro.service.server.ServiceThread`, a
 bound ``.address`` — the in-process handle, the single verifier node,
 and the cluster gateway all satisfy the same :class:`Verifier` protocol
 because every tier speaks the same wire protocol.  Code written against
-``Verifier`` (the loadgen, the bench harness, the examples) does not
+``Verifier`` (the loadgen, the speed gates, the examples) does not
 know or care how many processes answer it.
 
 ``connect`` also performs the hello negotiation: the server's ``ping``

@@ -12,8 +12,8 @@ A window of one item takes the plain :meth:`verify_recoverable` path
 (the single-item batch equation costs *more* than individual
 verification: it adds the small-exponent commitment power on top of the
 two exponentiations individual verification needs).  This is also what
-``max_batch=1`` means: the honest no-batching baseline the benchmark
-harness compares against, not a degenerate batch equation.
+``max_batch=1`` means: the honest no-batching baseline the batching
+speed gate compares against, not a degenerate batch equation.
 
 Settlement runs inline on the event loop.  That is a deliberate choice
 for a CPU-bound single-process service: a window of 256 signatures

@@ -44,9 +44,9 @@ Design points, in the order a request meets them:
   round trips on live traffic.
 
 :func:`spawn_verifier` / :class:`LocalCluster` launch real verifier
-subprocesses plus an in-process gateway — the bench harness, the CI
-``cluster-smoke`` job, and ``python -m repro.service spawn-cluster``
-all go through them.
+subprocesses plus an in-process gateway — the cluster tests and speed
+gate, the CI ``cluster-smoke`` job, and ``python -m repro.service
+spawn-cluster`` all go through them.
 """
 
 from __future__ import annotations
@@ -730,7 +730,7 @@ def spawn_verifier(
 class LocalCluster:
     """N verifier subprocesses fronted by one in-thread gateway.
 
-    The deployment-in-a-box used by the bench harness, the CI
+    The deployment-in-a-box used by the cluster speed gate, the CI
     ``cluster-smoke`` job, and ``python -m repro.service
     spawn-cluster``: real processes (real parallelism — the whole point
     of the cluster) behind a :class:`ClusterThread` gateway.

@@ -316,7 +316,7 @@ def run_loadgen(
     The stream is split round-robin so every process sees the same op
     mix; the target rate is divided evenly.  With ``processes=1`` the
     replay runs in this process (no multiprocessing machinery), which
-    is what the benchmark harness uses to keep measurements clean.
+    keeps single-process measurements clean.
     """
     # Workers are spawned: the endpoint crosses a pickle boundary, so
     # normalise any live-object shape down to its (host, port) now.

@@ -706,11 +706,10 @@ class VerificationService(FrameServer):
 class EndpointThread:
     """Hosts a :class:`FrameServer` on a background event loop.
 
-    The benchmark harness, the local cluster launcher and the test-suite
-    need a live endpoint inside the current process without surrendering
-    the main thread to an event loop; this helper owns a daemon thread
-    running the loop and exposes ``start()``/``stop()`` with plain
-    blocking semantics.
+    The local cluster launcher and the test-suite need a live endpoint
+    inside the current process without surrendering the main thread to
+    an event loop; this helper owns a daemon thread running the loop and
+    exposes ``start()``/``stop()`` with plain blocking semantics.
     """
 
     #: Default seconds :meth:`start` waits for the endpoint to bind.

@@ -83,7 +83,7 @@ class RequestStream:
     #: Deterministic signature of the generating fleet run.
     fleet_signature: str
     #: Wall-clock seconds the in-process fleet run took (the recording
-    #: run; the harness measures a clean run separately for rates).
+    #: run; rate measurements time a clean run separately).
     wall_seconds: float
 
     @property

@@ -261,8 +261,8 @@ class ShardResult:
 
     The ``compute`` / ``serialize`` seconds are this unit's share of
     the per-worker overhead split; ``compute_cpu_seconds`` uses CPU
-    time (:func:`time.process_time`), which is what makes the
-    harness's useful-parallel-work utilization honest on oversubscribed
+    time (:func:`time.process_time`), which is what keeps a
+    useful-parallel-work utilization honest on oversubscribed
     machines — an engine timesharing one core burns wall time but not
     CPU time.
     """
@@ -382,7 +382,7 @@ def execute_unit(
     file (the per-worker streaming mode) instead of written as a
     standalone canonical file.  Compute is timed in both wall and CPU
     seconds, serialization separately — the raw material of the
-    harness's per-worker overhead split.
+    per-worker overhead split in ``worker_report``.
 
     ``fault`` is the chaos hook for the one injury that must fire
     *inside* the serialize phase: a
@@ -600,9 +600,9 @@ class FleetWorkerPool:
     ``spawn`` workers pay a real startup tax — interpreter boot,
     imports, and regenerating every DSA key pair and exponentiation
     table.  The pool moves all of that into a once-per-process warmup
-    and **persists across runs**: the benchmark harness creates one pool
-    and reuses it for every fleet and campaign section instead of
-    spawning fresh workers per measurement.
+    and **persists across runs**: a caller creates one pool and reuses
+    it for every fleet and campaign run instead of spawning fresh
+    workers per run.
 
     Scheduling is dynamic: :meth:`run_units` drops every unit of a run
     onto one shared task queue and idle workers pull from it, so a

@@ -70,107 +70,3 @@ class TestMetricCell:
         assert metric_cell(None) == NOT_APPLICABLE
         assert metric_cell(None, "%.1f") == NOT_APPLICABLE
 
-
-class TestServiceTable:
-    _SECTION = {
-        "max_batch": 8,
-        "batched": {
-            "requests": 32, "rps": 5000.0,
-            "latency_ms": {"p50": 1.2, "p99": 3.4},
-            "batch_histogram": {"8": 3, "4": 2},
-            "mean_batch_size": 6.4,
-        },
-        "batch_size_1": {
-            "requests": 32, "rps": 3000.0,
-            "latency_ms": {"p50": 2.2, "p99": 4.4},
-        },
-        "cached": {
-            "requests": 32, "rps": 9000.0,
-            "latency_ms": {"p50": 0.4, "p99": 0.9},
-            "cache_hit_rate": 1.0,
-        },
-        "sessions": {
-            "requests": 5, "rps": 800.0,
-            "latency_ms": {"p50": 5.0, "p99": 9.0},
-        },
-        "in_process": {"fleet_verification_rate": 500.0},
-        "batching_gain": 1.67,
-        "vs_fleet_ratio": 10.0,
-        "parity": {"verify_checked": 96, "sessions_checked": 5,
-                   "mismatches": 0, "dropped": 0},
-    }
-
-    def test_all_legs_and_ratios_render(self):
-        from repro.bench.tables import format_service_table
-
-        table = format_service_table(self._SECTION)
-        assert "batched (window 8)" in table
-        assert "batch size 1" in table
-        assert "cached replay" in table
-        assert "session checks" in table
-        assert "1.67x" in table
-        assert "500.0/s" in table
-        assert "10.00x" in table
-        assert "4×2, 8×3" in table
-        assert "96 verify + 5 sessions checked, 0 mismatches, 0 dropped" \
-            in table
-        assert "None" not in table
-
-    def test_missing_legs_are_omitted_not_crashed(self):
-        from repro.bench.tables import format_service_table
-
-        minimal = {
-            "max_batch": 4,
-            "batched": {"requests": 1, "rps": 1.0, "latency_ms": {}},
-        }
-        table = format_service_table(minimal)
-        assert "batched (window 4)" in table
-        assert "session checks" not in table
-        assert NOT_APPLICABLE in table
-
-
-class TestBackendTable:
-    _SECTION = {
-        "signatures": 96,
-        "signers": 6,
-        "repeats": 3,
-        "active_backend": "gmpy2",
-        "available_backends": ["gmpy2", "python"],
-        "identical_signatures": True,
-        "backends": {
-            "python": {
-                "sign_us_per_op": 61.5,
-                "verify_us_per_item": 103.2,
-                "batch_verify_us_per_item": 28.4,
-            },
-            "gmpy2": {
-                "sign_us_per_op": 12.3,
-                "verify_us_per_item": 20.1,
-                "batch_verify_us_per_item": 6.7,
-            },
-        },
-    }
-
-    def test_every_backend_gets_a_row_with_the_active_one_starred(self):
-        from repro.bench.tables import format_backend_table
-
-        table = format_backend_table(self._SECTION)
-        assert "* gmpy2" in table
-        assert "  python" in table
-        assert "28.4" in table and "6.7" in table
-        assert "96 signatures from 6 signers (best of 3)" in table
-        assert "gmpy2, python" in table
-        assert "bit-identity" in table
-        assert "None" not in table
-
-    def test_missing_metrics_render_as_em_dash_not_crash(self):
-        from repro.bench.tables import format_backend_table
-
-        minimal = {
-            "active_backend": "python",
-            "backends": {"python": {"sign_us_per_op": 1.0}},
-        }
-        table = format_backend_table(minimal)
-        assert "* python" in table
-        assert NOT_APPLICABLE in table
-        assert "bit-identity" not in table

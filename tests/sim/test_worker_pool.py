@@ -103,8 +103,8 @@ def test_zero_workers_is_rejected():
 
 def test_workers_1_ignores_the_pool_and_stays_serial():
     # A serial baseline must stay serial even when a pool is supplied —
-    # the harness relies on this for speedup_vs_single.  Using a closed
-    # pool makes any accidental dispatch to it fail loudly.
+    # the fleet scaling gate relies on this for its 1-worker leg.  Using
+    # a closed pool makes any accidental dispatch to it fail loudly.
     with FleetWorkerPool(2) as closed_pool:
         pass
     result = run_fleet(CONFIG, workers=1, pool=closed_pool)
