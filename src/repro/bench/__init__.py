@@ -1,10 +1,11 @@
-"""Paper-table measurement: timing decomposition, table rendering, reporting."""
+"""Paper-table measurement: timing decomposition, table rendering, reporting.
 
-from repro.bench.fleet import (
-    fleet_detection_report,
-    fleet_latency_rows,
-    fleet_summary_markdown,
-)
+Only the measurement core is re-exported here.  Table rendering and
+fleet reporting are imported from :mod:`repro.bench.tables` and
+:mod:`repro.bench.fleet`, so that ``python -m repro.bench.tables`` runs
+a module the package has not already imported.
+"""
+
 from repro.bench.harness import (
     MeasurementResult,
     measure_generic_agent,
@@ -16,19 +17,8 @@ from repro.bench.metrics import (
     TimingBreakdown,
     TimingCollector,
 )
-from repro.bench.tables import (
-    PAPER_OVERALL_FACTORS,
-    PAPER_TABLE_1,
-    PAPER_TABLE_2,
-    format_overhead_table,
-    format_table,
-    overall_factors,
-)
 
 __all__ = [
-    "fleet_detection_report",
-    "fleet_latency_rows",
-    "fleet_summary_markdown",
     "MeasurementResult",
     "measure_generic_agent",
     "run_measurement_grid",
@@ -36,11 +26,4 @@ __all__ = [
     "CATEGORY_SIGN_VERIFY",
     "TimingBreakdown",
     "TimingCollector",
-    "PAPER_OVERALL_FACTORS",
-    "PAPER_TABLE_1",
-    "PAPER_TABLE_2",
-    "format_overhead_table",
-    "format_table",
-    "overall_factors",
 ]
-

@@ -19,16 +19,26 @@ states, inputs, and execution logs:
 
 The format is a length-prefixed tagged binary encoding, loosely
 following the spirit of bencoding/ASN.1 DER: a one-byte tag, a decimal
-ASCII length, ``:``, then the payload.  It is intentionally simple so
-that the encoding itself can be property-tested (see
-``tests/crypto/test_canonical.py``).
+ASCII length, ``:``, then the payload.  The encoder appends headers and
+leaf payloads to one chunk list, filling in a container's header once
+its children's sizes are known, and joins the list once.
+
+Decoding is strict and walks one ``bytes`` object by offset.
+:func:`canonical_decode` either raises
+:class:`~repro.exceptions.SerializationError` or returns a value that
+re-encodes to exactly its input (tuples come back as lists).  So
+lengths and integers must be in shortest decimal form, ``N``/``T``/``F``
+payloads empty, dict keys strings in strictly increasing order, set
+members strictly increasing by encoding, floats neither NaN nor
+``-0.0``, strings valid UTF-8, and nesting no deeper than
+:attr:`CanonicalEncoder.max_depth`.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Any
+from typing import Any, List
 
 from repro.exceptions import SerializationError
 
@@ -41,21 +51,12 @@ __all__ = [
 ]
 
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"i"
-_TAG_FLOAT = b"f"
-_TAG_STR = b"s"
-_TAG_BYTES = b"b"
-_TAG_LIST = b"l"
-_TAG_DICT = b"d"
-_TAG_SET = b"e"
-
-
-def _frame(tag: bytes, payload: bytes) -> bytes:
-    """Frame ``payload`` with ``tag`` and an ASCII decimal length prefix."""
-    return tag + str(len(payload)).encode("ascii") + b":" + payload
+_FLOAT = struct.Struct(">d")
+#: Tag byte -> value of the payload-free tags ``N``, ``T`` and ``F``.
+_CONSTANTS = {78: None, 84: True, 70: False}
+#: The canonical decimal forms of 0..999: for most length prefixes and
+#: many integers one lookup both validates and converts.
+_SMALL = {b"%d" % n: n for n in range(1000)}
 
 
 class CanonicalEncoder:
@@ -80,60 +81,91 @@ class CanonicalEncoder:
             If the value (or one of its elements) is not encodable, or
             the structure is nested deeper than :attr:`max_depth`.
         """
-        return self._encode(value, depth=0)
+        return self._encode(value, 0)
 
     # -- internal helpers -------------------------------------------------
 
     def _encode(self, value: Any, depth: int) -> bytes:
+        out: List[bytes] = []
+        self._write(value, out, depth)
+        return b"".join(out)
+
+    def _write(self, value: Any, out: List[bytes], depth: int) -> int:
+        """Append the framing of ``value`` to ``out``; return its size."""
         if depth > self.max_depth:
             raise SerializationError(
                 "value is nested deeper than %d levels; refusing to encode "
                 "(possible cycle)" % self.max_depth
             )
+        kind = type(value)
+        if kind is str:
+            data = value.encode()
+            chunk = b"s%d:%s" % (len(data), data)
+        elif kind is dict:
+            return self._write_dict(value, out, depth)
+        elif kind is int:
+            data = b"%d" % value
+            chunk = b"i%d:%s" % (len(data), data)
+        elif kind is bytes:
+            chunk = b"b%d:%s" % (len(value), value)
+        elif kind is list or kind is tuple:
+            return self._write_list(value, out, depth)
+        elif kind is float:
+            chunk = self._encode_float(value)
+        elif value is None:
+            chunk = b"N0:"
+        elif value is True:
+            chunk = b"T0:"
+        elif value is False:
+            chunk = b"F0:"
+        else:
+            return self._write_other(value, out, depth)
+        out.append(chunk)
+        return len(chunk)
 
-        if value is None:
-            return _frame(_TAG_NONE, b"")
-        if value is True:
-            return _frame(_TAG_TRUE, b"")
-        if value is False:
-            return _frame(_TAG_FALSE, b"")
+    def _write_other(self, value: Any, out: List[bytes], depth: int) -> int:
+        # Subclasses of the built-in types, sets and library objects.
         if isinstance(value, int):
-            return _frame(_TAG_INT, str(value).encode("ascii"))
-        if isinstance(value, float):
-            return self._encode_float(value)
-        if isinstance(value, str):
-            return _frame(_TAG_STR, value.encode("utf-8"))
-        if isinstance(value, (bytes, bytearray)):
-            return _frame(_TAG_BYTES, bytes(value))
-        if isinstance(value, (list, tuple)):
-            parts = [self._encode(item, depth + 1) for item in value]
-            return _frame(_TAG_LIST, b"".join(parts))
-        if isinstance(value, dict):
-            return self._encode_dict(value, depth)
-        if isinstance(value, (set, frozenset)):
-            parts = sorted(self._encode(item, depth + 1) for item in value)
-            return _frame(_TAG_SET, b"".join(parts))
-
-        # Memoized-encoding splice point: immutable snapshot types
-        # (agent states, packed transfers) expose ``__canonical_bytes__``
-        # returning their already-framed canonical encoding, so a value
-        # that appears in several enclosing payloads per hop — signed,
-        # wire-encoded, compared — is only ever encoded once.  The hook
-        # must return exactly what encoding ``to_canonical()`` would
-        # produce; implementations memoize through
-        # :meth:`repro.crypto.hashing.HashCache.encode_object`.
-        cached_bytes = getattr(value, "__canonical_bytes__", None)
-        if callable(cached_bytes):
-            return cached_bytes()
-
-        to_canonical = getattr(value, "to_canonical", None)
-        if callable(to_canonical):
-            return self._encode(to_canonical(), depth + 1)
-
-        raise SerializationError(
-            "cannot canonically encode value of type %r: %r"
-            % (type(value).__name__, value)
-        )
+            data = str(value).encode("ascii")
+            chunk = b"i%d:%s" % (len(data), data)
+        elif isinstance(value, float):
+            chunk = self._encode_float(value)
+        elif isinstance(value, str):
+            data = value.encode("utf-8")
+            chunk = b"s%d:%s" % (len(data), data)
+        elif isinstance(value, (bytes, bytearray)):
+            chunk = b"b%d:%s" % (len(value), value)
+        elif isinstance(value, (list, tuple)):
+            return self._write_list(value, out, depth)
+        elif isinstance(value, dict):
+            return self._write_dict(value, out, depth)
+        elif isinstance(value, (set, frozenset)):
+            data = b"".join(sorted(
+                self._encode(item, depth + 1) for item in value
+            ))
+            chunk = b"e%d:%s" % (len(data), data)
+        else:
+            # Memoized-encoding splice point: immutable snapshot types
+            # (agent states, packed transfers) expose
+            # ``__canonical_bytes__`` returning their already-framed
+            # canonical encoding, so a value that appears in several
+            # enclosing payloads per hop — signed, wire-encoded,
+            # compared — is only ever encoded once.  The hook must
+            # return exactly what encoding ``to_canonical()`` would
+            # produce; implementations memoize through
+            # :meth:`repro.crypto.hashing.HashCache.encode_object`.
+            cached_bytes = getattr(value, "__canonical_bytes__", None)
+            if not callable(cached_bytes):
+                to_canonical = getattr(value, "to_canonical", None)
+                if not callable(to_canonical):
+                    raise SerializationError(
+                        "cannot canonically encode value of type %r: %r"
+                        % (type(value).__name__, value)
+                    )
+                return self._write(to_canonical(), out, depth + 1)
+            chunk = cached_bytes()
+        out.append(chunk)
+        return len(chunk)
 
     def _encode_float(self, value: float) -> bytes:
         if math.isnan(value):
@@ -141,28 +173,47 @@ class CanonicalEncoder:
         # Use the IEEE-754 big-endian bit pattern so that e.g. 1.0 and
         # 1 encode differently (they are different values to an agent),
         # while -0.0 is normalised to 0.0 to keep equality sensible.
-        if value == 0.0:
-            value = 0.0
-        payload = struct.pack(">d", value)
-        return _frame(_TAG_FLOAT, payload)
+        return b"f8:" + _FLOAT.pack(0.0 if value == 0.0 else value)
 
-    def _encode_dict(self, value: dict, depth: int) -> bytes:
-        items = []
-        for key in value:
-            if not isinstance(key, str):
+    def _write_list(self, value: Any, out: List[bytes], depth: int) -> int:
+        slot = len(out)
+        out.append(b"")
+        write = self._write
+        depth += 1
+        size = 0
+        for item in value:
+            size += write(item, out, depth)
+        out[slot] = header = b"l%d:" % size
+        return len(header) + size
+
+    def _write_dict(self, value: dict, out: List[bytes], depth: int) -> int:
+        try:
+            keys = sorted(value)
+        except TypeError as exc:
+            raise SerializationError(
+                "canonical dictionaries require string keys: %s" % exc
+            ) from exc
+        slot = len(out)
+        out.append(b"")
+        write = self._write
+        depth += 1
+        size = 0
+        for key in keys:
+            if type(key) is not str and not isinstance(key, str):
                 raise SerializationError(
                     "canonical dictionaries require string keys, got %r"
                     % (key,)
                 )
-        for key in sorted(value):
-            encoded_key = self._encode(key, depth + 1)
-            encoded_val = self._encode(value[key], depth + 1)
-            items.append(encoded_key + encoded_val)
-        return _frame(_TAG_DICT, b"".join(items))
+            data = key.encode()
+            chunk = b"s%d:%s" % (len(data), data)
+            out.append(chunk)
+            size += len(chunk) + write(value[key], out, depth)
+        out[slot] = header = b"d%d:" % size
+        return len(header) + size
 
 
 class CanonicalDecoder:
-    """Decoder for the canonical byte format produced by the encoder.
+    """Decoder accepting exactly the byte strings the encoder produces.
 
     Decoding is lossy in one deliberate way: tuples were encoded as
     sequences and therefore decode as lists.  Everything else round
@@ -170,15 +221,28 @@ class CanonicalDecoder:
     ``tests/crypto/test_canonical.py``.
     """
 
+    #: Deepest nesting accepted; the same bound the encoder enforces.
+    max_depth = CanonicalEncoder.max_depth
+
     def decode(self, data: bytes) -> Any:
         """Decode a canonical byte string back into a Python value.
 
         Raises
         ------
         SerializationError
-            If the byte string is malformed or has trailing garbage.
+            If the byte string is malformed, not in canonical form, or
+            has trailing garbage.
         """
-        value, offset = self._decode(data, 0)
+        try:
+            if type(data) is not bytes:
+                data = bytes(data)
+            value, offset = self._read(data, 0, len(data), self.max_depth)
+        except (ValueError, TypeError) as exc:
+            # Invalid UTF-8 or digits, unhashable set members, or input
+            # that is not a byte string at all.
+            raise SerializationError(
+                "malformed canonical value: %s" % exc
+            ) from exc
         if offset != len(data):
             raise SerializationError(
                 "trailing bytes after canonical value (%d of %d consumed)"
@@ -188,63 +252,102 @@ class CanonicalDecoder:
 
     # -- internal helpers -------------------------------------------------
 
-    def _decode(self, data: bytes, offset: int) -> tuple:
-        if offset >= len(data):
-            raise SerializationError("truncated canonical value")
-        tag = data[offset:offset + 1]
-        colon = data.find(b":", offset + 1)
+    def _read(self, data: bytes, offset: int, limit: int,
+              room: int) -> tuple:
+        """Decode the value at ``offset``; return ``(value, end)``.
+
+        The value must end by ``limit``; ``room`` is how many more
+        levels of nesting are allowed below it.
+        """
+        if room < 0:
+            raise SerializationError(
+                "canonical value is nested deeper than %d levels"
+                % self.max_depth
+            )
+        colon = data.find(b":", offset + 1, limit)
         if colon < 0:
-            raise SerializationError("missing length separator in canonical value")
-        try:
-            length = int(data[offset + 1:colon].decode("ascii"))
-        except ValueError as exc:
-            raise SerializationError("invalid length prefix") from exc
+            raise SerializationError("missing canonical length separator")
+        head = data[offset + 1:colon]
+        length = _SMALL.get(head)
+        if length is None:
+            if not head.isdigit() or head[0] == 48:
+                raise SerializationError("non-canonical length %r" % head)
+            length = int(head)
         start = colon + 1
         end = start + length
-        if end > len(data):
+        if end > limit:
             raise SerializationError("canonical payload shorter than declared")
-        payload = data[start:end]
-
-        if tag == _TAG_NONE:
-            return None, end
-        if tag == _TAG_TRUE:
-            return True, end
-        if tag == _TAG_FALSE:
-            return False, end
-        if tag == _TAG_INT:
-            return int(payload.decode("ascii")), end
-        if tag == _TAG_FLOAT:
-            return struct.unpack(">d", payload)[0], end
-        if tag == _TAG_STR:
-            return payload.decode("utf-8"), end
-        if tag == _TAG_BYTES:
-            return bytes(payload), end
-        if tag == _TAG_LIST:
-            return self._decode_sequence(payload), end
-        if tag == _TAG_SET:
-            return set(self._decode_sequence(payload)), end
-        if tag == _TAG_DICT:
-            return self._decode_dict(payload), end
-        raise SerializationError("unknown canonical tag %r" % tag)
-
-    def _decode_sequence(self, payload: bytes) -> list:
-        items = []
-        offset = 0
-        while offset < len(payload):
-            value, offset = self._decode(payload, offset)
-            items.append(value)
-        return items
-
-    def _decode_dict(self, payload: bytes) -> dict:
-        result = {}
-        offset = 0
-        while offset < len(payload):
-            key, offset = self._decode(payload, offset)
-            value, offset = self._decode(payload, offset)
-            if not isinstance(key, str):
-                raise SerializationError("canonical dict key is not a string")
-            result[key] = value
-        return result
+        tag = data[offset]
+        if tag == 115:  # s
+            return data[start:end].decode("utf-8"), end
+        room -= 1
+        if tag == 100:  # d
+            result = {}
+            key = None
+            while start < end:
+                # Keys are half of all values, so their ``s`` header is
+                # read here, by the same rules as above.
+                colon = data.find(b":", start + 1, end)
+                if data[start] != 115 or colon < 0:
+                    raise SerializationError("dict key is not a string")
+                head = data[start + 1:colon]
+                length = _SMALL.get(head)
+                if length is None:
+                    if not head.isdigit() or head[0] == 48:
+                        raise SerializationError(
+                            "non-canonical length %r" % head
+                        )
+                    length = int(head)
+                start = colon + 1 + length
+                if start > end:
+                    raise SerializationError("dict key shorter than declared")
+                previous = key
+                key = data[colon + 1:start].decode("utf-8")
+                if previous is not None and key <= previous:
+                    raise SerializationError("dict keys unsorted or repeated")
+                result[key], start = self._read(data, start, end, room)
+            return result, end
+        if tag == 105:  # i
+            text = data[start:end]
+            value = _SMALL.get(text)
+            if value is None:
+                value = int(text)
+                if b"%d" % value != text:
+                    raise SerializationError("non-canonical integer %r" % text)
+            return value, end
+        if tag == 98:  # b
+            return data[start:end], end
+        if tag == 108:  # l
+            items = []
+            while start < end:
+                value, start = self._read(data, start, end, room)
+                items.append(value)
+            return items, end
+        if tag == 102:  # f
+            if end - start != 8:
+                raise SerializationError("float payload must be 8 bytes")
+            value = _FLOAT.unpack_from(data, start)[0]
+            if value != value or (value == 0.0 and data[start]):
+                raise SerializationError("NaN or -0.0 is not canonical")
+            return value, end
+        if tag in _CONSTANTS:
+            if end != start:
+                raise SerializationError("N/T/F payload must be empty")
+            return _CONSTANTS[tag], end
+        if tag == 101:  # e
+            items = []
+            previous = b""
+            while start < end:
+                value, after = self._read(data, start, end, room)
+                if data[start:after] <= previous:
+                    raise SerializationError("set members unsorted or repeated")
+                items.append(value)
+                previous, start = data[start:after], after
+            members = set(items)
+            if len(members) != len(items):
+                raise SerializationError("set members collide")
+            return members, end
+        raise SerializationError("unknown canonical tag %r" % chr(tag))
 
 
 _DEFAULT_ENCODER = CanonicalEncoder()

@@ -153,6 +153,18 @@ def _backend_name(address: Tuple[str, int]) -> str:
     return "%s:%d" % (str(address[0]), int(address[1]))
 
 
+class _Encoded:
+    """A value encoded once, spliced as-is wherever it is re-encoded."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, value: Any) -> None:
+        self.data = canonical_encode(value)
+
+    def __canonical_bytes__(self) -> bytes:
+        return self.data
+
+
 class _BackendBatcher:
     """Aggregates concurrent verify items into ``verify-batch`` frames.
 
@@ -487,12 +499,15 @@ class ClusterGateway(FrameServer):
     async def _handle_session(self, request_id: Any,
                               request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
+        # The two large fields are encoded once; the ring key and the
+        # forwarded frame (and any re-issue) splice those bytes.
         payload = {
-            name: request.get(name)
-            for name in ("prev_session", "observed_state",
-                         "checked_host", "checking_host")
+            "prev_session": _Encoded(request.get("prev_session")),
+            "observed_state": _Encoded(request.get("observed_state")),
+            "checked_host": request.get("checked_host"),
+            "checking_host": request.get("checking_host"),
+            "op": "check-session",
         }
-        payload["op"] = "check-session"
 
         async def send(backend: str) -> Dict[str, Any]:
             client = await self._client(backend)

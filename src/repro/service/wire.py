@@ -32,6 +32,7 @@ from repro.crypto.canonical import canonical_decode, canonical_encode
 from repro.exceptions import (
     FrameTooLarge,
     MalformedFrame,
+    SerializationError,
     TruncatedFrame,
     WireVersionMismatch,
 )
@@ -90,7 +91,7 @@ def decode_body(body: bytes) -> Any:
     """Decode one frame body, mapping decode failures to a typed error."""
     try:
         return canonical_decode(body)
-    except Exception as exc:
+    except SerializationError as exc:
         raise MalformedFrame(
             "frame body is not a canonical value: %s" % exc
         ) from exc

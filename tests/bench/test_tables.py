@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.bench.tables import (
     NOT_APPLICABLE,
@@ -70,3 +76,18 @@ class TestMetricCell:
         assert metric_cell(None) == NOT_APPLICABLE
         assert metric_cell(None, "%.1f") == NOT_APPLICABLE
 
+
+
+def test_module_cli_runs_without_a_runpy_warning():
+    # ``repro.bench`` must not import ``tables`` itself, or runpy warns
+    # that the module it is about to run is already in sys.modules.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.bench.tables", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,3 +200,249 @@ class TestCanonicalProperties:
             assert canonical_equal(left, right)
         else:
             assert not canonical_equal(left, right)
+
+
+# ---------------------------------------------------------------------------
+# byte-identity oracle: the original recursive encoder
+# ---------------------------------------------------------------------------
+
+
+def _frame(tag: bytes, payload: bytes) -> bytes:
+    return tag + str(len(payload)).encode("ascii") + b":" + payload
+
+
+def reference_encode(value, depth=0):
+    """The codec's first encoder: one fresh ``bytes`` per nesting level."""
+    if depth > CanonicalEncoder.max_depth:
+        raise SerializationError("too deep")
+    if value is None:
+        return _frame(b"N", b"")
+    if value is True:
+        return _frame(b"T", b"")
+    if value is False:
+        return _frame(b"F", b"")
+    if isinstance(value, int):
+        return _frame(b"i", str(value).encode("ascii"))
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise SerializationError("NaN")
+        return _frame(b"f", struct.pack(">d", 0.0 if value == 0.0 else value))
+    if isinstance(value, str):
+        return _frame(b"s", value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return _frame(b"b", bytes(value))
+    if isinstance(value, (list, tuple)):
+        return _frame(b"l", b"".join(
+            reference_encode(item, depth + 1) for item in value))
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise SerializationError("non-string key")
+        return _frame(b"d", b"".join(
+            reference_encode(key, depth + 1)
+            + reference_encode(value[key], depth + 1)
+            for key in sorted(value)))
+    if isinstance(value, (set, frozenset)):
+        return _frame(b"e", b"".join(sorted(
+            reference_encode(item, depth + 1) for item in value)))
+    cached_bytes = getattr(value, "__canonical_bytes__", None)
+    if callable(cached_bytes):
+        return cached_bytes()
+    to_canonical = getattr(value, "to_canonical", None)
+    if callable(to_canonical):
+        return reference_encode(to_canonical(), depth + 1)
+    raise SerializationError("unencodable %r" % (value,))
+
+
+class _ToCanonical:
+    def __init__(self, value):
+        self.value = value
+
+    def to_canonical(self):
+        return self.value
+
+
+class _Spliced:
+    def __init__(self, value):
+        self.data = reference_encode(value)
+
+    def __canonical_bytes__(self):
+        return self.data
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+_hashable_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 64), max_value=2 ** 64),
+    st.floats(allow_nan=False, width=64),
+    st.text(max_size=10),
+    st.binary(max_size=10),
+)
+
+_wide_values = st.recursive(
+    st.one_of(
+        _scalars,
+        st.builds(_Text, st.text(max_size=8)),
+        st.builds(_Count, st.integers()),
+        st.builds(bytearray, st.binary(max_size=8)),
+        st.sets(_hashable_scalars, max_size=5),
+        st.frozensets(_hashable_scalars, max_size=5),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+        st.builds(_ToCanonical, children),
+        st.builds(_Spliced, children),
+    ),
+    max_leaves=25,
+)
+
+
+class TestByteIdentity:
+    @given(value=_wide_values)
+    @settings(max_examples=300)
+    def test_encoder_matches_the_reference_encoder(self, value):
+        assert canonical_encode(value) == reference_encode(value)
+
+
+#: ``(value, hex encoding)``: every tag, unicode, a 157-digit int,
+#: ``-0.0``, tuples, sets, ``to_canonical()`` and a splice.
+GOLDEN = [
+    (None, "4e303a"),
+    (True, "54303a"),
+    (False, "46303a"),
+    (0, "69313a30"),
+    (-7, "69323a2d37"),
+    (2 ** 521 - 1,
+        "693135373a3638363437393736363031333036303937313439383139"
+        "30303739393038313339333231373236393433353330303134333330"
+        "35343039333934343633343539313835353433313833333937363536"
+        "30353231323235353936343036363134353435353439373732393633"
+        "31313339313438303835383033373132313938373939393731363634"
+        "33383132353734303238323931313135303537313531"),
+    (1.5, "66383a3ff8000000000000"),
+    (-0.0, "66383a0000000000000000"),
+    (float("inf"), "66383a7ff0000000000000"),
+    ("", "73303a"),
+    ("prix: 100€ — Straße",
+        "7332343a707269783a20313030e282ac20e280942053747261c39f65"),
+    (b"\x00\xff", "62323a00ff"),
+    ([], "6c303a"),
+    ((1, "a"), "6c383a69313a3173313a61"),
+    ({"b": 1, "a": [None]}, "6431383a73313a616c333a4e303a73313a6269313a31"),
+    ({3, 1, 2}, "6531323a69313a3169313a3269313a33"),
+    (frozenset({"x"}), "65343a73313a78"),
+    (_ToCanonical({"kind": "custom", "value": 42}),
+        "6432393a73343a6b696e6473363a637573746f6d73353a76616c756569323a3432"),
+    ({"state": _Spliced({"pre": [1, "encoded"]})},
+        "6433363a73353a73746174656432343a73333a7072656c31343a69313a3173373a"
+        "656e636f646564"),
+]
+
+
+@pytest.mark.parametrize("value, expected", GOLDEN,
+                         ids=[str(index) for index in range(len(GOLDEN))])
+def test_golden_encoding(value, expected):
+    encoded = canonical_encode(value)
+    assert encoded.hex() == expected
+    assert canonical_encode(canonical_decode(encoded)) == encoded
+
+
+# ---------------------------------------------------------------------------
+# hostile input: typed errors only, canonical bytes only
+# ---------------------------------------------------------------------------
+
+
+def _nested_lists(levels: int) -> bytes:
+    data = b"N0:"
+    for _ in range(levels):
+        data = b"l%d:%s" % (len(data), data)
+    return data
+
+
+#: Inputs the decoder must reject, each with a ``SerializationError``.
+HOSTILE = {
+    "900-deep": _nested_lists(900),
+    "65-deep": _nested_lists(CanonicalEncoder.max_depth + 1),
+    "length-beyond-body": b"s10:abc",
+    "length-beyond-container": b"l3:s5:abcde",
+    "5000-digit-int": b"i5000:" + b"7" * 5000,
+    "5000-digit-length": b"s" + b"9" * 5000 + b":",
+    "non-string-key": b"d6:i1:1N0:",
+    "unsorted-keys": b"d14:s1:bN0:s1:aN0:",
+    "duplicate-keys": b"d14:s1:aN0:s1:aT0:",
+    "unsorted-set": b"e8:i1:2i1:1",
+    "duplicate-set-members": b"e8:i1:1i1:1",
+    "colliding-set-members": b"e7:T0:i1:1",
+    "unhashable-set-member": b"e3:l0:",
+    "invalid-utf8": b"s2:\xff\xfe",
+    "int-not-digits": b"i2:ab",
+    "int-leading-zero": b"i3:007",
+    "int-plus-sign": b"i2:+7",
+    "int-negative-zero": b"i2:-0",
+    "int-underscore": b"i3:1_0",
+    "int-empty": b"i0:",
+    "float-short": b"f3:abc",
+    "float-negative-zero": b"f8:" + struct.pack(">d", -0.0),
+    "float-nan": b"f8:" + struct.pack(">d", math.nan),
+    "length-space": b"s 1:a",
+    "length-plus": b"s+1:a",
+    "length-leading-zero": b"s01:a",
+    "length-negative-zero": b"l-0:",
+    "length-empty": b"s:",
+    "none-with-payload": b"N1:x",
+    "true-with-payload": b"T1:x",
+    "unknown-tag": b"Z1:a",
+    "empty": b"",
+    "trailing": b"N0:N0:",
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_rejected_with_a_typed_error(self, name):
+        with pytest.raises(SerializationError):
+            canonical_decode(HOSTILE[name])
+
+    def test_decode_limit_matches_the_encoder(self):
+        deepest = _nested_lists(CanonicalEncoder.max_depth)
+        assert canonical_encode(canonical_decode(deepest)) == deepest
+        assert CanonicalDecoder.max_depth == CanonicalEncoder.max_depth
+
+    def test_non_bytes_input_is_a_typed_error(self):
+        with pytest.raises(SerializationError):
+            canonical_decode("N0:")
+
+    def test_bytes_like_input_is_accepted(self):
+        data = canonical_encode({"a": [1, b"x"]})
+        assert canonical_decode(memoryview(data)) == {"a": [1, b"x"]}
+        assert canonical_decode(bytearray(data)) == {"a": [1, b"x"]}
+
+    @given(value=_values, data=st.data())
+    @settings(max_examples=300)
+    def test_one_byte_edit_raises_or_is_canonical(self, value, data):
+        encoded = bytearray(canonical_encode(value))
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        index = data.draw(st.integers(0, len(encoded) - (kind != "insert")))
+        if kind == "delete":
+            del encoded[index]
+        else:
+            byte = data.draw(st.integers(0, 255))
+            if kind == "insert":
+                encoded.insert(index, byte)
+            else:
+                encoded[index] = byte
+        mutated = bytes(encoded)
+        try:
+            decoded = canonical_decode(mutated)
+        except SerializationError:
+            return
+        assert canonical_encode(decoded) == mutated

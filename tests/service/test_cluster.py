@@ -263,6 +263,33 @@ class TestFailover:
 
         asyncio.run(run())
 
+    def test_session_fields_are_encoded_once_per_check(self):
+        # The ring key and the forwarded frame share one encoding of
+        # each large field.
+        class Counted:
+            encodes = 0
+
+            def to_canonical(self):
+                Counted.encodes += 1
+                return {"agent_id": "fleet/j00001"}
+
+        async def run():
+            backends, gateway, client = await _start_cluster(1)
+            try:
+                response = await gateway._handle_session(7, {
+                    "op": "check-session",
+                    "prev_session": Counted(),
+                    "observed_state": Counted(),
+                    "checking_host": "home",
+                })
+                assert response["id"] == 7
+                assert response.get("error") != "no-backend"
+                assert Counted.encodes == 2
+            finally:
+                await _teardown(backends, gateway, client)
+
+        asyncio.run(run())
+
 
 class TestCircuitBreaking:
     def test_flapping_backend_is_shed_not_reprobed(self):

@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.crypto.canonical import CanonicalEncoder
 from repro.exceptions import FrameTooLarge, MalformedFrame, TruncatedFrame
 from repro.service.wire import (
     HEADER_BYTES,
@@ -115,3 +116,39 @@ class TestMalformed:
         with pytest.raises(MalformedFrame):
             decode_body(bodies[0])
         assert decode_body(bodies[1]) == {"op": "ping"}
+
+
+def _nested_lists(levels: int) -> bytes:
+    data = b"N0:"
+    for _ in range(levels):
+        data = b"l%d:%s" % (len(data), data)
+    return data
+
+
+def _dict_body(*items: bytes) -> bytes:
+    payload = b"".join(items)
+    return b"d%d:%s" % (len(payload), payload)
+
+
+class TestHostileBodies:
+    """Hostile bodies fail as ``MalformedFrame`` and nothing else."""
+
+    @pytest.mark.parametrize("body", [
+        _nested_lists(900),
+        _nested_lists(CanonicalEncoder.max_depth + 1),
+        _dict_body(b"s2:op", b"s10:ping"),
+        b"i5000:" + b"1" * 5000,
+        _dict_body(b"i1:1", b"s2:op"),
+        _dict_body(b"s2:op", b"s4:ping", b"s2:id", b"i1:1"),
+        _dict_body(b"s2:op", b"s4:ping", b"s2:op", b"s4:ping"),
+        b"e8:i1:2i1:1",
+        b"s2:\xff\xfe",
+        b"f3:abc",
+    ], ids=[
+        "900-deep", "65-deep", "length-beyond-body", "5000-digit-int",
+        "non-string-key", "unsorted-keys", "duplicate-keys",
+        "unsorted-set", "invalid-utf8", "short-float",
+    ])
+    def test_hostile_body_is_malformed(self, body):
+        with pytest.raises(MalformedFrame):
+            decode_body(body)
