@@ -14,10 +14,10 @@ Runs the campaign layer (:mod:`repro.sim.campaign`) end to end:
 4. optionally gate the run: ``--require-recall 1.0`` exits non-zero
    unless every always-detectable scenario was caught every time.
 
-With ``--workers K`` the campaign is sharded across a multiprocess
-pool; the merged result (and trace) is bit-identical to the
-single-process run of the same seed — CI's campaign-smoke job compares
-the two byte for byte.
+With ``--workers K`` the campaign is split into deterministic units run
+across a work-stealing multiprocess pool; the merged result (and trace)
+is bit-identical to the single-process run of the same seed — CI's
+campaign-smoke job compares the two byte for byte.
 
 Invocation — run from the repository root with ``PYTHONPATH=src``::
 
@@ -59,8 +59,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default: 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes; the campaign is split into "
-                             "that many deterministic shards (default: 1)")
+                        help="worker processes pulling units off the "
+                             "shared work-stealing queue; the default plan "
+                             "is 4 deterministic units per worker "
+                             "(default: 1)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write the merged per-journey JSONL trace "
                              "here (ground truth + verdicts included)")

@@ -72,8 +72,8 @@ def main() -> int:
                              "the scheduler's dynamic plan)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write the merged per-journey JSONL trace "
-                             "here (per-unit or per-worker stream files "
-                             "appear next to it)")
+                             "here (pooled runs stream per-worker files "
+                             "next to it and delete them after the merge)")
     parser.add_argument("--chaos-kill-worker", type=int, default=None,
                         metavar="W",
                         help="SIGKILL worker W mid-run to demonstrate "

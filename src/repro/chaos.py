@@ -13,7 +13,7 @@ Determinism rules
 -----------------
 Fault plans are either written out literally or derived from a seed via
 :meth:`FaultPlan.generate` (sha256-keyed, like
-:func:`repro.sim.shard.derive_shard_seed`); nothing in this module
+:func:`repro.sim.fleet.derive_substream`); nothing in this module
 reads the wall clock or the global :mod:`random` state.  Faults target
 *logical* positions — the ``at_unit``-th unit a worker leases, the
 ``backend``-th cluster verifier — never wall-clock instants, so the

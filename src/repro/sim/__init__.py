@@ -53,7 +53,6 @@ from repro.sim.shard import (
     merge_shard_results,
     plan_units,
     run_fleet,
-    run_shard,
     split_fleet,
     warm_worker,
     worker_trace_path,
@@ -104,7 +103,6 @@ __all__ = [
     "read_trace",
     "run_campaign",
     "run_fleet",
-    "run_shard",
     "split_fleet",
     "warm_worker",
     "worker_trace_path",

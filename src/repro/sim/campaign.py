@@ -430,7 +430,7 @@ def analyze_campaign(result: FleetResult) -> CampaignResult:
 def run_campaign(
     config: FleetConfig,
     workers: int = 1,
-    num_shards: Optional[int] = None,
+    unit_size: Optional[int] = None,
     start_method: Optional[str] = None,
     pool: Optional[Any] = None,
 ) -> CampaignResult:
@@ -447,9 +447,7 @@ def run_campaign(
         kwargs["start_method"] = start_method
     if pool is not None:
         kwargs["pool"] = pool
-    result = run_fleet(
-        config, workers=workers, num_shards=num_shards, **kwargs
-    )
+    result = run_fleet(config, workers=workers, unit_size=unit_size, **kwargs)
     return analyze_campaign(result)
 
 

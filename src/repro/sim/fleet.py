@@ -397,7 +397,7 @@ class FleetResult:
     wall_seconds: float
     verifier_stats: Optional[Dict[str, Any]] = None
     deferred_signature_failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-shard execution metadata when the result came out of
+    #: Per-unit execution metadata when the result came out of
     #: :func:`repro.sim.shard.run_fleet` (wall times, ranges, workers).
     #: Not part of the deterministic surface.
     shards: Optional[List[Dict[str, Any]]] = None
@@ -567,9 +567,9 @@ class FleetEngine:
         passes disjoint sub-ranges.  Journey identities, randomness, and
         virtual timestamps are global — a partial engine reproduces
         exactly the journeys of its range, bit for bit.
-    shard_index / num_shards:
-        Position of this engine in a sharded run (recorded in the trace
-        header and used to derive the batch-verifier substream).
+    shard_index:
+        Index of the unit this engine runs in a multi-unit plan; it
+        derives the batch-verifier substream.
     """
 
     def __init__(
@@ -578,7 +578,6 @@ class FleetEngine:
         agent_start: int = 0,
         agent_stop: Optional[int] = None,
         shard_index: int = 0,
-        num_shards: int = 1,
     ) -> None:
         config.validate()
         stop = config.num_agents if agent_stop is None else agent_stop
@@ -587,15 +586,10 @@ class FleetEngine:
                 "agent range [%d, %d) must lie within [0, %d)"
                 % (agent_start, stop, config.num_agents)
             )
-        if not 0 <= shard_index < num_shards:
-            raise ConfigurationError(
-                "shard_index %d outside [0, %d)" % (shard_index, num_shards)
-            )
         self.config = config
         self.agent_start = agent_start
         self.agent_stop = stop
         self.shard_index = shard_index
-        self.num_shards = num_shards
         self.trace = TraceWriter()
         self._topology_rng = Random(derive_substream(config.seed, "topology"))
         self._simulator = EventSimulator()
@@ -636,15 +630,7 @@ class FleetEngine:
         if self.config.batched_verification:
             self._transfer_verifier = self._build_transfer_verifier()
 
-        header: Dict[str, Any] = {"config": self.config.to_canonical()}
-        if self.num_shards > 1:
-            header["shard"] = {
-                "index": self.shard_index,
-                "of": self.num_shards,
-                "agent_start": self.agent_start,
-                "agent_stop": self.agent_stop,
-            }
-        self.trace.emit("fleet", **header)
+        self.trace.emit("fleet", config=self.config.to_canonical())
         journeys = self._build_journeys(system)
         self._schedule_launches(journeys)
         self._simulator.run()

@@ -8,16 +8,18 @@ a private stream.  This module exploits that property:
 
 * :func:`split_fleet` partitions the journey-index range of a
   :class:`~repro.sim.fleet.FleetConfig` into contiguous, disjoint
-  :class:`ShardSpec` units with per-unit derived seeds;
+  :class:`ShardSpec` units;
 * :func:`execute_unit` runs one unit in the current process and returns
-  a :class:`ShardResult` with its warmup/compute/serialize timing;
+  a :class:`ShardResult` with its warmup/compute/serialize timing, and
+  :func:`run_in_process` is the coordinator's loop over such units;
 * :class:`FleetWorkerPool` holds persistent ``spawn`` workers that pull
   units from a **shared task queue** — an idle worker steals whatever
   unit is next, so a slow or stalled worker never strands its share of
   the fleet the way the old static ``one shard per worker`` partition
   did;
-* :func:`run_fleet` plans the units, dispatches them, and merges the
-  outputs into a single :class:`~repro.sim.fleet.FleetResult` that is
+* :func:`run_fleet` plans the units, hands them to a pool (or, with
+  one worker, to the coordinator's own loop), and merges the outputs
+  into a single :class:`~repro.sim.fleet.FleetResult` that is
   **bit-identical** to the single-process run of the same seed — same
   deterministic signature, same merged JSONL trace bytes.
 
@@ -39,14 +41,15 @@ pickle-free JSON frames (:mod:`repro.sim.wire`) instead of through
 each worker streams its finished units' events into its own JSONL file
 (``<trace>.worker-K-of-N``) and the coordinator merges the streams
 after the last unit completes — serialization cost stays in the
-workers, off the coordinator's critical path.  Sequential runs
-(``workers=1``) keep the classic per-unit ``<trace>.shard-K-of-N``
-files.
+workers, off the coordinator's critical path — then deletes them.
+Units the coordinator runs itself (all of them when ``workers=1``,
+whatever is left when a pool loses every worker) keep their events in
+memory and hand them to the merge directly, so every traced run writes
+its trace file exactly once.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import queue as _queue
@@ -54,7 +57,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos import (
     WORKER_CRASH_MID_WRITE,
@@ -74,9 +77,9 @@ from repro.sim.fleet import (
     journey_id_for_index,
 )
 from repro.sim.trace import (
-    TraceWriter,
     append_events,
     events_to_jsonl,
+    merge_shard_events,
     merge_trace_files,
     sanitize_stream_file,
 )
@@ -93,13 +96,11 @@ __all__ = [
     "ShardResult",
     "FleetWorkerPool",
     "DEFAULT_UNITS_PER_WORKER",
-    "derive_shard_seed",
-    "shard_trace_path",
     "worker_trace_path",
     "split_fleet",
     "plan_units",
     "execute_unit",
-    "run_shard",
+    "run_in_process",
     "warm_worker",
     "merge_shard_results",
     "run_fleet",
@@ -111,8 +112,8 @@ __all__ = [
 #: execution); determinism never relies on it, only portability does.
 DEFAULT_START_METHOD = "spawn"
 
-#: Default queue granularity: units per worker when neither
-#: ``num_shards`` nor ``unit_size`` is given.  Several units per worker
+#: Default queue granularity: units per worker when no ``unit_size``
+#: is given.  Several units per worker
 #: is what makes stealing effective (a worker finishing early picks up
 #: another unit instead of idling), while units stay large enough that
 #: per-unit topology setup is noise.
@@ -178,18 +179,6 @@ def warm_worker(
     )
 
 
-def derive_shard_seed(seed: int, shard_index: int, num_shards: int) -> int:
-    """Deterministic per-shard seed from the master seed and position."""
-    material = "shard|%d|%d|%d" % (seed, shard_index, num_shards)
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def shard_trace_path(trace_path: str, shard_index: int, num_shards: int) -> str:
-    """Per-shard JSONL path derived from the merged trace path."""
-    return "%s.shard-%02d-of-%02d" % (trace_path, shard_index, num_shards)
-
-
 def worker_trace_path(trace_path: str, worker_index: int, workers: int) -> str:
     """Per-worker JSONL stream path derived from the merged trace path.
 
@@ -208,31 +197,20 @@ class ShardSpec:
     Attributes
     ----------
     config:
-        The full fleet configuration (``trace_path`` stripped — shard
-        traces go to :attr:`trace_path` or a per-worker stream instead).
-    shard_index / num_shards:
-        Position of this unit in the partition.
+        The full fleet configuration (``trace_path`` stripped — a unit
+        never writes the merged trace itself).
+    shard_index:
+        Position of this unit in the partition; it also seeds the
+        unit's batch-verifier substream.
     agent_start / agent_stop:
         Journey-index range ``[agent_start, agent_stop)`` this unit
         executes.  Ranges of a partition are contiguous and disjoint.
-    seed:
-        Per-unit derived seed (:func:`derive_shard_seed`).  Recorded
-        for provenance (shard metadata, reports) only — it must never
-        feed engine randomness, which flows exclusively from the global
-        substreams of ``config.seed``; a shard-local draw would break
-        the bit-identity of sharded and single-process runs.
-    trace_path:
-        Optional path for this unit's own JSONL trace file (sequential
-        runs; pooled runs stream into per-worker files instead).
     """
 
     config: FleetConfig
     shard_index: int
-    num_shards: int
     agent_start: int
     agent_stop: int
-    seed: int
-    trace_path: Optional[str] = None
 
     @property
     def num_agents(self) -> int:
@@ -243,10 +221,8 @@ class ShardSpec:
         """Compact metadata dictionary (reports, merged results)."""
         return {
             "shard_index": self.shard_index,
-            "num_shards": self.num_shards,
             "agent_start": self.agent_start,
             "agent_stop": self.agent_stop,
-            "seed": self.seed,
         }
 
 
@@ -256,8 +232,9 @@ class ShardResult:
 
     Crosses the worker boundary as a pickle-free JSON frame
     (:mod:`repro.sim.wire`): journey outcomes, plain dictionaries, and
-    numbers only.  Trace events travel through JSONL files (per-unit or
-    per-worker streams), never through the result channel.
+    numbers only.  Trace events never cross the result channel: a pool
+    worker appends them to its stream file, and a unit run in process
+    keeps them in :attr:`events` for the merge.
 
     The ``compute`` / ``serialize`` seconds are this unit's share of
     the per-worker overhead split; ``compute_cpu_seconds`` uses CPU
@@ -292,47 +269,39 @@ class ShardResult:
     #: (``None`` when observability is disabled).  Merged fleet-wide by
     #: :func:`run_fleet` into ``worker_report["telemetry"]``.
     telemetry: Optional[Dict[str, Any]] = None
+    #: The unit's trace events when they were not streamed to a file
+    #: (``None`` for units that came back over the result channel).
+    events: Optional[List[Dict[str, Any]]] = None
 
 
-def split_fleet(
-    config: FleetConfig,
-    num_shards: int,
-    trace_path: Optional[str] = None,
-) -> List[ShardSpec]:
-    """Partition a fleet into ``num_shards`` contiguous shard specs.
+def split_fleet(config: FleetConfig, num_units: int) -> List[ShardSpec]:
+    """Partition a fleet into ``num_units`` contiguous unit specs.
 
-    Shard sizes differ by at most one journey (the first
-    ``num_agents % num_shards`` shards take the extra one).  More shards
+    Unit sizes differ by at most one journey (the first
+    ``num_agents % num_units`` units take the extra one).  More units
     than journeys is rejected rather than silently producing empty
-    shards.  ``trace_path`` is the *merged* trace destination; per-shard
-    files are derived from it via :func:`shard_trace_path`.
+    units.  Every spec's config has ``trace_path`` stripped: only the
+    merge writes the run's trace.
     """
     config.validate()
-    if num_shards < 1:
-        raise ConfigurationError("num_shards must be positive")
-    if num_shards > config.num_agents:
+    if num_units < 1:
+        raise ConfigurationError("num_units must be positive")
+    if num_units > config.num_agents:
         raise ConfigurationError(
-            "cannot split %d journeys into %d shards"
-            % (config.num_agents, num_shards)
+            "cannot split %d journeys into %d units"
+            % (config.num_agents, num_units)
         )
-    merged_trace = trace_path if trace_path is not None else config.trace_path
-    shard_config = replace(config, trace_path=None)
-    base, extra = divmod(config.num_agents, num_shards)
+    unit_config = replace(config, trace_path=None)
+    base, extra = divmod(config.num_agents, num_units)
     specs: List[ShardSpec] = []
     start = 0
-    for index in range(num_shards):
+    for index in range(num_units):
         stop = start + base + (1 if index < extra else 0)
         specs.append(ShardSpec(
-            config=shard_config,
+            config=unit_config,
             shard_index=index,
-            num_shards=num_shards,
             agent_start=start,
             agent_stop=stop,
-            seed=derive_shard_seed(config.seed, index, num_shards),
-            trace_path=(
-                shard_trace_path(merged_trace, index, num_shards)
-                if merged_trace else None
-            ),
         ))
         start = stop
     return specs
@@ -341,25 +310,17 @@ def split_fleet(
 def plan_units(
     config: FleetConfig,
     workers: int,
-    num_shards: Optional[int] = None,
     unit_size: Optional[int] = None,
 ) -> int:
-    """Unit count for a run: explicit shards, a unit size, or default.
+    """Unit count for a run: from a unit size, or the default plan.
 
-    ``num_shards`` pins the partition exactly (legacy interface);
-    ``unit_size`` asks for units of about that many journeys; with
-    neither, multi-worker runs get :data:`DEFAULT_UNITS_PER_WORKER`
-    units per worker (capped at one journey per unit) so the shared
-    queue always holds spare units for an idle worker to steal, and
-    single-worker runs stay one unit.
+    ``unit_size`` asks for units of about that many journeys; without
+    it, multi-worker runs get :data:`DEFAULT_UNITS_PER_WORKER` units per
+    worker (capped at one journey per unit) so the shared queue always
+    holds spare units for an idle worker to steal, and single-worker
+    runs stay one unit.
     """
-    if num_shards is not None and unit_size is not None:
-        raise ConfigurationError(
-            "num_shards and unit_size are mutually exclusive"
-        )
     config.validate()
-    if num_shards is not None:
-        return num_shards
     if unit_size is not None:
         if unit_size < 1:
             raise ConfigurationError("unit_size must be positive")
@@ -371,16 +332,14 @@ def plan_units(
 
 def execute_unit(
     spec: ShardSpec,
-    trace_path: Optional[str] = None,
-    append: bool = False,
+    stream: Optional[str] = None,
     fault: Optional[Fault] = None,
 ) -> ShardResult:
     """Execute one unit in the current process, timing each phase.
 
-    ``trace_path`` overrides where (and whether) the unit's events are
-    serialized; with ``append`` they are appended to an existing stream
-    file (the per-worker streaming mode) instead of written as a
-    standalone canonical file.  Compute is timed in both wall and CPU
+    With ``stream`` (a pool worker's JSONL file) the unit's events are
+    appended to it; without, they stay in memory on the result's
+    :attr:`~ShardResult.events`.  Compute is timed in both wall and CPU
     seconds, serialization separately — the raw material of the
     per-worker overhead split in ``worker_report``.
 
@@ -397,24 +356,23 @@ def execute_unit(
         agent_start=spec.agent_start,
         agent_stop=spec.agent_stop,
         shard_index=spec.shard_index,
-        num_shards=spec.num_shards,
     )
     result = engine.run()
     compute_seconds = time.perf_counter() - started
     compute_cpu_seconds = time.process_time() - cpu_started
     serialize_started = time.perf_counter()
-    if trace_path:
-        if append:
-            if fault is not None and fault.kind == WORKER_CRASH_MID_WRITE:
-                payload = events_to_jsonl(engine.trace.events)
-                with open(trace_path, "a", encoding="utf-8") as handle:
-                    handle.write(torn_prefix(payload, fault.fraction))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                kill_self()
-            append_events(trace_path, engine.trace.events)
-        else:
-            engine.trace.write(trace_path, canonical_order=True)
+    events: Optional[List[Dict[str, Any]]] = None
+    if stream:
+        if fault is not None and fault.kind == WORKER_CRASH_MID_WRITE:
+            payload = events_to_jsonl(engine.trace.events)
+            with open(stream, "a", encoding="utf-8") as handle:
+                handle.write(torn_prefix(payload, fault.fraction))
+                handle.flush()
+                os.fsync(handle.fileno())
+            kill_self()
+        append_events(stream, engine.trace.events)
+    else:
+        events = engine.trace.events
     serialize_seconds = time.perf_counter() - serialize_started
     return ShardResult(
         spec=spec,
@@ -434,17 +392,21 @@ def execute_unit(
             engine.metrics.snapshot(include_samples=True)
             if engine.metrics.enabled else None
         ),
+        events=events,
     )
 
 
-def run_shard(spec: ShardSpec) -> ShardResult:
-    """Execute one shard in the current process (classic interface).
+def run_in_process(specs: Iterable[ShardSpec]) -> List[ShardResult]:
+    """The coordinator's loop: execute units here, in unit order.
 
-    When the spec names a trace path, the shard's JSONL file is written
-    before returning so the coordinator can merge files instead of
-    shipping events through the result channel.
+    This is all of a ``workers=1`` run and the tail of a pooled run
+    that lost every worker.  Each result keeps its unit's events in
+    memory for the merge; nothing is written until the merged trace.
     """
-    return execute_unit(spec, trace_path=spec.trace_path)
+    return [
+        execute_unit(spec)
+        for spec in sorted(specs, key=lambda spec: spec.shard_index)
+    ]
 
 
 def _unit_result_to_wire(result: ShardResult) -> Dict[str, Any]:
@@ -574,9 +536,7 @@ def _unit_worker_main(
                 worker_trace_path(trace_template, worker_index, workers)
                 if trace_template else None
             )
-            result = execute_unit(
-                spec, trace_path=stream, append=True, fault=fault
-            )
+            result = execute_unit(spec, stream=stream, fault=fault)
             result.worker_index = worker_index
             injector.apply_post_execution(fault, channel)
             channel.send_bytes(encode_message(_unit_result_to_wire(result)))
@@ -899,7 +859,8 @@ class FleetWorkerPool:
         warmup-compute-serialize split, the supervision record
         (crashes survived, respawns, degraded units), and — when
         ``trace_path`` is set — the trace stream files the caller must
-        merge.
+        merge (units the coordinator finished itself carry their events
+        in memory instead).
 
         Worker deaths do not fail the run: leased units are requeued
         (after stream repair) and workers respawned while the budget
@@ -932,10 +893,14 @@ class FleetWorkerPool:
         while outstanding:
             if not self._open_channels():
                 # Every worker is dead and the respawn budget is spent:
-                # degrade to in-process execution of whatever is left.
-                results.extend(
-                    self._run_degraded(outstanding, trace_path, trace_files)
-                )
+                # nobody is left to claim the queue, so the coordinator
+                # runs whatever is left itself.  Forward progress is
+                # guaranteed whatever the pool survived; only wall time
+                # is lost.
+                self._drain_tasks()
+                leftover = run_in_process(outstanding.values())
+                self._degraded_units += len(leftover)
+                results.extend(leftover)
                 break
             frames = self._receive(timeout=_POLL_SECONDS)
             self._service_deaths(outstanding, trace_path)
@@ -954,43 +919,16 @@ class FleetWorkerPool:
                     )
                 results.append(_unit_result_from_wire(frame, spec))
                 del outstanding[spec.shard_index]
+        self._collect_warm_states(timeout=10.0)
         report = {
             "mode": "work-stealing",
-            "workers": self._per_worker_report(results),
+            "workers": _per_worker_report(
+                results, self.workers, self._warm_states
+            ),
             "trace_files": trace_files,
             "supervision": self.supervision_report(),
         }
         return results, report
-
-    def _run_degraded(
-        self,
-        outstanding: Dict[int, ShardSpec],
-        trace_path: Optional[str],
-        trace_files: List[str],
-    ) -> List[ShardResult]:
-        """Finish a run with zero live workers, in the coordinator.
-
-        The shared queue is drained (nobody is left to claim it) and
-        every not-yet-completed unit executes in-process, streaming
-        into a dedicated coordinator trace file.  Forward progress is
-        guaranteed whatever the pool survived; only wall time is lost.
-        """
-        self._drain_tasks()
-        stream: Optional[str] = None
-        if trace_path:
-            stream = "%s.worker-coordinator" % trace_path
-            with open(stream, "w", encoding="utf-8"):
-                pass
-            trace_files.append(stream)
-        results: List[ShardResult] = []
-        for index in sorted(outstanding):
-            results.append(
-                execute_unit(outstanding[index], trace_path=stream,
-                             append=True)
-            )
-        self._degraded_units += len(results)
-        outstanding.clear()
-        return results
 
     def _drain_tasks(self) -> None:
         try:
@@ -998,37 +936,6 @@ class FleetWorkerPool:
                 self._tasks.get_nowait()
         except (_queue.Empty, OSError, ValueError):
             pass
-
-    def _per_worker_report(
-        self, results: Sequence[ShardResult]
-    ) -> List[Dict[str, Any]]:
-        """Per-worker overhead split covering *all* workers (0-unit ones
-        included — a stalled worker showing ``units: 0`` is the
-        diagnostic, not a reporting gap)."""
-        self._collect_warm_states(timeout=10.0)
-        report = []
-        for index in range(self.workers):
-            warm = self._warm_states.get(index, {})
-            mine = [r for r in results if r.worker_index == index]
-            report.append({
-                "worker": index,
-                "pid": warm.get("pid") or (
-                    mine[0].worker_pid if mine else None
-                ),
-                "units": len(mine),
-                "journeys": sum(r.spec.num_agents for r in mine),
-                "warmup_seconds": warm.get("warmup_seconds"),
-                "compute_seconds": round(
-                    sum(r.compute_seconds for r in mine), 6
-                ),
-                "compute_cpu_seconds": round(
-                    sum(r.compute_cpu_seconds for r in mine), 6
-                ),
-                "serialize_seconds": round(
-                    sum(r.serialize_seconds for r in mine), 6
-                ),
-            })
-        return report
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -1100,6 +1007,43 @@ class FleetWorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _per_worker_report(
+    results: Sequence[ShardResult],
+    workers: int,
+    warm_states: Dict[int, Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """Per-worker overhead split of a run's unit results.
+
+    One entry per pool worker, 0-unit ones included — a stalled worker
+    showing ``units: 0`` is the diagnostic, not a reporting gap — then
+    a ``"coordinator"`` entry for units this process ran itself, if
+    any.  The entries' ``units`` always sum to the run's unit count.
+    """
+    report = []
+    for worker in [*range(workers), None]:
+        mine = [r for r in results if r.worker_index == worker]
+        if worker is None and not mine:
+            continue
+        warm = warm_states.get(worker, {})
+        report.append({
+            "worker": "coordinator" if worker is None else worker,
+            "pid": warm.get("pid") or (mine[0].worker_pid if mine else None),
+            "units": len(mine),
+            "journeys": sum(r.spec.num_agents for r in mine),
+            "warmup_seconds": warm.get("warmup_seconds"),
+            "compute_seconds": round(
+                sum(r.compute_seconds for r in mine), 6
+            ),
+            "compute_cpu_seconds": round(
+                sum(r.compute_cpu_seconds for r in mine), 6
+            ),
+            "serialize_seconds": round(
+                sum(r.serialize_seconds for r in mine), 6
+            ),
+        })
+    return report
 
 
 def _merge_verifier_stats(
@@ -1203,20 +1147,26 @@ def merge_shard_results(
 def _write_merged_trace(
     config: FleetConfig,
     trace_path: str,
-    shard_files: Sequence[str],
+    stream_files: Sequence[str],
+    unit_events: Sequence[List[Dict[str, Any]]] = (),
 ) -> Dict[str, int]:
-    """Merge unit/worker JSONL files into the canonical merged trace.
+    """Write the canonical merged trace: one header, then every event.
 
-    Returns the torn-tail losses the tolerant merge absorbed
-    (stream path → dropped line count) so callers can surface them in
-    the run's ``worker_report`` instead of losing events silently.
+    ``stream_files`` are pool workers' JSONL streams, read tolerantly;
+    ``unit_events`` are the in-memory event lists of units the
+    coordinator ran itself.  The file is written once, straight from
+    the merged event list.  Returns the torn-tail losses the tolerant
+    read absorbed (stream path → dropped line count) so callers can
+    surface them in the run's ``worker_report`` instead of losing
+    events silently.
     """
     losses: Dict[str, int] = {}
-    writer = TraceWriter()
-    writer.emit("fleet", config=config.to_canonical())
-    for event in merge_trace_files(sorted(shard_files), losses=losses):
-        writer.emit(event.pop("event"), **event)
-    writer.write(trace_path, canonical_order=True)
+    streams = list(unit_events)
+    if stream_files:
+        streams.append(merge_trace_files(stream_files, losses=losses))
+    header = {"event": "fleet", "config": config.to_canonical()}
+    with open(trace_path, "w", encoding="utf-8") as handle:
+        handle.write(events_to_jsonl([header, *merge_shard_events(streams)]))
     return losses
 
 
@@ -1263,7 +1213,6 @@ def _merged_telemetry(
 def run_fleet(
     config: FleetConfig,
     workers: int = 1,
-    num_shards: Optional[int] = None,
     start_method: str = DEFAULT_START_METHOD,
     pool: Optional[FleetWorkerPool] = None,
     unit_size: Optional[int] = None,
@@ -1274,17 +1223,14 @@ def run_fleet(
     ----------
     config:
         The fleet description.  ``config.trace_path`` (if set) receives
-        the merged JSONL trace; per-unit (sequential) or per-worker
-        (pooled) stream files appear next to it.
+        the merged JSONL trace; pooled runs stream per-worker files next
+        to it while they run and delete them once the merge is written
+        (a failed merge leaves them for inspection).
     workers:
-        Worker processes to use.  ``1`` executes the units sequentially
-        in this process — same code path, no pool.
-    num_shards:
-        Pin the unit count exactly.  Defaults to the dynamic plan of
-        :func:`plan_units` (several small units per worker).  The
-        merged result is bit-identical for every ``(num_shards,
-        workers, unit_size)`` choice, including the unsharded
-        single-process engine.
+        Worker processes to use.  ``1`` (or a one-unit plan) runs every
+        unit through the coordinator's in-process loop,
+        :func:`run_in_process` — the same loop a pool falls back to
+        when it loses every worker.
     start_method:
         :mod:`multiprocessing` start method for the pool (ignored when
         ``pool`` is given).
@@ -1296,9 +1242,11 @@ def run_fleet(
         single-process even when a pool is supplied, so serial
         baselines remain serial.
     unit_size:
-        Journeys per unit (mutually exclusive with ``num_shards``).
-        Smaller units steal better; larger units amortize per-unit
-        setup.
+        Journeys per unit; defaults to the dynamic plan of
+        :func:`plan_units` (several small units per worker).  Smaller
+        units steal better; larger units amortize per-unit setup.  The
+        merged result is bit-identical for every ``(workers,
+        unit_size)`` choice, including the single-process engine.
 
     Returns
     -------
@@ -1309,35 +1257,17 @@ def run_fleet(
     if workers < 1:
         raise ConfigurationError("workers must be positive")
     started = time.perf_counter()
-    units = min(
-        plan_units(config, workers, num_shards=num_shards,
-                   unit_size=unit_size),
-        config.num_agents,
+    specs = split_fleet(
+        config, plan_units(config, workers, unit_size=unit_size)
     )
-    specs = split_fleet(config, units)
 
     if workers == 1 or len(specs) == 1:
-        shard_results = [run_shard(spec) for spec in specs]
+        shard_results = run_in_process(specs)
         report: Dict[str, Any] = {
-            "mode": "sequential",
-            "workers": [{
-                "worker": 0,
-                "pid": os.getpid(),
-                "units": len(shard_results),
-                "journeys": sum(r.spec.num_agents for r in shard_results),
-                "warmup_seconds": 0.0,
-                "compute_seconds": round(
-                    sum(r.compute_seconds for r in shard_results), 6
-                ),
-                "compute_cpu_seconds": round(
-                    sum(r.compute_cpu_seconds for r in shard_results), 6
-                ),
-                "serialize_seconds": round(
-                    sum(r.serialize_seconds for r in shard_results), 6
-                ),
-            }],
+            "mode": "in-process",
+            "workers": _per_worker_report(shard_results, 0, {}),
         }
-        trace_files = [s.trace_path for s in specs if s.trace_path]
+        streams: List[str] = []
     else:
         active = pool
         own_pool: Optional[FleetWorkerPool] = None
@@ -1347,14 +1277,13 @@ def run_fleet(
             )
             active = own_pool
         try:
-            unit_specs = [replace(s, trace_path=None) for s in specs]
             shard_results, report = active.run_units(
-                unit_specs, trace_path=config.trace_path
+                specs, trace_path=config.trace_path
             )
         finally:
             if own_pool is not None:
                 own_pool.close()
-        trace_files = report.pop("trace_files", [])
+        streams = report.pop("trace_files")
 
     merge_started = time.perf_counter()
     merged = merge_shard_results(
@@ -1362,7 +1291,12 @@ def run_fleet(
     )
     losses: Dict[str, int] = {}
     if config.trace_path:
-        losses = _write_merged_trace(config, config.trace_path, trace_files)
+        losses = _write_merged_trace(
+            config, config.trace_path, streams,
+            [r.events for r in shard_results if r.events is not None],
+        )
+        for stream in streams:
+            os.remove(stream)
     report["merge_seconds"] = round(time.perf_counter() - merge_started, 6)
     report["num_units"] = len(specs)
     report["trace_losses"] = losses

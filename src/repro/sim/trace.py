@@ -133,7 +133,7 @@ def merge_trace_files(
     tolerate_truncated_tail: bool = True,
     losses: Optional[Dict[str, int]] = None,
 ) -> List[Dict[str, Any]]:
-    """Merge shard/worker JSONL files into one canonical event list.
+    """Merge per-worker JSONL stream files into one canonical event list.
 
     Reads each file (missing files count as empty streams — a worker
     that never got a traced unit leaves its stream file empty or

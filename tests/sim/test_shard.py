@@ -1,15 +1,16 @@
 """Sharded fleet execution: the merge must be invisible.
 
-The contract under test: for the same seed, every ``(num_shards,
+The contract under test: for the same seed, every ``(unit_size,
 workers)`` execution strategy — including the unsharded single-process
 engine — produces the same deterministic result signature and the same
 merged JSONL trace bytes.  Plus the plumbing around it: partition
-shape, pickle safety of what crosses process boundaries, per-shard
-trace files, and merge-time sanity checks.
+shape, pickle safety of what crosses process boundaries, one trace
+file per run, and merge-time sanity checks.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -19,12 +20,12 @@ from repro.sim import (
     FleetConfig,
     FleetEngine,
     FleetWorkerPool,
+    execute_unit,
     merge_shard_results,
     run_fleet,
-    run_shard,
     split_fleet,
 )
-from repro.sim.shard import derive_shard_seed, plan_units, shard_trace_path
+from repro.sim.shard import plan_units
 
 
 def _config(**overrides):
@@ -52,12 +53,6 @@ class TestSplitFleet:
         assert sum(sizes) == 24
         assert max(sizes) - min(sizes) <= 1
 
-    def test_per_shard_seeds_are_distinct_and_deterministic(self):
-        specs = split_fleet(_config(), 4)
-        seeds = [s.seed for s in specs]
-        assert len(set(seeds)) == 4
-        assert seeds == [derive_shard_seed(11, i, 4) for i in range(4)]
-
     def test_more_shards_than_journeys_is_rejected(self):
         with pytest.raises(ConfigurationError):
             split_fleet(_config(num_agents=3), 4)
@@ -66,11 +61,8 @@ class TestSplitFleet:
 
     def test_trace_paths_are_derived_per_shard(self, tmp_path):
         merged = str(tmp_path / "fleet.jsonl")
-        specs = split_fleet(_config(), 3, trace_path=merged)
-        assert [s.trace_path for s in specs] == [
-            shard_trace_path(merged, i, 3) for i in range(3)
-        ]
-        # shard engines must not race on the merged file
+        specs = split_fleet(_config(trace_path=merged), 3)
+        # unit engines must not race on the merged file
         assert all(s.config.trace_path is None for s in specs)
 
 
@@ -91,7 +83,7 @@ class TestShardDeterminism:
         plain_result, plain_trace = single_process
         path = str(tmp_path / "merged.jsonl")
         merged = run_fleet(
-            _config(trace_path=path), workers=workers, num_shards=4
+            _config(trace_path=path), workers=workers, unit_size=6
         )
         assert (merged.deterministic_signature()
                 == plain_result.deterministic_signature())
@@ -100,29 +92,56 @@ class TestShardDeterminism:
 
     def test_shard_count_does_not_change_the_result(self, single_process):
         plain_result, _ = single_process
-        for num_shards in (2, 3):
-            merged = run_fleet(_config(), workers=1, num_shards=num_shards)
+        for unit_size in (12, 8):
+            merged = run_fleet(_config(), workers=1, unit_size=unit_size)
             assert (merged.deterministic_signature()
                     == plain_result.deterministic_signature())
 
     def test_merged_aggregates_add_up(self, single_process):
         plain_result, _ = single_process
-        merged = run_fleet(_config(), workers=1, num_shards=3)
+        merged = run_fleet(_config(), workers=1, unit_size=8)
         assert merged.journeys == plain_result.journeys
         assert merged.events_processed == plain_result.events_processed
         assert merged.virtual_makespan == plain_result.virtual_makespan
         assert merged.malicious_hosts == plain_result.malicious_hosts
         assert merged.shards is not None and len(merged.shards) == 3
 
-    def test_per_shard_trace_files_are_written(self, tmp_path):
+    def test_traced_run_writes_one_file(self, tmp_path):
+        # In-process units (workers=1, one unit or several) never touch
+        # the disk before the merge; pooled runs delete their
+        # per-worker streams once the merged trace is written.
+        for workers, unit_size in ((1, 24), (1, 7), (2, None)):
+            workdir = tmp_path / ("w%d-u%s" % (workers, unit_size))
+            workdir.mkdir()
+            path = str(workdir / "fleet.jsonl")
+            run_fleet(
+                _config(trace_path=path), workers=workers,
+                unit_size=unit_size,
+            )
+            assert os.listdir(str(workdir)) == ["fleet.jsonl"]
+
+    def test_in_process_run_serializes_its_trace_once(
+        self, tmp_path, monkeypatch, single_process
+    ):
+        import repro.sim.shard as shard_module
+        import repro.sim.trace as trace_module
+
+        _, plain_trace = single_process
+        calls = []
+        real = trace_module.events_to_jsonl
+
+        def counting(events):
+            calls.append(1)
+            return real(events)
+
+        # Every trace serialization goes through this one routine.
+        monkeypatch.setattr(trace_module, "events_to_jsonl", counting)
+        monkeypatch.setattr(shard_module, "events_to_jsonl", counting)
         path = str(tmp_path / "fleet.jsonl")
-        run_fleet(_config(trace_path=path), workers=1, num_shards=2)
-        for index in range(2):
-            shard_file = shard_trace_path(path, index, 2)
-            with open(shard_file, "r", encoding="utf-8") as handle:
-                first = handle.readline()
-            assert '"event":"fleet"' in first
-            assert '"shard"' in first
+        run_fleet(_config(trace_path=path), workers=1, unit_size=7)
+        assert len(calls) == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == plain_trace
 
 
 class TestCampaignShardDeterminism:
@@ -161,7 +180,7 @@ class TestCampaignShardDeterminism:
         path = str(tmp_path / "merged.jsonl")
         merged = run_fleet(
             self._campaign_config(trace_path=path),
-            workers=workers, num_shards=4,
+            workers=workers, unit_size=6,
         )
         assert (merged.deterministic_signature()
                 == plain_result.deterministic_signature())
@@ -176,7 +195,7 @@ class TestCampaignShardDeterminism:
         self, single_process_campaign
     ):
         plain_result, _ = single_process_campaign
-        merged = run_fleet(self._campaign_config(), workers=1, num_shards=3)
+        merged = run_fleet(self._campaign_config(), workers=1, unit_size=8)
         assert merged.shards is not None
         per_shard = [shard["campaign_attacked"] for shard in merged.shards]
         assert sum(per_shard) == len(plain_result.campaign_journeys)
@@ -193,7 +212,7 @@ class TestPickleSafety:
 
     def test_shard_result_round_trips(self):
         spec = split_fleet(_config(num_agents=6), 2)[0]
-        result = run_shard(spec)
+        result = execute_unit(spec)
         clone = pickle.loads(pickle.dumps(result))
         assert clone.spec == spec
         assert ([o.to_canonical() for o in clone.outcomes]
@@ -205,7 +224,7 @@ class TestMergeSanity:
     def test_merge_rejects_incomplete_coverage(self):
         config = _config(num_agents=6)
         specs = split_fleet(config, 2)
-        first = run_shard(specs[0])
+        first = execute_unit(specs[0])
         with pytest.raises(ConfigurationError):
             merge_shard_results(config, [first], wall_seconds=0.0)
 
@@ -223,8 +242,7 @@ class TestPartialEngine:
         config = _config()
         full = FleetEngine(config).run()
         partial = FleetEngine(
-            config, agent_start=8, agent_stop=16,
-            shard_index=1, num_shards=3,
+            config, agent_start=8, agent_stop=16, shard_index=1,
         ).run()
         by_id = {o.journey_id: o for o in full.outcomes}
         assert len(partial.outcomes) == 8
@@ -237,14 +255,9 @@ class TestPartialEngine:
             FleetEngine(config, agent_start=10, agent_stop=5)
         with pytest.raises(ConfigurationError):
             FleetEngine(config, agent_stop=config.num_agents + 1)
-        with pytest.raises(ConfigurationError):
-            FleetEngine(config, shard_index=2, num_shards=2)
 
 
 class TestPlanUnits:
-    def test_explicit_shards_win(self):
-        assert plan_units(_config(), workers=4, num_shards=3) == 3
-
     def test_unit_size_rounds_up(self):
         assert plan_units(_config(), workers=2, unit_size=7) == 4
         assert plan_units(_config(), workers=2, unit_size=24) == 1
@@ -258,9 +271,9 @@ class TestPlanUnits:
 
     def test_conflicting_knobs_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            plan_units(_config(), workers=2, num_shards=4, unit_size=7)
-        with pytest.raises(ConfigurationError):
             plan_units(_config(), workers=2, unit_size=0)
+        with pytest.raises(ConfigurationError):
+            plan_units(_config(), workers=2, unit_size=-3)
 
 
 class TestObservabilityPlumbing:
@@ -271,7 +284,7 @@ class TestObservabilityPlumbing:
 
     def test_clean_run_reports_empty_trace_losses(self, tmp_path):
         path = str(tmp_path / "fleet.jsonl")
-        result = run_fleet(_config(trace_path=path), workers=2, num_shards=4)
+        result = run_fleet(_config(trace_path=path), workers=2, unit_size=6)
         report = result.worker_report
         assert report["trace_losses"] == {}
         assert report["supervision"]["trace_losses"] == {}
@@ -315,7 +328,7 @@ class TestObservabilityPlumbing:
     def test_worker_report_carries_merged_telemetry(self):
         from repro.obs import TELEMETRY_SCHEMA
 
-        result = run_fleet(_config(), workers=2, num_shards=4)
+        result = run_fleet(_config(), workers=2, unit_size=6)
         telemetry = result.worker_report["telemetry"]
         assert telemetry is not None
         assert telemetry["schema"] == TELEMETRY_SCHEMA

@@ -46,7 +46,7 @@ def recorded(tmp_path_factory):
         batched_verification=True,
         trace_path=path,
     )
-    result = run_campaign(config, workers=2, num_shards=2)
+    result = run_campaign(config, workers=2, unit_size=15)
     return result, read_trace(path), path
 
 

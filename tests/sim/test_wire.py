@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import FleetConfig, run_shard, split_fleet
+from repro.sim import FleetConfig, execute_unit, split_fleet
 from repro.sim.shard import _unit_result_from_wire, _unit_result_to_wire
 from repro.sim.wire import (
     WIRE_VERSION,
@@ -32,7 +32,7 @@ def _config(**overrides):
 @pytest.fixture(scope="module")
 def unit_result():
     spec = split_fleet(_config(), 2)[0]
-    return spec, run_shard(spec)
+    return spec, execute_unit(spec)
 
 
 class TestOutcomeCodec:
