@@ -6,6 +6,14 @@ agent's code identity, and call the start procedure (``run``) on the
 next host.  The :class:`MigrationEngine` performs the pack/unpack steps;
 the actual network delivery is handled by
 :class:`repro.net.transport.AgentTransport`.
+
+A packed transfer carries the captured :class:`AgentState` object
+itself, not its canonical dictionary.  Encoding splices the state's
+memoized bytes in, and an in-process hand-off
+(:meth:`repro.platform.registry.AgentSystem._migrate`) passes the
+receiver a :func:`~repro.crypto.canonical.canonical_copy` of the
+payload, which shares that same immutable snapshot: the state is copied
+once, on capture, and restored once, on arrival.
 """
 
 from __future__ import annotations
@@ -61,14 +69,14 @@ class MigrationEngine:
 
         The agent's state is snapshotted at pack time, so later mutation
         of the live agent object does not alter what is already "on the
-        wire".
+        wire".  The transfer holds that :class:`AgentState` snapshot; it
+        encodes exactly as its canonical dictionary would.
         """
-        state = agent.capture_state()
         return AgentTransfer(
             agent_class=agent.get_code_name(),
             agent_id=agent.agent_id,
             owner=agent.owner,
-            state=state.to_canonical(),
+            state=agent.capture_state(),
             protocol_data=protocol_data,
             itinerary=itinerary.to_canonical(),
             hop_index=hop_index,
@@ -76,6 +84,10 @@ class MigrationEngine:
 
     def unpack(self, transfer: AgentTransfer) -> UnpackedAgent:
         """Reconstruct a live agent from a transfer payload.
+
+        ``transfer.state`` may be a canonical dictionary (decoded from
+        the network) or the :class:`AgentState` a local :meth:`pack`
+        put there; either way the agent is restored from a copy.
 
         Raises
         ------

@@ -10,15 +10,26 @@ manually into variables that are transported with the data state.
 **reference state**: the combination of the variable parts of an agent
 after an execution session.  States snapshot to plain dictionaries of
 canonical values, hash deterministically, and compare exactly.
+
+Copies are made once per state boundary, with
+:func:`~repro.crypto.canonical.canonical_copy`: a snapshot is exactly
+the canonical value the wire would deliver, so the same snapshot object
+can be handed to the next host (see
+:mod:`repro.agents.migration`).  A capture taken right after
+:meth:`AgentState.restore`, before the agent wrote anything or read a
+mutable value, returns the restored snapshot itself.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional
 
-from repro.crypto.canonical import canonical_encode, canonical_equal
+from repro.crypto.canonical import (
+    canonical_copy,
+    canonical_encode,
+    canonical_equal,
+)
 from repro.crypto.hashing import HashCache, StateDigest, hash_bytes
 from repro.exceptions import AgentStateError
 
@@ -35,31 +46,44 @@ __all__ = [
 #: checking).  Entries die with their states via weak references.
 _ENCODING_CACHE = HashCache()
 
+#: Values a read can hand out that the caller could mutate in place.
+#: Live state that came from :meth:`AgentState.restore` holds canonical
+#: copies only, so no other type needs watching.
+_MUTABLE = (dict, list, set)
+
 
 class DataState:
     """The agent's data variables (instance variables in the paper).
 
     Behaves like a dictionary restricted to canonical values.  Values
-    are deep-copied on snapshot so that later mutation by the agent (or
-    by a malicious host) cannot retroactively change a captured
-    reference state.
+    are canonically copied on snapshot so that later mutation by the
+    agent (or by a malicious host) cannot retroactively change a
+    captured reference state.
     """
 
     def __init__(self, initial: Optional[Dict[str, Any]] = None) -> None:
         self._variables: Dict[str, Any] = dict(initial or {})
+        #: The snapshot these variables were restored from, while they
+        #: still equal it and nothing mutable has been handed out.
+        self._restored: Optional["AgentState"] = None
 
     def __getitem__(self, key: str) -> Any:
         try:
-            return self._variables[key]
+            value = self._variables[key]
         except KeyError as exc:
             raise AgentStateError("agent data variable %r is not set" % key) from exc
+        if isinstance(value, _MUTABLE):
+            self._restored = None
+        return value
 
     def __setitem__(self, key: str, value: Any) -> None:
         if not isinstance(key, str):
             raise AgentStateError("agent data variables must have string names")
+        self._restored = None
         self._variables[key] = value
 
     def __delitem__(self, key: str) -> None:
+        self._restored = None
         self._variables.pop(key, None)
 
     def __contains__(self, key: str) -> bool:
@@ -73,10 +97,14 @@ class DataState:
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return a variable or ``default`` if it is not set."""
-        return self._variables.get(key, default)
+        value = self._variables.get(key, default)
+        if isinstance(value, _MUTABLE):
+            self._restored = None
+        return value
 
     def set_default(self, key: str, default: Any) -> Any:
         """Set ``key`` to ``default`` if missing; return its value."""
+        self._restored = None
         return self._variables.setdefault(key, default)
 
     def update(self, values: Dict[str, Any]) -> None:
@@ -85,8 +113,8 @@ class DataState:
             self[key] = value
 
     def snapshot(self) -> Dict[str, Any]:
-        """Return a deep copy of the variables as a plain dictionary."""
-        return copy.deepcopy(self._variables)
+        """Return a canonical copy of the variables as a plain dictionary."""
+        return canonical_copy(self._variables)
 
     def to_canonical(self) -> Dict[str, Any]:
         return self.snapshot()
@@ -108,6 +136,8 @@ class ExecutionState:
         self._fields: Dict[str, Any] = {"hop_index": 0, "finished": False}
         if initial:
             self._fields.update(initial)
+        #: As :attr:`DataState._restored`.
+        self._restored: Optional["AgentState"] = None
 
     @property
     def hop_index(self) -> int:
@@ -116,6 +146,7 @@ class ExecutionState:
 
     @hop_index.setter
     def hop_index(self, value: int) -> None:
+        self._restored = None
         self._fields["hop_index"] = int(value)
 
     @property
@@ -125,21 +156,29 @@ class ExecutionState:
 
     @finished.setter
     def finished(self, value: bool) -> None:
+        self._restored = None
         self._fields["finished"] = bool(value)
 
     def __getitem__(self, key: str) -> Any:
-        return self._fields[key]
+        value = self._fields[key]
+        if isinstance(value, _MUTABLE):
+            self._restored = None
+        return value
 
     def __setitem__(self, key: str, value: Any) -> None:
+        self._restored = None
         self._fields[key] = value
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return a field or ``default`` if it is not set."""
-        return self._fields.get(key, default)
+        value = self._fields.get(key, default)
+        if isinstance(value, _MUTABLE):
+            self._restored = None
+        return value
 
     def snapshot(self) -> Dict[str, Any]:
-        """Return a deep copy of all fields."""
-        return copy.deepcopy(self._fields)
+        """Return a canonical copy of all fields."""
+        return canonical_copy(self._fields)
 
     def to_canonical(self) -> Dict[str, Any]:
         return self.snapshot()
@@ -150,7 +189,10 @@ class AgentState:
     """An immutable snapshot of an agent's variable parts.
 
     This is exactly the object the paper calls a *state* — and, when it
-    was produced by a reference host, a *reference state*.
+    was produced by a reference host, a *reference state*.  Its two
+    dictionaries are canonical copies that nothing mutates, so a
+    snapshot may be shared: by the sender and the receiver of a
+    migration, and by a restore and the capture that follows it.
     """
 
     data: Dict[str, Any] = field(default_factory=dict)
@@ -158,21 +200,35 @@ class AgentState:
 
     @classmethod
     def capture(cls, data: DataState, execution: ExecutionState) -> "AgentState":
-        """Snapshot live data + execution state into an immutable value."""
+        """Snapshot live data + execution state into an immutable value.
+
+        Live state restored from a snapshot, untouched since, captures
+        as that very snapshot.  A fresh snapshot is never reused by the
+        next capture: references handed out before it stay live.
+        """
+        restored = data._restored
+        if restored is not None and restored is execution._restored:
+            return restored
         return cls(data=data.snapshot(), execution=execution.snapshot())
 
     def restore(self) -> tuple:
         """Materialize fresh live state objects from this snapshot."""
-        return (
-            DataState(copy.deepcopy(self.data)),
-            ExecutionState(copy.deepcopy(self.execution)),
-        )
+        data = DataState(canonical_copy(self.data))
+        execution = ExecutionState(canonical_copy(self.execution))
+        if len(execution._fields) == len(self.execution):
+            # No default field was filled in: the live state equals
+            # this snapshot until something touches it.
+            data._restored = execution._restored = self
+        return data, execution
 
     def to_canonical(self) -> Dict[str, Any]:
         return {"data": self.data, "execution": self.execution}
 
     @classmethod
-    def from_canonical(cls, value: Dict[str, Any]) -> "AgentState":
+    def from_canonical(cls, value: Any) -> "AgentState":
+        """Rebuild a snapshot from its canonical form (or pass one through)."""
+        if isinstance(value, AgentState):
+            return value
         try:
             return cls(
                 data=dict(value["data"]), execution=dict(value["execution"])
@@ -183,8 +239,8 @@ class AgentState:
     def canonical_bytes(self) -> bytes:
         """Canonical encoding of the snapshot, memoized per instance.
 
-        A snapshot is immutable by contract (every producer deep-copies
-        on capture, every tampering path builds a *new* state), so the
+        A snapshot is immutable by contract (every producer copies on
+        capture, every tampering path builds a *new* state), so the
         encoding is computed once — in the shared
         :class:`~repro.crypto.hashing.HashCache` — and reused by
         :meth:`digest`, :meth:`equals`, and :meth:`size_bytes`, the hot

@@ -32,6 +32,9 @@ payloads empty, dict keys strings in strictly increasing order, set
 members strictly increasing by encoding, floats neither NaN nor
 ``-0.0``, strings valid UTF-8, and nesting no deeper than
 :attr:`CanonicalEncoder.max_depth`.
+
+:func:`canonical_copy` is the in-process shortcut for a round trip: it
+builds the value the decoder would return without producing bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.exceptions import SerializationError
 __all__ = [
     "canonical_encode",
     "canonical_decode",
+    "canonical_copy",
     "canonical_equal",
     "CanonicalEncoder",
     "CanonicalDecoder",
@@ -362,6 +366,126 @@ def canonical_encode(value: Any) -> bytes:
 def canonical_decode(data: bytes) -> Any:
     """Decode canonical bytes using the default :class:`CanonicalDecoder`."""
     return _DEFAULT_DECODER.decode(data)
+
+
+#: Types whose values the decoder returns unchanged (and shares).
+_ATOMS = frozenset((str, int, bool, bytes, type(None)))
+_MAX_DEPTH = CanonicalEncoder.max_depth
+
+
+def canonical_copy(value: Any) -> Any:
+    """Return ``canonical_decode(canonical_encode(value))`` without bytes.
+
+    The copy shares no mutable container with ``value``: dicts are
+    copied (insertion order kept), lists and tuples become lists, sets
+    and frozensets become sets, subclasses of the built-in types become
+    plain ``str``/``int``/``float``/``bytes``/``list``/``dict``, and
+    objects exposing ``to_canonical()`` are copied through their
+    canonical form.  ``-0.0`` becomes ``0.0``.
+
+    One deliberate difference from the decoder: immutable splice
+    objects (those exposing ``__canonical_bytes__``, i.e. agent state
+    snapshots) are shared, not expanded, so their memoized encoding
+    travels with them.  ``canonical_encode`` of the copy equals
+    ``canonical_encode`` of ``value``.
+
+    Raises
+    ------
+    SerializationError
+        Wherever :func:`canonical_encode` or :func:`canonical_decode`
+        would: an unencodable value, NaN, a non-string dict key, nesting
+        deeper than :attr:`CanonicalEncoder.max_depth`, or set members
+        that are unhashable or collide once copied.
+    """
+    return _copy(value, 0)
+
+
+def _copy(value: Any, depth: int) -> Any:
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        if value and depth >= _MAX_DEPTH:
+            _too_deep()
+        depth += 1
+        result = {}
+        for key, item in value.items():
+            if type(key) is not str:
+                key = _copy_key(key)
+            result[key] = item if type(item) in _ATOMS else _copy(item, depth)
+        return result
+    if kind is list or kind is tuple:
+        if value and depth >= _MAX_DEPTH:
+            _too_deep()
+        depth += 1
+        return [
+            item if type(item) in _ATOMS else _copy(item, depth)
+            for item in value
+        ]
+    if kind is float:
+        return _copy_float(value)
+    return _copy_other(value, depth)
+
+
+def _copy_other(value: Any, depth: int) -> Any:
+    # Subclasses of the built-in types, sets and library objects, in
+    # the order the encoder tries them.
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        return _copy_float(float(value))
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    if isinstance(value, (list, tuple)):
+        return _copy(list(value), depth)
+    if isinstance(value, dict):
+        return _copy(dict(value), depth)
+    if isinstance(value, (set, frozenset)):
+        if value and depth >= _MAX_DEPTH:
+            _too_deep()
+        try:
+            result = {_copy(item, depth + 1) for item in value}
+        except TypeError as exc:
+            raise SerializationError(
+                "set members must stay hashable once copied: %s" % exc
+            ) from exc
+        if len(result) != len(value):
+            raise SerializationError("set members collide once copied")
+        return result
+    if callable(getattr(value, "__canonical_bytes__", None)):
+        return value
+    to_canonical = getattr(value, "to_canonical", None)
+    if not callable(to_canonical):
+        raise SerializationError(
+            "cannot canonically copy value of type %r: %r"
+            % (type(value).__name__, value)
+        )
+    if depth >= _MAX_DEPTH:
+        _too_deep()
+    return _copy(to_canonical(), depth + 1)
+
+
+def _copy_key(key: Any) -> str:
+    if not isinstance(key, str):
+        raise SerializationError(
+            "canonical dictionaries require string keys, got %r" % (key,)
+        )
+    return str.__str__(key)
+
+
+def _copy_float(value: float) -> float:
+    if value != value:
+        raise SerializationError("NaN is not canonically encodable")
+    return 0.0 if value == 0.0 else value
+
+
+def _too_deep() -> None:
+    raise SerializationError(
+        "value is nested deeper than %d levels; refusing to copy "
+        "(possible cycle)" % _MAX_DEPTH
+    )
 
 
 def canonical_equal(left: Any, right: Any) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.crypto.canonical import canonical_decode, canonical_encode
-from repro.exceptions import TransportError
+from repro.exceptions import SerializationError, TransportError
 from repro.net.network import Message, Network
 
 __all__ = ["AgentTransfer", "TransferCodec", "AgentTransport", "MSG_KIND_AGENT"]
@@ -41,7 +41,9 @@ class AgentTransfer:
     owner:
         Name of the agent's owner (home principal).
     state:
-        The agent's combined data + execution state as a dictionary.
+        The agent's combined data + execution state: an
+        :class:`~repro.agents.state.AgentState` when packed locally, its
+        canonical dictionary when decoded from the wire.
     protocol_data:
         Additional data appended by a protection mechanism (signed
         states, input logs, reference data).  ``None`` for plain agents.
@@ -54,7 +56,7 @@ class AgentTransfer:
     agent_class: str
     agent_id: str
     owner: str
-    state: Dict[str, Any]
+    state: Any
     protocol_data: Optional[Dict[str, Any]]
     itinerary: Dict[str, Any]
     hop_index: int
@@ -103,7 +105,7 @@ class TransferCodec:
         """
         try:
             decoded = canonical_decode(data)
-        except Exception as exc:
+        except SerializationError as exc:
             raise TransportError("cannot decode agent transfer bytes") from exc
         if not isinstance(decoded, dict):
             raise TransportError("agent transfer payload is not a dictionary")

@@ -24,10 +24,10 @@ from repro.agents.agent import AgentCodeRegistry, MobileAgent, default_registry
 from repro.agents.itinerary import Itinerary, RouteEntry, RouteRecord
 from repro.agents.migration import MigrationEngine
 from repro.agents.state import AgentState
-from repro.crypto.canonical import canonical_encode
+from repro.crypto.canonical import canonical_copy, canonical_encode
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, HostNotFoundError, ProtocolError
-from repro.net.transport import TransferCodec
+from repro.net.transport import AgentTransfer
 from repro.platform.host import Host
 from repro.platform.session import SessionRecord
 
@@ -284,7 +284,7 @@ class JourneyRunner:
     Parameters
     ----------
     system:
-        The agent system providing hosts, codec, and migration engine.
+        The agent system providing hosts and the migration engine.
     agent:
         The agent instance to execute at the home host.
     itinerary:
@@ -508,7 +508,6 @@ class AgentSystem:
         self.sign_transfers = sign_transfers
         self.record_route = record_route
         self._engine = MigrationEngine(self.code_registry)
-        self._codec = TransferCodec()
 
     @property
     def migration_engine(self) -> MigrationEngine:
@@ -587,8 +586,11 @@ class AgentSystem:
                     category="sign_verify", message=wire_bytes,
                 )
 
-        received = self._codec.decode(wire_bytes)
+        # The receiver gets what decoding ``wire_bytes`` would give it,
+        # built without the bytes: a canonical copy of the payload that
+        # shares nothing mutable with the sender's objects (tuples
+        # arrive as lists) and shares the immutable state snapshot, whose
+        # memoized encoding then serves the arrival check's digest.
+        received = AgentTransfer.from_canonical(canonical_copy(payload))
         unpacked = self._engine.unpack(received)
-        # Hand back the protocol data as it actually arrived (after the
-        # wire round trip), not the sender-side object.
         return unpacked.agent, unpacked.protocol_data, len(wire_bytes), signature_ok

@@ -570,6 +570,11 @@ class FleetEngine:
     shard_index:
         Index of the unit this engine runs in a multi-unit plan; it
         derives the batch-verifier substream.
+    record_trace:
+        Whether the run builds its trace events in :attr:`trace`.
+        Defaults to whether ``config.trace_path`` is set; a unit of a
+        traced run (whose config has no path) or a replay passes
+        ``True``.  An untraced run builds no events at all.
     """
 
     def __init__(
@@ -578,6 +583,7 @@ class FleetEngine:
         agent_start: int = 0,
         agent_stop: Optional[int] = None,
         shard_index: int = 0,
+        record_trace: Optional[bool] = None,
     ) -> None:
         config.validate()
         stop = config.num_agents if agent_stop is None else agent_stop
@@ -590,6 +596,9 @@ class FleetEngine:
         self.agent_start = agent_start
         self.agent_stop = stop
         self.shard_index = shard_index
+        self.record_trace = (
+            bool(config.trace_path) if record_trace is None else record_trace
+        )
         self.trace = TraceWriter()
         self._topology_rng = Random(derive_substream(config.seed, "topology"))
         self._simulator = EventSimulator()
@@ -630,7 +639,8 @@ class FleetEngine:
         if self.config.batched_verification:
             self._transfer_verifier = self._build_transfer_verifier()
 
-        self.trace.emit("fleet", config=self.config.to_canonical())
+        if self.record_trace:
+            self.trace.emit("fleet", config=self.config.to_canonical())
         journeys = self._build_journeys(system)
         self._schedule_launches(journeys)
         self._simulator.run()
@@ -860,6 +870,11 @@ class FleetEngine:
     def _launch(self, journey: _Journey) -> None:
         journey.launched_at = self._simulator.clock.now()
         journey.runner.start()
+        if self.record_trace:
+            self._trace_launch(journey)
+        self._hop(journey)
+
+    def _trace_launch(self, journey: _Journey) -> None:
         self.trace.emit(
             "launch",
             ts=journey.launched_at,
@@ -883,7 +898,6 @@ class FleetEngine:
                     and scenario_by_name(journey.attack.scenario).expected_detected
                 ),
             )
-        self._hop(journey)
 
     def _hop(self, journey: _Journey) -> None:
         if self._transfer_verifier is not None:
@@ -905,17 +919,18 @@ class FleetEngine:
             journey.detected_at_hop = outcome.hop_index
             journey.detected_at = self._simulator.clock.now()
 
-        record = journey.runner.result.records[-1]
-        self.trace.emit(
-            "hop",
-            ts=self._simulator.clock.now(),
-            journey=journey.journey_id,
-            host=outcome.host,
-            hop_index=outcome.hop_index,
-            wire_bytes=outcome.wire_bytes,
-            verdicts=len(outcome.new_verdicts),
-            execution_log=record.execution_log.to_canonical(),
-        )
+        if self.record_trace:
+            record = journey.runner.result.records[-1]
+            self.trace.emit(
+                "hop",
+                ts=self._simulator.clock.now(),
+                journey=journey.journey_id,
+                host=outcome.host,
+                hop_index=outcome.hop_index,
+                wire_bytes=outcome.wire_bytes,
+                verdicts=len(outcome.new_verdicts),
+                execution_log=record.execution_log.to_canonical(),
+            )
 
         if journey.runner.done:
             self._complete(journey)
@@ -961,6 +976,8 @@ class FleetEngine:
         self._m_journey_hops.observe(outcome.hops)
         if outcome.detected:
             self._m_detections.inc()
+        if not self.record_trace:
+            return
         self.trace.emit(
             "complete",
             ts=completed_at,

@@ -205,12 +205,16 @@ class ShardSpec:
     agent_start / agent_stop:
         Journey-index range ``[agent_start, agent_stop)`` this unit
         executes.  Ranges of a partition are contiguous and disjoint.
+    traced:
+        Whether the run writes a trace, so the unit must build its
+        events (an untraced unit builds none).
     """
 
     config: FleetConfig
     shard_index: int
     agent_start: int
     agent_stop: int
+    traced: bool = False
 
     @property
     def num_agents(self) -> int:
@@ -302,6 +306,7 @@ def split_fleet(config: FleetConfig, num_units: int) -> List[ShardSpec]:
             shard_index=index,
             agent_start=start,
             agent_stop=stop,
+            traced=bool(config.trace_path),
         ))
         start = stop
     return specs
@@ -356,6 +361,7 @@ def execute_unit(
         agent_start=spec.agent_start,
         agent_stop=spec.agent_stop,
         shard_index=spec.shard_index,
+        record_trace=spec.traced,
     )
     result = engine.run()
     compute_seconds = time.perf_counter() - started

@@ -103,7 +103,8 @@ class _PolicyReplayEngine(FleetEngine):
         index: int,
         checker_factory: Optional[Callable[[Any], Any]] = None,
     ) -> None:
-        super().__init__(config, agent_start=index, agent_stop=index + 1)
+        super().__init__(config, agent_start=index, agent_stop=index + 1,
+                         record_trace=True)
         self._checker_factory = checker_factory
 
     def _build_protocol(self, system: Any) -> Any:

@@ -7,6 +7,7 @@ import pytest
 from repro.agents.agent import AgentCodeRegistry, default_registry
 from repro.agents.itinerary import Itinerary
 from repro.agents.migration import MigrationEngine
+from repro.agents.state import AgentState
 from repro.exceptions import MigrationError
 from repro.net.transport import TransferCodec
 
@@ -31,7 +32,9 @@ class TestPacking:
         itinerary = Itinerary(hosts=["home", "vendor"])
         transfer = engine.pack(travelling_agent, itinerary, hop_index=1)
         travelling_agent.data["counter"] = 999  # later mutation
-        assert transfer.state["data"]["counter"] == 5
+        # The transfer carries the captured snapshot object itself.
+        assert isinstance(transfer.state, AgentState)
+        assert transfer.state.data["counter"] == 5
         assert transfer.agent_class == "test-counter-agent"
         assert transfer.owner == "alice"
         assert transfer.hop_index == 1

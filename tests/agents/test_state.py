@@ -115,6 +115,120 @@ class TestAgentState:
     def test_size_bytes_positive(self):
         assert AgentState(data={"a": "x" * 100}, execution={}).size_bytes() > 100
 
+    def test_from_canonical_passes_a_snapshot_through(self):
+        state = AgentState(data={"a": 1}, execution={})
+        assert AgentState.from_canonical(state) is state
+
+    def test_snapshots_are_canonical_copies(self):
+        data = DataState({"pair": (1, 2), "nested": {"items": [1]}})
+        snapshot = data.snapshot()
+        assert snapshot == {"pair": [1, 2], "nested": {"items": [1]}}
+        assert snapshot["nested"] is not data.get("nested")
+
+
+def _restored():
+    """A snapshot and the live state freshly restored from it."""
+    snapshot = AgentState(
+        data={"counter": 1, "items": [1, 2], "table": {"a": 1}},
+        execution={"hop_index": 2, "finished": False, "log": ["x"]},
+    )
+    data, execution = snapshot.restore()
+    return snapshot, data, execution
+
+
+class TestCaptureMemo:
+    """A capture right after a restore returns the restored snapshot."""
+
+    def test_untouched_restore_captures_as_the_snapshot(self):
+        snapshot, data, execution = _restored()
+        assert AgentState.capture(data, execution) is snapshot
+
+    def test_reading_immutable_values_keeps_the_memo(self):
+        snapshot, data, execution = _restored()
+        assert data["counter"] == 1
+        assert data.get("missing") is None
+        assert execution.hop_index == 2
+        assert not execution.finished
+        assert "items" in data and len(data) == 3 and list(data)
+        assert AgentState.capture(data, execution) is snapshot
+
+    @pytest.mark.parametrize("read", [
+        lambda data, execution: data["items"],
+        lambda data, execution: data.get("items"),
+        lambda data, execution: data["table"],
+        lambda data, execution: execution["log"],
+        lambda data, execution: execution.get("log"),
+    ], ids=["data-getitem", "data-get", "data-dict", "execution-getitem",
+            "execution-get"])
+    def test_mutable_value_read_then_mutated_shows_up(self, read):
+        snapshot, data, execution = _restored()
+        value = read(data, execution)
+        if isinstance(value, dict):
+            value["b"] = 2
+        else:
+            value.append("new")
+        captured = AgentState.capture(data, execution)
+        assert captured is not snapshot
+        assert not captured.equals(snapshot)
+        # The restored snapshot itself never changes.
+        assert snapshot.data == {"counter": 1, "items": [1, 2], "table": {"a": 1}}
+        assert snapshot.execution["log"] == ["x"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda data, execution: data.__setitem__("counter", 2),
+        lambda data, execution: data.__delitem__("counter"),
+        lambda data, execution: data.set_default("fresh", 0),
+        lambda data, execution: data.update({"counter": 3}),
+        lambda data, execution: execution.__setitem__("phase", "buy"),
+        lambda data, execution: setattr(execution, "hop_index", 3),
+        lambda data, execution: setattr(execution, "finished", True),
+    ], ids=["setitem", "delitem", "set_default", "update",
+            "execution-setitem", "hop_index", "finished"])
+    def test_every_mutator_clears_the_memo(self, mutate):
+        snapshot, data, execution = _restored()
+        mutate(data, execution)
+        captured = AgentState.capture(data, execution)
+        assert captured is not snapshot
+        assert captured.canonical_bytes() == AgentState(
+            data=data.snapshot(), execution=execution.snapshot()
+        ).canonical_bytes()
+        assert not captured.equals(snapshot)
+
+    def test_capture_is_never_reused_by_the_next_capture(self):
+        data = DataState({"items": [1]})
+        execution = ExecutionState()
+        items = data["items"]  # a reference handed out before the capture
+        first = AgentState.capture(data, execution)
+        items.append(2)
+        second = AgentState.capture(data, execution)
+        assert first.data["items"] == [1]
+        assert second.data["items"] == [1, 2]
+
+    def test_reference_from_before_a_capture_after_restore(self):
+        snapshot, data, execution = _restored()
+        items = data["items"]
+        first = AgentState.capture(data, execution)
+        items.append(3)
+        second = AgentState.capture(data, execution)
+        assert first.data["items"] == [1, 2]
+        assert second.data["items"] == [1, 2, 3]
+        assert snapshot.data["items"] == [1, 2]
+
+    def test_states_from_different_snapshots_do_not_match(self):
+        snapshot, data, _ = _restored()
+        _, execution = AgentState(data={}, execution=dict(
+            snapshot.execution)).restore()
+        captured = AgentState.capture(data, execution)
+        assert captured is not snapshot
+        assert captured.equals(snapshot)
+
+    def test_default_fields_filled_on_restore_are_captured(self):
+        snapshot = AgentState(data={"a": 1}, execution={})
+        data, execution = snapshot.restore()
+        captured = AgentState.capture(data, execution)
+        assert captured is not snapshot
+        assert captured.execution == {"hop_index": 0, "finished": False}
+
 
 class TestStateDiff:
     def test_identical_states_empty_diff(self):

@@ -8,9 +8,11 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.agents.state import AgentState
 from repro.crypto.canonical import (
     CanonicalDecoder,
     CanonicalEncoder,
+    canonical_copy,
     canonical_decode,
     canonical_encode,
     canonical_equal,
@@ -311,6 +313,139 @@ class TestByteIdentity:
     @settings(max_examples=300)
     def test_encoder_matches_the_reference_encoder(self, value):
         assert canonical_encode(value) == reference_encode(value)
+
+
+# ---------------------------------------------------------------------------
+# canonical_copy: the round trip without bytes
+# ---------------------------------------------------------------------------
+
+#: Every value kind of ``_wide_values`` except splice objects, which the
+#: decoder expands but the copy shares.
+_round_trip_values = st.recursive(
+    st.one_of(
+        _scalars,
+        st.builds(_Text, st.text(max_size=8)),
+        st.builds(_Count, st.integers()),
+        st.builds(bytearray, st.binary(max_size=8)),
+        st.sets(_hashable_scalars, max_size=5),
+        st.frozensets(_hashable_scalars, max_size=5),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+        st.builds(_ToCanonical, children),
+    ),
+    max_leaves=25,
+)
+
+_state_dicts = st.dictionaries(st.text(max_size=6), _values, max_size=4)
+_agent_states = st.builds(AgentState, _state_dicts, _state_dicts)
+
+#: Values with agent states embedded at any depth.
+_values_with_states = st.recursive(
+    st.one_of(_scalars, _agent_states),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.builds(_ToCanonical, children),
+    ),
+    max_leaves=15,
+)
+
+_CONTAINERS = (dict, list, tuple, set, frozenset, bytearray)
+
+
+def _typed(value):
+    """``value`` with every node's exact type made part of equality."""
+    kind = type(value)
+    if kind is dict:
+        return kind, sorted((key, _typed(item)) for key, item in value.items())
+    if kind is list or kind is tuple:
+        return kind, [_typed(item) for item in value]
+    if kind is set or kind is frozenset:
+        return kind, sorted(map(canonical_encode, value))
+    return kind, value
+
+
+def _container_ids(value, found):
+    """ids of the mutable containers reachable from ``value``."""
+    if isinstance(value, _CONTAINERS):
+        found.add(id(value))
+        items = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, bytearray):
+            for item in items:
+                _container_ids(item, found)
+    elif isinstance(value, _ToCanonical):
+        _container_ids(value.value, found)
+    return found
+
+
+def _states_in(value, found):
+    if isinstance(value, AgentState):
+        found.append(value)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _states_in(item, found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _states_in(item, found)
+    elif isinstance(value, _ToCanonical):
+        _states_in(value.value, found)
+    return found
+
+
+class TestCanonicalCopy:
+    @given(value=_round_trip_values)
+    @settings(max_examples=300)
+    def test_copy_equals_the_decoded_encoding(self, value):
+        decoded = canonical_decode(canonical_encode(value))
+        copied = canonical_copy(value)
+        assert copied == decoded
+        assert _typed(copied) == _typed(decoded)
+
+    @given(value=_values_with_states)
+    @settings(max_examples=200)
+    def test_copy_encodes_like_the_original_and_shares_states(self, value):
+        copied = canonical_copy(value)
+        assert canonical_encode(copied) == canonical_encode(value)
+        assert [id(s) for s in _states_in(copied, [])] == [
+            id(s) for s in _states_in(value, [])
+        ]
+
+    @given(value=st.one_of(_round_trip_values, _values_with_states))
+    @settings(max_examples=200)
+    def test_copy_shares_no_mutable_container(self, value):
+        copied = canonical_copy(value)
+        assert not _container_ids(copied, set()) & _container_ids(value, set())
+
+    def test_subclasses_and_tuples_become_plain_values(self):
+        copied = canonical_copy({"t": (1, _Text("a")), "n": _Count(3),
+                                 "b": bytearray(b"x"), "z": -0.0})
+        assert copied == {"t": [1, "a"], "n": 3, "b": b"x", "z": 0.0}
+        assert type(copied["t"][1]) is str
+        assert type(copied["n"]) is int
+        assert type(copied["b"]) is bytes
+        assert math.copysign(1.0, copied["z"]) == 1.0
+
+    @pytest.mark.parametrize("value", [
+        float("nan"),
+        {1: "non-string key"},
+        object(),
+        {(1, 2)},
+    ], ids=["nan", "int-key", "object", "set-of-tuples"])
+    def test_what_cannot_round_trip_is_a_typed_error(self, value):
+        with pytest.raises(SerializationError):
+            canonical_copy(value)
+
+    def test_depth_limit_matches_the_encoder(self):
+        deepest = canonical_decode(_nested_lists(CanonicalEncoder.max_depth))
+        assert canonical_copy(deepest) == deepest
+        with pytest.raises(SerializationError):
+            canonical_encode([deepest])
+        with pytest.raises(SerializationError):
+            canonical_copy([deepest])
 
 
 #: ``(value, hex encoding)``: every tag, unicode, a 157-digit int,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.agents.itinerary import Itinerary
+from repro.crypto.canonical import canonical_decode, canonical_encode
 from repro.exceptions import ConfigurationError, HostNotFoundError
 from repro.platform.host import Host
 from repro.platform.registry import AgentSystem, HostRegistry, ProtectionMechanism
@@ -146,3 +147,46 @@ class TestAgentSystem:
         result.verdicts.append({"is_attack": True, "blamed_host": "vendor"})
         assert result.detected_attack()
         assert result.blamed_hosts() == ("vendor",)
+
+
+class TestMigrationHandOff:
+    """``_migrate`` hands the receiver what the wire would have delivered."""
+
+    def _migrate(self, setup, agent, protocol_data):
+        hosts = setup["hosts"]
+        return setup["system"]._migrate(
+            hosts["home"], hosts["vendor"], agent, setup["itinerary"], 1,
+            protocol_data,
+        )
+
+    def test_receiver_protocol_data_is_independent_of_the_sender(
+            self, three_host_setup):
+        sent = {"log": [1, 2], "nested": {"seen": ["home"]}}
+        _, received, size, signature_ok = self._migrate(
+            three_host_setup, CounterAgent(), sent
+        )
+        assert signature_ok and size > 0
+        assert received == canonical_decode(canonical_encode(sent))
+        sent["log"].append(3)
+        sent["nested"]["seen"].append("forged")
+        sent["extra"] = True
+        assert received == {"log": [1, 2], "nested": {"seen": ["home"]}}
+
+    def test_tuples_in_agent_data_arrive_as_lists(self, three_host_setup):
+        agent = CounterAgent()
+        agent.data["pair"] = (1, ("a", 2.5))
+        received_agent, received, _, _ = self._migrate(
+            three_host_setup, agent, {"hops": ("home",)}
+        )
+        assert type(received_agent.data["pair"]) is list
+        assert received_agent.data["pair"] == [1, ["a", 2.5]]
+        assert received == {"hops": ["home"]}
+
+    def test_receiver_state_is_independent_of_the_sender(self, three_host_setup):
+        agent = CounterAgent()
+        agent.data["history"] = [7]
+        received_agent, _, _, _ = self._migrate(three_host_setup, agent, None)
+        agent.data["history"].append(8)
+        assert received_agent.data["history"] == [7]
+        received_agent.data["history"].append(9)
+        assert agent.data["history"] == [7, 8]

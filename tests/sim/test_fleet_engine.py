@@ -52,6 +52,20 @@ class TestDeterminism:
         with open(paths[0]) as left, open(paths[1]) as right:
             assert left.read() == right.read()
 
+    def test_untraced_run_builds_no_events(self, tmp_path):
+        untraced = FleetEngine(_config(num_agents=6))
+        plain = untraced.run()
+        assert len(untraced.trace) == 0
+        path = str(tmp_path / "fleet.jsonl")
+        traced = FleetEngine(_config(num_agents=6, trace_path=path))
+        recording = FleetEngine(_config(num_agents=6), record_trace=True)
+        assert (traced.run().deterministic_signature()
+                == recording.run().deterministic_signature()
+                == plain.deterministic_signature())
+        assert len(traced.trace) > 0
+        # Only the header carries the config, whose trace_path differs.
+        assert traced.trace.events[1:] == recording.trace.events[1:]
+
     def test_determinism_survives_interpreter_boundaries(self):
         """Regression: pseudo-prices and host RNG seeds once flowed from
         the built-in ``hash()``, which is randomized per process — the

@@ -64,6 +64,16 @@ class TestSplitFleet:
         specs = split_fleet(_config(trace_path=merged), 3)
         # unit engines must not race on the merged file
         assert all(s.config.trace_path is None for s in specs)
+        assert all(s.traced for s in specs)
+
+    def test_only_units_of_a_traced_run_build_events(self, tmp_path):
+        traced = split_fleet(
+            _config(num_agents=4, trace_path=str(tmp_path / "t.jsonl")), 2
+        )[0]
+        untraced = split_fleet(_config(num_agents=4), 2)[0]
+        assert not untraced.traced
+        assert execute_unit(untraced).events == []
+        assert execute_unit(traced).events
 
 
 class TestShardDeterminism:
