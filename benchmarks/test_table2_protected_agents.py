@@ -60,10 +60,38 @@ def test_table2_row(benchmark, cell):
     benchmark.extra_info["paper_ms"] = PAPER_TABLE_2[cell["label"]]
 
 
+#: Interleaved plain/protected rounds each cell is read from.  One round
+#: of a 10000-cycle cell is a single 1.5-2.5 s wall timing, and on a
+#: shared host its factor can read ~1.0; the fastest of several rounds
+#: is the reading least disturbed by other load.
+_ROUNDS = 3
+
+
+def _fastest_rounds(plain_grid, protected_grid):
+    """Per cell, the fastest plain and protected breakdown.
+
+    The session grids are one round; ``_ROUNDS`` more alternate plain
+    and protected runs of each cell, so both see the same host phases.
+    """
+    plain = {r.breakdown.label: r.breakdown for r in plain_grid}
+    protected = {r.breakdown.label: r.breakdown for r in protected_grid}
+    for _ in range(_ROUNDS):
+        for cell in _GRID:
+            for readings, is_protected in ((plain, False), (protected, True)):
+                row = measure_generic_agent(
+                    cycles=cell["cycles"], inputs=cell["inputs"],
+                    protected=is_protected, label=cell["label"],
+                ).breakdown
+                if row.overall_ms < readings[row.label].overall_ms:
+                    readings[row.label] = row
+    labels = [cell["label"] for cell in _GRID]
+    return ([plain[label] for label in labels],
+            [protected[label] for label in labels])
+
+
 def test_table2_report_and_overhead_shape(plain_grid, protected_grid):
     """Render Table 2 with overhead factors and assert the paper's shape."""
-    plain = [result.breakdown for result in plain_grid]
-    protected = [result.breakdown for result in protected_grid]
+    plain, protected = _fastest_rounds(plain_grid, protected_grid)
     text = format_overhead_table(protected, plain,
                                  "Table 2: protected agents [ms]")
     factors = overall_factors(protected, plain)

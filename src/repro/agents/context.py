@@ -15,7 +15,7 @@ handler that are plugged in.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -32,6 +32,10 @@ from repro.agents.input import (
 __all__ = ["NullMetrics", "OutwardAction", "ExecutionContext"]
 
 
+#: ``nullcontext`` keeps no state, so one instance serves every call.
+_NO_MEASUREMENT = nullcontext()
+
+
 class NullMetrics:
     """No-op stand-in for a timing collector.
 
@@ -41,10 +45,9 @@ class NullMetrics:
     checks.
     """
 
-    @contextmanager
-    def measure(self, category: str):
-        """Context manager that measures nothing."""
-        yield
+    def measure(self, category: str) -> nullcontext:
+        """Context manager that measures nothing (one shared instance)."""
+        return _NO_MEASUREMENT
 
     def add(self, category: str, seconds: float) -> None:
         """Discard a manually reported duration."""

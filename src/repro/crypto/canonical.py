@@ -33,6 +33,13 @@ members strictly increasing by encoding, floats neither NaN nor
 ``-0.0``, strings valid UTF-8, and nesting no deeper than
 :attr:`CanonicalEncoder.max_depth`.
 
+:func:`canonical_decode` can also decode a frame *shallowly*: the
+values of the top-level dict keys named in ``spans`` are kept as
+:class:`CanonicalSpan` objects holding their exact bytes, with only
+their tag-and-length header checked.  Encoding splices a span back
+unchanged, so a relay can forward a value it never decoded; whoever
+reads the value decodes ``span.data`` strictly.
+
 :func:`canonical_copy` is the in-process shortcut for a round trip: it
 builds the value the decoder would return without producing bytes.
 """
@@ -41,7 +48,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any, List
+from dataclasses import dataclass
+from typing import Any, Collection, List, Optional
 
 from repro.exceptions import SerializationError
 
@@ -52,6 +60,7 @@ __all__ = [
     "canonical_equal",
     "CanonicalEncoder",
     "CanonicalDecoder",
+    "CanonicalSpan",
 ]
 
 
@@ -61,6 +70,18 @@ _CONSTANTS = {78: None, 84: True, 70: False}
 #: The canonical decimal forms of 0..999: for most length prefixes and
 #: many integers one lookup both validates and converts.
 _SMALL = {b"%d" % n: n for n in range(1000)}
+#: Every tag byte the decoder knows.
+_TAGS = frozenset(b"sdiblfeNTF")
+
+
+def _length(head: bytes) -> int:
+    """The value of a length prefix; only the shortest decimal is canonical."""
+    length = _SMALL.get(head)
+    if length is None:
+        if not head.isdigit() or head[0] == 48:
+            raise SerializationError("non-canonical length %r" % head)
+        length = int(head)
+    return length
 
 
 class CanonicalEncoder:
@@ -228,8 +249,17 @@ class CanonicalDecoder:
     #: Deepest nesting accepted; the same bound the encoder enforces.
     max_depth = CanonicalEncoder.max_depth
 
-    def decode(self, data: bytes) -> Any:
+    def decode(self, data: bytes, *,
+               spans: Optional[Collection[str]] = None,
+               max_depth: Optional[int] = None) -> Any:
         """Decode a canonical byte string back into a Python value.
+
+        ``spans`` names top-level dict keys whose values are returned as
+        :class:`CanonicalSpan` objects instead of being decoded; only
+        their tag-and-length header is checked, and it must fit inside
+        ``data``.  Everything else is checked and decoded as usual.
+        ``max_depth`` lowers the nesting bound, for bytes that were
+        nested inside a larger value (such as a span's).
 
         Raises
         ------
@@ -240,7 +270,10 @@ class CanonicalDecoder:
         try:
             if type(data) is not bytes:
                 data = bytes(data)
-            value, offset = self._read(data, 0, len(data), self.max_depth)
+            value, offset = self._read(
+                data, 0, len(data),
+                self.max_depth if max_depth is None else max_depth, spans,
+            )
         except (ValueError, TypeError) as exc:
             # Invalid UTF-8 or digits, unhashable set members, or input
             # that is not a byte string at all.
@@ -256,12 +289,13 @@ class CanonicalDecoder:
 
     # -- internal helpers -------------------------------------------------
 
-    def _read(self, data: bytes, offset: int, limit: int,
-              room: int) -> tuple:
+    def _read(self, data: bytes, offset: int, limit: int, room: int,
+              spans: Optional[Collection[str]] = None) -> tuple:
         """Decode the value at ``offset``; return ``(value, end)``.
 
         The value must end by ``limit``; ``room`` is how many more
-        levels of nesting are allowed below it.
+        levels of nesting are allowed below it.  If the value is a dict,
+        its keys named in ``spans`` get :meth:`_span` values.
         """
         if room < 0:
             raise SerializationError(
@@ -274,9 +308,7 @@ class CanonicalDecoder:
         head = data[offset + 1:colon]
         length = _SMALL.get(head)
         if length is None:
-            if not head.isdigit() or head[0] == 48:
-                raise SerializationError("non-canonical length %r" % head)
-            length = int(head)
+            length = _length(head)
         start = colon + 1
         end = start + length
         if end > limit:
@@ -297,11 +329,7 @@ class CanonicalDecoder:
                 head = data[start + 1:colon]
                 length = _SMALL.get(head)
                 if length is None:
-                    if not head.isdigit() or head[0] == 48:
-                        raise SerializationError(
-                            "non-canonical length %r" % head
-                        )
-                    length = int(head)
+                    length = _length(head)
                 start = colon + 1 + length
                 if start > end:
                     raise SerializationError("dict key shorter than declared")
@@ -309,7 +337,10 @@ class CanonicalDecoder:
                 key = data[colon + 1:start].decode("utf-8")
                 if previous is not None and key <= previous:
                     raise SerializationError("dict keys unsorted or repeated")
-                result[key], start = self._read(data, start, end, room)
+                if spans is not None and key in spans:
+                    result[key], start = self._span(data, start, end)
+                else:
+                    result[key], start = self._read(data, start, end, room)
             return result, end
         if tag == 105:  # i
             text = data[start:end]
@@ -353,6 +384,42 @@ class CanonicalDecoder:
             return members, end
         raise SerializationError("unknown canonical tag %r" % chr(tag))
 
+    @staticmethod
+    def _span(data: bytes, offset: int, limit: int) -> tuple:
+        """Cut the value at ``offset`` as a span, checking its header only."""
+        colon = data.find(b":", offset + 1, limit)
+        if colon < 0:
+            raise SerializationError("missing canonical length separator")
+        if data[offset] not in _TAGS:
+            raise SerializationError(
+                "unknown canonical tag %r" % chr(data[offset])
+            )
+        end = colon + 1 + _length(data[offset + 1:colon])
+        if end > limit:
+            raise SerializationError("canonical payload shorter than declared")
+        return CanonicalSpan(data[offset:end]), end
+
+
+@dataclass(frozen=True)
+class CanonicalSpan:
+    """The canonical bytes of one value, kept undecoded.
+
+    The encoder splices ``data`` verbatim wherever the span is encoded,
+    so a value cut from one frame travels into another unchanged.  A
+    span from :meth:`CanonicalDecoder.decode` has had only its header
+    checked: decode ``data`` strictly before reading the value.
+    """
+
+    data: bytes
+
+    @classmethod
+    def of(cls, value: Any) -> "CanonicalSpan":
+        """``value`` if it is a span, else a span of its encoding."""
+        return value if type(value) is cls else cls(canonical_encode(value))
+
+    def __canonical_bytes__(self) -> bytes:
+        return self.data
+
 
 _DEFAULT_ENCODER = CanonicalEncoder()
 _DEFAULT_DECODER = CanonicalDecoder()
@@ -363,9 +430,15 @@ def canonical_encode(value: Any) -> bytes:
     return _DEFAULT_ENCODER.encode(value)
 
 
-def canonical_decode(data: bytes) -> Any:
-    """Decode canonical bytes using the default :class:`CanonicalDecoder`."""
-    return _DEFAULT_DECODER.decode(data)
+def canonical_decode(data: bytes, *,
+                     spans: Optional[Collection[str]] = None,
+                     max_depth: Optional[int] = None) -> Any:
+    """Decode canonical bytes using the default :class:`CanonicalDecoder`.
+
+    ``spans`` and ``max_depth`` are those of
+    :meth:`CanonicalDecoder.decode`.
+    """
+    return _DEFAULT_DECODER.decode(data, spans=spans, max_depth=max_depth)
 
 
 #: Types whose values the decoder returns unchanged (and shares).

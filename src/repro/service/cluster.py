@@ -59,7 +59,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.crypto.canonical import canonical_encode
+from repro.crypto.canonical import CanonicalSpan, canonical_encode
 from repro.exceptions import (
     ConfigurationError,
     NoBackendAvailable,
@@ -151,18 +151,6 @@ class _GatewayCounters(FrameCounters):
 
 def _backend_name(address: Tuple[str, int]) -> str:
     return "%s:%d" % (str(address[0]), int(address[1]))
-
-
-class _Encoded:
-    """A value encoded once, spliced as-is wherever it is re-encoded."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, value: Any) -> None:
-        self.data = canonical_encode(value)
-
-    def __canonical_bytes__(self) -> bytes:
-        return self.data
 
 
 class _BackendBatcher:
@@ -499,11 +487,12 @@ class ClusterGateway(FrameServer):
     async def _handle_session(self, request_id: Any,
                               request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
-        # The two large fields are encoded once; the ring key and the
-        # forwarded frame (and any re-issue) splice those bytes.
+        # The two large fields arrive as the client's canonical spans,
+        # never decoded here; the ring key and the forwarded frame (and
+        # any re-issue) splice those bytes.
         payload = {
-            "prev_session": _Encoded(request.get("prev_session")),
-            "observed_state": _Encoded(request.get("observed_state")),
+            "prev_session": CanonicalSpan.of(request.get("prev_session")),
+            "observed_state": CanonicalSpan.of(request.get("observed_state")),
             "checked_host": request.get("checked_host"),
             "checking_host": request.get("checking_host"),
             "op": "check-session",

@@ -24,6 +24,12 @@ verification:
   :func:`repro.core.protocol.check_session_payload`, returning the
   exact verdict the in-process protocol would produce.
 
+Every endpoint decodes a request frame's top level only: the two bulky
+fields of a session check (:data:`SPAN_FIELDS`) arrive as canonical
+spans.  The gateway forwards them as they came; the verifier decodes
+them strictly in its session handler, and one that does not decode is
+answered with a ``malformed-frame`` error carrying the request id.
+
 Backpressure is bounded-queue: when more verifications are in flight
 than ``max_queue``, new requests receive an immediate typed ``busy``
 response — the service sheds load, it never hangs a client.  Every
@@ -51,6 +57,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import repro.workloads.shopping  # noqa: F401
 import repro.workloads.survey  # noqa: F401
 from repro.core.protocol import check_session_payload
+from repro.crypto.canonical import (
+    CanonicalDecoder,
+    CanonicalSpan,
+    canonical_decode,
+)
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.dsa import RecoverableSignature
 from repro.crypto.tablecache import table_cache_info
@@ -58,6 +69,7 @@ from repro.crypto.keys import Identity, KeyStore
 from repro.exceptions import (
     FrameTooLarge,
     MalformedFrame,
+    SerializationError,
     TruncatedFrame,
 )
 from repro.obs import STATS_SCHEMA, new_registry
@@ -75,6 +87,7 @@ from repro.sim.fleet import FleetConfig, fleet_host_names
 __all__ = [
     "EndpointThread",
     "FrameServer",
+    "SPAN_FIELDS",
     "ServiceConfig",
     "VerificationService",
     "ServiceThread",
@@ -147,6 +160,18 @@ def build_service_keystore(num_hosts: int,
 #: The ops every endpoint answers; per-op latency histograms exist for
 #: these names only.
 _OPS = ("verify", "verify-batch", "check-session", "stats", "ping")
+
+#: Request fields every endpoint keeps as undecoded canonical spans.
+SPAN_FIELDS = frozenset(("prev_session", "observed_state"))
+#: The nesting bound left for a span: it sat one level into the frame.
+_SPAN_DEPTH = CanonicalDecoder.max_depth - 1
+
+
+def _open_span(value: Any) -> Any:
+    """Strictly decode a span cut from a request; other values pass."""
+    if type(value) is CanonicalSpan:
+        return canonical_decode(value.data, max_depth=_SPAN_DEPTH)
+    return value
 
 
 @dataclass
@@ -296,7 +321,7 @@ class FrameServer:
                 if body is None:
                     break
                 try:
-                    request = decode_body(body)
+                    request = decode_body(body, SPAN_FIELDS)
                 except MalformedFrame as exc:
                     # Framing intact: answer with a typed error and keep
                     # serving the connection.
@@ -620,8 +645,17 @@ class VerificationService(FrameServer):
     async def _handle_session(self, request_id: Any,
                               request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
-        prev_session = request.get("prev_session")
-        observed_state = request.get("observed_state")
+        try:
+            prev_session = _open_span(request.get("prev_session"))
+            observed_state = _open_span(request.get("observed_state"))
+        except SerializationError as exc:
+            # The frame's top level decoded, so its id is known: answer
+            # it, or a relaying gateway would wait on the id forever.
+            self.counters.frames_rejected_malformed += 1
+            return self._error_response(
+                request_id, "malformed-frame",
+                "frame body is not a canonical value: %s" % exc,
+            )
         checked_host = request.get("checked_host")
         checking_host = request.get("checking_host")
         if (not isinstance(prev_session, dict)

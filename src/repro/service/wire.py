@@ -20,13 +20,17 @@ contract, exercised by ``tests/service/test_wire.py``):
 * a **malformed** body (framing intact, payload undecodable) raises
   :class:`~repro.exceptions.MalformedFrame` — the connection stays
   usable, the server answers with a typed error response.
+
+Servers decode a request's top level only: the bulky fields of a
+session check stay canonical spans (``decode_body(body, spans)``), which
+a gateway forwards as they came and a verifier decodes on its own.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Any, Optional
+from typing import Any, Collection, Optional
 
 from repro.crypto.canonical import canonical_decode, canonical_encode
 from repro.exceptions import (
@@ -87,10 +91,16 @@ def encode_frame(payload: Any, max_frame: int = MAX_FRAME_BYTES) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def decode_body(body: bytes) -> Any:
-    """Decode one frame body, mapping decode failures to a typed error."""
+def decode_body(body: bytes,
+                spans: Optional[Collection[str]] = None) -> Any:
+    """Decode one frame body, mapping decode failures to a typed error.
+
+    The values of the top-level keys named in ``spans`` stay undecoded
+    :class:`~repro.crypto.canonical.CanonicalSpan` objects (see
+    :func:`~repro.crypto.canonical.canonical_decode`).
+    """
     try:
-        return canonical_decode(body)
+        return canonical_decode(body, spans=spans)
     except SerializationError as exc:
         raise MalformedFrame(
             "frame body is not a canonical value: %s" % exc

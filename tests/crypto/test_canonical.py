@@ -12,6 +12,7 @@ from repro.agents.state import AgentState
 from repro.crypto.canonical import (
     CanonicalDecoder,
     CanonicalEncoder,
+    CanonicalSpan,
     canonical_copy,
     canonical_decode,
     canonical_encode,
@@ -581,3 +582,140 @@ class TestHostileInput:
         except SerializationError:
             return
         assert canonical_encode(decoded) == mutated
+
+
+# ---------------------------------------------------------------------------
+# shallow decode: named top-level values kept as canonical spans
+# ---------------------------------------------------------------------------
+
+_SPANS = frozenset(("observed_state", "prev_session"))
+
+_frames = st.builds(
+    lambda named, others: {**others, **named},
+    st.fixed_dictionaries({}, optional={"observed_state": _values,
+                                        "prev_session": _values}),
+    st.dictionaries(st.text(max_size=8), _values, min_size=1, max_size=4),
+)
+
+
+def _span_ranges(frame: dict) -> list:
+    """``(start, end)`` of each span value inside ``canonical_encode(frame)``."""
+    body = b"".join(
+        canonical_encode(key) + canonical_encode(frame[key])
+        for key in sorted(frame)
+    )
+    offset = len(b"d%d:" % len(body))
+    ranges = []
+    for key in sorted(frame):
+        offset += len(canonical_encode(key))
+        size = len(canonical_encode(frame[key]))
+        if key in _SPANS:
+            ranges.append((offset, offset + size))
+        offset += size
+    return ranges
+
+
+def _agrees_with_full_decode(shallow, full) -> None:
+    if not isinstance(full, dict):
+        assert canonical_encode(shallow) == canonical_encode(full)
+        return
+    assert shallow.keys() == full.keys()
+    for key, value in shallow.items():
+        if key in _SPANS:
+            assert isinstance(value, CanonicalSpan)
+            decoded = canonical_decode(
+                value.data, max_depth=CanonicalDecoder.max_depth - 1
+            )
+            assert canonical_encode(decoded) == value.data
+            assert canonical_encode(full[key]) == value.data
+        else:
+            assert canonical_encode(value) == canonical_encode(full[key])
+
+
+class TestShallowDecode:
+    @given(frame=_frames)
+    @settings(max_examples=200)
+    def test_spans_hold_the_encoding_and_the_rest_decodes_in_full(
+            self, frame):
+        data = canonical_encode(frame)
+        shallow = canonical_decode(data, spans=_SPANS)
+        _agrees_with_full_decode(shallow, canonical_decode(data))
+        # A span splices back verbatim.
+        assert canonical_encode(shallow) == data
+
+    @given(frame=_frames, data=st.data())
+    @settings(max_examples=300)
+    def test_a_top_level_edit_raises_whenever_a_full_decode_does(
+            self, frame, data):
+        encoded = bytearray(canonical_encode(frame))
+        ranges = _span_ranges(frame)
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        # Positions outside every span: the top level's headers, keys
+        # and non-span values.  An insert may sit on a span's edge.
+        if kind == "insert":
+            outside = [i for i in range(len(encoded) + 1)
+                       if not any(lo < i < hi for lo, hi in ranges)]
+        else:
+            outside = [i for i in range(len(encoded))
+                       if not any(lo <= i < hi for lo, hi in ranges)]
+        index = data.draw(st.sampled_from(outside))
+        if kind == "delete":
+            del encoded[index]
+        else:
+            byte = data.draw(st.integers(0, 255))
+            if kind == "insert":
+                encoded.insert(index, byte)
+            else:
+                encoded[index] = byte
+        mutated = bytes(encoded)
+        try:
+            full = canonical_decode(mutated)
+        except SerializationError:
+            with pytest.raises(SerializationError):
+                canonical_decode(mutated, spans=_SPANS)
+            return
+        shallow = canonical_decode(mutated, spans=_SPANS)
+        _agrees_with_full_decode(shallow, full)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_input_is_rejected_with_spans_too(self, name):
+        with pytest.raises(SerializationError):
+            canonical_decode(HOSTILE[name], spans=frozenset("ab"))
+
+    def test_only_the_span_header_is_checked(self):
+        inner = b"d9:s1:as5:ab"  # the inner string's length lies
+        data = b"d%d:s12:prev_session%s" % (16 + len(inner), inner)
+        with pytest.raises(SerializationError):
+            canonical_decode(data)
+        assert canonical_decode(data, spans=_SPANS) == {
+            "prev_session": CanonicalSpan(inner)
+        }
+
+    @pytest.mark.parametrize("span", [b"d99:", b"x0:", b"d:", b"d01:", b"d"])
+    def test_a_span_header_must_be_canonical_and_fit(self, span):
+        data = b"d%d:s12:prev_session%s" % (16 + len(span), span)
+        with pytest.raises(SerializationError):
+            canonical_decode(data, spans=_SPANS)
+
+    def test_spans_apply_to_the_top_level_only(self):
+        value = {"outer": {"prev_session": [1]}, "prev_session": [2]}
+        shallow = canonical_decode(canonical_encode(value), spans=_SPANS)
+        assert shallow["outer"] == {"prev_session": [1]}
+        assert shallow["prev_session"] == CanonicalSpan(canonical_encode([2]))
+
+    def test_a_span_keeps_one_level_less_depth(self):
+        deepest = _nested_lists(CanonicalEncoder.max_depth)
+        canonical_decode(deepest)
+        with pytest.raises(SerializationError):
+            canonical_decode(deepest,
+                             max_depth=CanonicalDecoder.max_depth - 1)
+
+    def test_span_of_encodes_once_and_passes_spans_through(self):
+        span = CanonicalSpan.of({"b": 1, "a": [2]})
+        assert span.data == canonical_encode({"a": [2], "b": 1})
+        assert CanonicalSpan.of(span) is span
+        assert canonical_encode({"x": span}) == canonical_encode(
+            {"x": {"a": [2], "b": 1}}
+        )
+        with pytest.raises(AttributeError):
+            span.data = b"N0:"

@@ -1,0 +1,226 @@
+"""Session checks travel as canonical spans: forwarded as-is, decoded once.
+
+Every endpoint decodes a request frame's top level only and keeps a
+check-session's ``prev_session`` and ``observed_state`` as the client's
+own canonical bytes.  The gateway forwards those bytes untouched; the
+verifier decodes them strictly, and answers a span that does not decode
+with a typed error carrying the request id.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from contextlib import asynccontextmanager
+
+import pytest
+
+from repro.crypto.canonical import (
+    CanonicalEncoder,
+    CanonicalSpan,
+    canonical_decode,
+    canonical_encode,
+)
+from repro.exceptions import SerializationError
+from repro.service.cluster import ClusterConfig, ClusterGateway
+from repro.service.server import (
+    SPAN_FIELDS,
+    ServiceConfig,
+    VerificationService,
+)
+from repro.service.wire import (
+    WIRE_VERSION,
+    decode_body,
+    encode_frame,
+    read_frame,
+)
+from repro.sim import FleetConfig, journey_request_stream
+
+
+def _nested_lists(levels: int) -> bytes:
+    data = b"N0:"
+    for _ in range(levels):
+        data = b"l%d:%s" % (len(data), data)
+    return data
+
+
+#: Non-canonical ``prev_session`` bodies whose own header is intact, so
+#: the frame's top level decodes and only the strict span decode fails.
+MALFORMED_SPANS = {
+    "unsorted-inner-keys": b"d16:s1:bi1:1s1:ai1:2",
+    "inner-length-lies": b"d9:s1:as5:ab",
+    # Decodes on its own, but one level into a frame it is too deep.
+    "nested-past-the-bound": _nested_lists(CanonicalEncoder.max_depth),
+}
+
+
+def _session(request_id, prev_session, observed_state=None):
+    return {
+        "id": request_id,
+        "op": "check-session",
+        "prev_session": prev_session,
+        "observed_state": {} if observed_state is None else observed_state,
+        "checked_host": "host-001",
+        "checking_host": "home",
+    }
+
+
+@asynccontextmanager
+async def _verifier():
+    verifier = VerificationService(ServiceConfig(fleet_hosts=4))
+    await verifier.start()
+    try:
+        yield verifier, verifier
+    finally:
+        await verifier.stop()
+
+
+@asynccontextmanager
+async def _gateway():
+    verifier = VerificationService(ServiceConfig(fleet_hosts=4,
+                                                 max_delay=0.001))
+    gateway = ClusterGateway(ClusterConfig(
+        backends=(await verifier.start(),), gather_delay=0.001,
+        health_interval=30.0,
+    ))
+    await gateway.start()
+    try:
+        yield gateway, verifier
+    finally:
+        await gateway.stop()
+        await verifier.stop()
+
+
+ENDPOINTS = {"verifier": _verifier, "gateway": _gateway}
+
+
+async def _exchange(reader, writer, request):
+    writer.write(encode_frame(request))
+    await writer.drain()
+    return decode_body(await asyncio.wait_for(read_frame(reader), 10.0))
+
+
+class TestMalformedSpans:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPANS))
+    def test_the_frame_is_not_canonical_but_its_top_level_is(self, name):
+        body = canonical_encode(_session(3, CanonicalSpan(MALFORMED_SPANS[name])))
+        with pytest.raises(SerializationError):
+            canonical_decode(body)
+        shallow = canonical_decode(body, spans=SPAN_FIELDS)
+        assert shallow["prev_session"].data == MALFORMED_SPANS[name]
+
+    @pytest.mark.parametrize("role", sorted(ENDPOINTS))
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPANS))
+    def test_typed_error_carries_the_id_and_the_stream_survives(
+            self, role, name):
+        async def run():
+            async with ENDPOINTS[role]() as (endpoint, verifier):
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
+                response = await _exchange(reader, writer, _session(
+                    41, CanonicalSpan(MALFORMED_SPANS[name])
+                ))
+                assert response["status"] == "error"
+                assert response["error"] == "malformed-frame"
+                assert response["id"] == 41
+                assert verifier.counters.frames_rejected_malformed == 1
+                # The connection keeps serving.
+                pong = await _exchange(reader, writer, {"id": 42, "op": "ping"})
+                assert pong["id"] == 42 and pong["status"] == "ok"
+                if endpoint is not verifier:
+                    # One answer from the backend: no failover, no
+                    # re-issue, and nothing rejected at the gateway.
+                    assert endpoint.counters.failovers == 0
+                    assert endpoint.counters.reissues == 0
+                    assert endpoint.counters.frames_rejected_malformed == 0
+                writer.close()
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("role", sorted(ENDPOINTS))
+    def test_a_span_that_is_not_a_dict_is_a_malformed_request(self, role):
+        async def run():
+            async with ENDPOINTS[role]() as (endpoint, verifier):
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
+                response = await _exchange(reader, writer,
+                                           _session(9, [1, "two"]))
+                assert response["status"] == "error"
+                assert response["error"] == "malformed-request"
+                assert response["id"] == 9
+                assert verifier.counters.frames_rejected_malformed == 0
+                writer.close()
+
+        asyncio.run(run())
+
+
+@asynccontextmanager
+async def _recording_backend(frames):
+    """A stand-in verifier that records every check-session body.
+
+    It answers pings with a wire/2 hello and everything else with an
+    ``ok`` verdict, so the gateway's only work is to forward.
+    """
+    async def serve(reader, writer):
+        while True:
+            body = await read_frame(reader)
+            if body is None:
+                break
+            request = decode_body(body, SPAN_FIELDS)
+            if request["op"] == "ping":
+                response = {"id": request["id"], "status": "ok",
+                            "wire": WIRE_VERSION, "instance": "stand-in",
+                            "role": "verifier"}
+            else:
+                frames.append(body)
+                response = {"id": request["id"], "status": "ok",
+                            "verdict": {"status": "ok"}}
+            writer.write(encode_frame(response))
+        writer.close()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[:2]
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+class TestForwardedBytes:
+    def test_gateway_forwards_what_a_full_decode_would_reencode(self):
+        stream = journey_request_stream(
+            FleetConfig(num_agents=6, num_hosts=4, seed=5)
+        )
+        sessions = [request.payload for request in stream.session_requests]
+        assert sessions
+
+        async def run():
+            frames = []
+            async with _recording_backend(frames) as address:
+                gateway = ClusterGateway(ClusterConfig(
+                    backends=(address,), health_interval=30.0,
+                ))
+                await gateway.start()
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        *gateway.address
+                    )
+                    for index, payload in enumerate(sessions):
+                        response = await _exchange(
+                            reader, writer, dict(payload, id=index)
+                        )
+                        assert response["id"] == index
+                    writer.close()
+                finally:
+                    await gateway.stop()
+            return frames
+
+        frames = asyncio.run(run())
+        assert len(frames) == len(sessions)
+        for payload, frame in zip(sessions, frames):
+            # What the client sent, decoded in full, with the id the
+            # gateway's backend connection assigned.
+            sent = canonical_decode(canonical_encode(payload))
+            sent["id"] = decode_body(frame, SPAN_FIELDS)["id"]
+            assert frame == canonical_encode(sent)

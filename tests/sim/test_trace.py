@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     FleetConfig,
@@ -16,6 +18,7 @@ from repro.sim import (
 )
 from repro.sim.trace import (
     _read_events_tolerant,
+    events_to_jsonl,
     merge_trace_files,
     sanitize_stream_file,
 )
@@ -39,6 +42,45 @@ class TestTraceWriter:
             writer.emit("hop", n=index)
         assert len(writer) == 5
         assert [event["n"] for event in writer.events] == list(range(5))
+
+
+def _reference_jsonl(events):
+    """The streaming ``json.dump`` serialization the writer must match."""
+    buffer = io.StringIO()
+    for event in events:
+        json.dump(event, buffer, sort_keys=True, separators=(",", ":"))
+        buffer.write("\n")
+    return buffer.getvalue()
+
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonlBytes:
+    @given(events=st.lists(
+        st.dictionaries(st.text(), _json_values, max_size=5), max_size=6,
+    ))
+    @settings(max_examples=200)
+    def test_matches_the_json_dump_reference(self, events):
+        assert events_to_jsonl(events) == _reference_jsonl(events)
+
+    def test_fleet_trace_matches_the_reference(self):
+        engine = FleetEngine(FleetConfig(num_agents=6, num_hosts=4, seed=2),
+                             record_trace=True)
+        engine.run()
+        events = list(engine.trace.events)
+        assert events
+        assert events_to_jsonl(events) == _reference_jsonl(events)
 
 
 class TestFleetTraces:
