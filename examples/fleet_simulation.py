@@ -19,7 +19,8 @@ schedule the pool happens to take.
 
 ``--chaos-kill-worker W`` SIGKILLs worker ``W`` the moment it leases
 its ``--chaos-kill-unit``-th unit, demonstrating the supervised pool:
-the dead worker's unit is requeued, its trace stream repaired, a
+the dead worker's unit is requeued (its trace events travel in the
+result frame it never sent, so nothing is left to repair), a
 replacement respawned (while ``--chaos-respawn-budget`` lasts — budget
 0 forces the coordinator to finish the queue itself), and the printed
 deterministic signature still matches the fault-free run.
@@ -72,8 +73,7 @@ def main() -> int:
                              "the scheduler's dynamic plan)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write the merged per-journey JSONL trace "
-                             "here (pooled runs stream per-worker files "
-                             "next to it and delete them after the merge)")
+                             "here (the only file the run writes)")
     parser.add_argument("--chaos-kill-worker", type=int, default=None,
                         metavar="W",
                         help="SIGKILL worker W mid-run to demonstrate "

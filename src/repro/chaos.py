@@ -38,7 +38,6 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "WORKER_CRASH",
-    "WORKER_CRASH_MID_WRITE",
     "WORKER_STALL",
     "CHANNEL_TRUNCATION",
     "SLOW_FRAME",
@@ -50,30 +49,23 @@ __all__ = [
     "FaultInjector",
     "corrupt_table_cache",
     "kill_self",
-    "torn_prefix",
 ]
 
 #: SIGKILL the worker the moment it leases its ``at_unit``-th unit —
-#: the lease is announced, no events are written, the unit must be
-#: requeued untouched.
+#: the lease is announced, nothing is sent, the unit must be requeued
+#: untouched.
 WORKER_CRASH = "worker-crash"
-
-#: Execute the unit, append only a *prefix* of its trace events (cut
-#: mid-line), fsync, then SIGKILL — the classic crash-mid-write.  The
-#: coordinator must drop the truncated tail and the unit's partial
-#: events before re-executing it elsewhere.
-WORKER_CRASH_MID_WRITE = "worker-crash-mid-write"
 
 #: Sleep ``seconds`` before executing the unit.  Not a death at all —
 #: it forces the adversarial schedule in which siblings steal the
 #: stalled worker's share.
 WORKER_STALL = "worker-stall"
 
-#: Execute the unit (events land in the stream), then write a few
-#: garbage bytes of a frame header to the result channel and die —
-#: the coordinator sees a torn frame / EOF with the lease still held,
-#: so the unit's already-written events must be scrubbed and the unit
-#: re-run.
+#: Execute the unit, then write a few garbage bytes of a frame header
+#: to the result channel in place of its result frame and die — the
+#: coordinator sees a torn frame / EOF with the lease still held, so
+#: the unit is re-run, and nothing of the first attempt reaches the
+#: merge.
 CHANNEL_TRUNCATION = "channel-truncation"
 
 #: Execute the unit, sleep ``seconds``, then deliver the result frame
@@ -93,7 +85,6 @@ TABLE_CACHE_CORRUPTION = "table-cache-corruption"
 
 FAULT_KINDS = (
     WORKER_CRASH,
-    WORKER_CRASH_MID_WRITE,
     WORKER_STALL,
     CHANNEL_TRUNCATION,
     SLOW_FRAME,
@@ -105,7 +96,6 @@ FAULT_KINDS = (
 #: :class:`FaultInjector` understands).
 WORKER_FAULT_KINDS = (
     WORKER_CRASH,
-    WORKER_CRASH_MID_WRITE,
     WORKER_STALL,
     CHANNEL_TRUNCATION,
     SLOW_FRAME,
@@ -114,7 +104,6 @@ WORKER_FAULT_KINDS = (
 #: Fault kinds a worker does not survive (its process dies).
 LETHAL_FAULT_KINDS = (
     WORKER_CRASH,
-    WORKER_CRASH_MID_WRITE,
     CHANNEL_TRUNCATION,
 )
 
@@ -128,15 +117,13 @@ class Fault:
     that worker's own leases — the *schedule* decides which shard that
     is, but the surviving output may not depend on it).  ``backend``
     addresses service-tier faults.  ``seconds`` parameterizes stalls,
-    slow frames, and backend kill delays; ``fraction`` picks where a
-    mid-write crash tears the JSONL payload.
+    slow frames, and backend kill delays.
     """
 
     kind: str
     worker: Optional[int] = None
     at_unit: int = 0
     seconds: float = 0.0
-    fraction: float = 0.5
     backend: int = 0
 
     def validate(self) -> None:
@@ -153,10 +140,6 @@ class Fault:
             raise ConfigurationError("at_unit must be non-negative")
         if self.seconds < 0:
             raise ConfigurationError("seconds must be non-negative")
-        if not (0.0 < self.fraction < 1.0):
-            raise ConfigurationError(
-                "fraction must fall strictly inside (0, 1)"
-            )
 
     @property
     def lethal(self) -> bool:
@@ -169,8 +152,6 @@ class Fault:
             entry.update(worker=self.worker, at_unit=self.at_unit)
         if self.kind in (WORKER_STALL, SLOW_FRAME, BACKEND_SIGKILL):
             entry["seconds"] = self.seconds
-        if self.kind == WORKER_CRASH_MID_WRITE:
-            entry["fraction"] = self.fraction
         if self.kind == BACKEND_SIGKILL:
             entry["backend"] = self.backend
         return entry
@@ -210,10 +191,10 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Derive ``count`` worker faults deterministically from a seed.
 
-        Placement (which worker, which of its leases, which kind, where
-        a mid-write tears) is a pure function of ``seed`` — no global
-        RNG, no wall clock — so a generated plan names the same
-        injuries on every machine, every run.
+        Placement (which worker, which of its leases, which kind) is a
+        pure function of ``seed`` — no global RNG, no wall clock — so a
+        generated plan names the same injuries on every machine, every
+        run.
         """
         if workers < 1:
             raise ConfigurationError("workers must be positive")
@@ -230,13 +211,11 @@ class FaultPlan:
             kind = kinds[material % len(kinds)]
             worker = (material >> 8) % workers
             at_unit = (material >> 24) % max(1, units_per_worker)
-            fraction = 0.25 + ((material >> 40) % 128) / 256.0
             faults.append(Fault(
                 kind=kind,
                 worker=worker,
                 at_unit=at_unit,
                 seconds=0.05 if kind in (WORKER_STALL, SLOW_FRAME) else 0.0,
-                fraction=fraction,
             ))
         plan = cls(faults=tuple(faults), seed=seed)
         plan.validate()
@@ -338,21 +317,6 @@ class FaultInjector:
             except OSError:
                 pass
             kill_self()
-
-
-
-def torn_prefix(payload: str, fraction: float) -> str:
-    """The prefix of a JSONL payload a mid-write crash gets out.
-
-    Cuts at ``fraction`` of the byte length, clamped so at least one
-    byte is written and at least one byte is lost — a torn final line,
-    never a clean boundary, unless the payload is empty.
-    """
-    if not payload:
-        return payload
-    cut = int(len(payload) * fraction)
-    cut = max(1, min(cut, len(payload) - 1))
-    return payload[:cut]
 
 
 def corrupt_table_cache(directory: str, seed: int = 0) -> int:

@@ -11,8 +11,10 @@ load.  This package is that serving layer:
   ``wire/2`` version negotiation;
 * :mod:`repro.service.cache` — the LRU verdict cache with tagged
   invalidation;
-* :mod:`repro.service.batching` — time-/size-bounded micro-batching
-  over :func:`repro.crypto.dsa.batch_verify`;
+* :mod:`repro.service.batching` — the time-/size-bounded batch window
+  both tiers use: the verifier settles it with
+  :func:`repro.crypto.dsa.batch_verify`, the gateway ships it as one
+  ``verify-batch`` frame;
 * :mod:`repro.service.server` — the one asyncio frame server and
   thread host, and the verifier role on top of them: bounded-queue
   backpressure and structured metrics;
@@ -45,7 +47,7 @@ The one way to talk to any of it::
 
 from repro.exceptions import RetryExhausted
 from repro.service.api import Verifier, connect, resolve_endpoint
-from repro.service.batching import MicroBatcher, SettledVerification
+from repro.service.batching import MicroBatcher, Settled
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import VerdictCache
 from repro.service.cluster import (
@@ -102,7 +104,7 @@ __all__ = [
     "HealthMonitor",
     "BackendState",
     "MicroBatcher",
-    "SettledVerification",
+    "Settled",
     "VerdictCache",
     # Robustness: typed retry and per-backend circuit breaking.
     "RetryPolicy",

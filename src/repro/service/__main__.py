@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import sys
 from typing import List, Optional, Tuple
 
@@ -266,7 +267,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return _run_gateway(_gateway_config(args, tuple(args.backends)))
 
 
+def _exit_on_sigterm(signum: int, _frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
+    # A SIGTERM (what CI's stop step and most supervisors send) must
+    # unwind through the ``finally`` below like Ctrl-C does, or every
+    # verifier subprocess outlives the launcher.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     service = ServiceConfig(
         max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1e3,
@@ -287,6 +296,8 @@ def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
         )
         return _run_gateway(config)
     finally:
+        # A second SIGTERM must not cut the cleanup short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         for verifier in verifiers:
             verifier.terminate()
 

@@ -1,21 +1,26 @@
-"""Time- and size-bounded micro-batching of signature verifications.
+"""Time- and size-bounded batch windows, one mechanism for both tiers.
 
-The server does not verify requests one by one: concurrent requests are
-coalesced into windows and settled with one randomized batch equation
-(:func:`repro.crypto.dsa.batch_verify`), which amortizes the full-size
-per-signer exponentiations across every signature of the window.  A
-window closes when it reaches ``max_batch`` items **or** when
-``max_delay`` seconds have passed since its first item — whichever
-comes first — so throughput never buys unbounded latency.
+Both service tiers coalesce concurrent work into windows: the verifier
+settles signature verifications with one randomized batch equation
+(:func:`repro.crypto.dsa.batch_verify`), and the cluster gateway ships
+verify items to a backend as one ``verify-batch`` frame.  A
+:class:`MicroBatcher` is the window both use.  A window closes when it
+reaches ``max_batch`` items **or** when ``max_delay`` seconds have
+passed since its first item — whichever comes first — so throughput
+never buys unbounded latency.  What closing a window *does* is the
+caller's **settle step**: a function from the window's items to one
+result per item, either returned directly (settled inline) or awaited
+(a shipment).  A settle step that raises fails every waiter's future.
 
-A window of one item takes the plain :meth:`verify_recoverable` path
-(the single-item batch equation costs *more* than individual
-verification: it adds the small-exponent commitment power on top of the
-two exponentiations individual verification needs).  This is also what
-``max_batch=1`` means: the honest no-batching baseline the batching
-speed gate compares against, not a degenerate batch equation.
+:func:`verify_window` is the verifier's settle step.  A window of one
+item takes the plain :meth:`verify_recoverable` path (the single-item
+batch equation costs *more* than individual verification: it adds the
+small-exponent commitment power on top of the two exponentiations
+individual verification needs).  This is also what ``max_batch=1``
+means: the honest no-batching baseline the batching speed gate
+compares against, not a degenerate batch equation.
 
-Settlement runs inline on the event loop.  That is a deliberate choice
+Inline settlement runs on the event loop.  That is a deliberate choice
 for a CPU-bound single-process service: a window of 256 signatures
 settles in ~15 ms, during which the loop's readers simply let the
 kernel socket buffers absorb arrivals — the next window is already
@@ -25,68 +30,94 @@ forming the moment settlement returns.
 from __future__ import annotations
 
 import asyncio
+import inspect
 from dataclasses import dataclass
 from random import Random, SystemRandom
-from typing import Any, Dict, List, Optional
-
-from repro.crypto.dsa import (
-    DSAPublicKey,
-    RecoverableSignature,
-    batch_verify,
-    find_invalid,
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set, Union,
 )
 
-__all__ = ["MicroBatcher", "SettledVerification"]
+from repro.crypto.dsa import batch_verify, find_invalid
+from repro.exceptions import ServiceError
+
+__all__ = ["MicroBatcher", "Settled", "verify_window"]
+
+#: A settle step: the window's items in, one result per item out —
+#: returned directly or through an awaitable.
+SettleStep = Callable[
+    [List[Any]], Union[Sequence[Any], Awaitable[Sequence[Any]]]
+]
+
+_SYSTEM_RANDOM = SystemRandom()
+
+
+def verify_window(
+    items: Sequence[Any], rng: Optional[Random] = None
+) -> List[bool]:
+    """Settle ``(public_key, message, signature)`` items; one verdict each.
+
+    Two or more items go through one batch equation, and
+    :func:`~repro.crypto.dsa.find_invalid` names the bad ones when it
+    fails.  ``rng`` is the source of the random batch exponents; the
+    default, :class:`random.SystemRandom`, is what the batch test's
+    soundness against adversarial streams requires, so pass a seeded
+    generator only to reproduce non-adversarial benchmarks.
+    """
+    if len(items) == 1:
+        public_key, message, signature = items[0]
+        return [public_key.verify_recoverable(message, signature)]
+    if batch_verify(items, rng=rng if rng is not None else _SYSTEM_RANDOM):
+        return [True] * len(items)
+    bad = set(find_invalid(items))
+    return [index not in bad for index in range(len(items))]
 
 
 @dataclass(frozen=True)
-class SettledVerification:
-    """What one settled verification tells the response path."""
+class Settled:
+    """What one settled item tells the response path."""
 
-    verdict: bool
+    value: Any
     batch_size: int
     queue_wait: float
 
 
 @dataclass
 class _Waiting:
-    public_key: DSAPublicKey
-    message: bytes
-    signature: RecoverableSignature
-    future: "asyncio.Future[SettledVerification]"
+    item: Any
+    future: "asyncio.Future[Settled]"
     enqueued_at: float
 
 
 class MicroBatcher:
-    """Coalesces awaited verifications into bounded batch windows.
+    """Coalesces awaited items into bounded windows settled by one step.
 
     Parameters
     ----------
+    settle:
+        The settle step (see the module docstring).
     max_batch:
         Window size that triggers an immediate flush; ``1`` disables
-        coalescing entirely (every submit settles synchronously).
+        coalescing entirely (every submit flushes at once).
     max_delay:
         Seconds after the window's *first* item at which the window is
         flushed regardless of fill — the latency bound.
-    rng:
-        Source of the random batch exponents.  Defaults to
-        :class:`random.SystemRandom`; the batch test's soundness against
-        adversarial streams requires unpredictable exponents, so pass a
-        seeded generator only to reproduce non-adversarial benchmarks.
     """
 
     def __init__(
         self,
+        settle: SettleStep,
         max_batch: int = 256,
         max_delay: float = 0.002,
-        rng: Optional[Random] = None,
     ) -> None:
+        self.settle = settle
         self.max_batch = max(1, int(max_batch))
         self.max_delay = max(0.0, float(max_delay))
-        self.rng = rng if rng is not None else SystemRandom()
         self._waiting: List[_Waiting] = []
         self._timer: Optional[asyncio.TimerHandle] = None
-        #: Aggregate statistics: windows settled, items settled, and the
+        #: Awaited settle steps still running (the loop holds tasks
+        #: only weakly).
+        self._settling: Set["asyncio.Future[None]"] = set()
+        #: Aggregate statistics: windows closed, items in them, and the
         #: batch-size histogram ``{window size: windows}``.
         self.batches = 0
         self.items = 0
@@ -96,26 +127,14 @@ class MicroBatcher:
 
     @property
     def pending(self) -> int:
-        """Verifications waiting in the currently forming window."""
+        """Items waiting in the currently forming window."""
         return len(self._waiting)
 
-    def submit(
-        self,
-        public_key: DSAPublicKey,
-        message: bytes,
-        signature: RecoverableSignature,
-    ) -> "asyncio.Future[SettledVerification]":
-        """Queue one verification; the future resolves at window close."""
+    def submit(self, item: Any) -> "asyncio.Future[Settled]":
+        """Queue one item; the future resolves when its window settles."""
         loop = asyncio.get_event_loop()
-        future: "asyncio.Future[SettledVerification]" = loop.create_future()
-        entry = _Waiting(
-            public_key=public_key,
-            message=message,
-            signature=signature,
-            future=future,
-            enqueued_at=loop.time(),
-        )
-        self._waiting.append(entry)
+        future: "asyncio.Future[Settled]" = loop.create_future()
+        self._waiting.append(_Waiting(item, future, loop.time()))
         if len(self._waiting) >= self.max_batch:
             self.flush()
         elif self._timer is None:
@@ -123,7 +142,11 @@ class MicroBatcher:
         return future
 
     def flush(self) -> int:
-        """Settle the forming window now; returns the window size."""
+        """Close the forming window now; returns the window size.
+
+        An inline settle step has resolved every future by the time
+        this returns; an awaitable one resolves them when it completes.
+        """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -131,41 +154,69 @@ class MicroBatcher:
             return 0
         window, self._waiting = self._waiting, []
         size = len(window)
-        if size == 1:
-            entry = window[0]
-            outcomes = [entry.public_key.verify_recoverable(
-                entry.message, entry.signature
-            )]
-        else:
-            items = [(w.public_key, w.message, w.signature) for w in window]
-            if batch_verify(items, rng=self.rng):
-                outcomes = [True] * size
-            else:
-                bad = set(find_invalid(items))
-                outcomes = [index not in bad for index in range(size)]
-        now = asyncio.get_event_loop().time()
         self.batches += 1
         self.items += size
         self.batch_histogram[size] = self.batch_histogram.get(size, 0) + 1
-        for entry, verdict in zip(window, outcomes):
+        try:
+            results = self.settle([entry.item for entry in window])
+        except Exception as exc:  # noqa: BLE001 - handed to every waiter
+            self._fail(window, exc)
+            return size
+        if inspect.isawaitable(results):
+            task = asyncio.ensure_future(self._settle_later(window, results))
+            self._settling.add(task)
+            task.add_done_callback(self._settling.discard)
+        else:
+            self._resolve(window, results)
+        return size
+
+    async def _settle_later(self, window: List[_Waiting],
+                            pending: Awaitable[Sequence[Any]]) -> None:
+        try:
+            results = await pending
+        except asyncio.CancelledError:
+            for entry in window:
+                entry.future.cancel()
+            raise
+        except Exception as exc:  # noqa: BLE001 - handed to every waiter
+            self._fail(window, exc)
+            return
+        self._resolve(window, results)
+
+    def _resolve(self, window: List[_Waiting],
+                 results: Sequence[Any]) -> None:
+        if len(results) != len(window):
+            self._fail(window, ServiceError(
+                "settle step answered %d results for %d items"
+                % (len(results), len(window))
+            ))
+            return
+        now = asyncio.get_event_loop().time()
+        size = len(window)
+        for entry, value in zip(window, results):
             wait = max(0.0, now - entry.enqueued_at)
             self.queue_wait_total += wait
             self.queue_wait_max = max(self.queue_wait_max, wait)
             if not entry.future.done():
-                entry.future.set_result(SettledVerification(
-                    verdict=verdict, batch_size=size, queue_wait=wait,
-                ))
-        return size
+                entry.future.set_result(Settled(value, size, wait))
+
+    @staticmethod
+    def _fail(window: List[_Waiting], exc: Exception) -> None:
+        for entry in window:
+            if not entry.future.done():
+                entry.future.set_exception(exc)
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregate batching statistics for the metrics endpoint."""
+        """Aggregate window statistics for the metrics endpoint."""
         return {
             "batches": self.batches,
             "items": self.items,
             "pending": self.pending,
             "max_batch": self.max_batch,
             "max_delay": self.max_delay,
-            "mean_batch_size": (self.items / self.batches) if self.batches else 0.0,
+            "mean_batch_size": (
+                self.items / self.batches if self.batches else 0.0
+            ),
             "batch_histogram": {
                 str(size): count
                 for size, count in sorted(self.batch_histogram.items())

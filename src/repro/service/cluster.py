@@ -21,10 +21,13 @@ Design points, in the order a request meets them:
   When the health monitor detects a backend restart (its announced
   ``instance`` id changed), every verdict attributed to the old process
   is explicitly invalidated in one sweep.
-* **aggregation** — per-backend :class:`_BackendBatcher` windows
-  coalesce concurrent singles into one ``verify-batch`` frame, so the
-  gateway⇄verifier hop costs one round trip per window, and the
-  backend's own micro-batcher still sees the full window at once.
+* **aggregation** — one :class:`~repro.service.batching.MicroBatcher`
+  per backend coalesces concurrent singles into one window, the same
+  window mechanism the verifier settles inline; the gateway's settle
+  step ships it as one ``verify-batch`` frame, so the gateway⇄verifier
+  hop costs one round trip per window, and the backend's own batcher
+  still sees the full window at once.  A failed shipment fails every
+  item of the window, and the routing loop re-issues each one.
 * **idempotent failover** — verification is a pure function of the
   content key, so when a backend dies mid-batch every in-flight item is
   simply re-routed to the next live ring owner and re-issued.  An
@@ -52,6 +55,7 @@ spawn-cluster`` all go through them.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import subprocess
 import sys
@@ -66,6 +70,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceUnavailable,
 )
+from repro.service.batching import MicroBatcher
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
@@ -153,81 +158,6 @@ def _backend_name(address: Tuple[str, int]) -> str:
     return "%s:%d" % (str(address[0]), int(address[1]))
 
 
-class _BackendBatcher:
-    """Aggregates concurrent verify items into ``verify-batch`` frames.
-
-    The single-server :class:`~repro.service.batching.MicroBatcher`
-    shape, one tier up: a window closes at ``max_batch`` items or
-    ``max_delay`` seconds after its first item, then ships as one
-    frame.  A failed shipment fails every window item's future — the
-    gateway's routing loop re-routes and re-issues them.
-    """
-
-    def __init__(self, gateway: "ClusterGateway", name: str,
-                 max_batch: int, max_delay: float) -> None:
-        self._gateway = gateway
-        self.name = name
-        self.max_batch = max(1, int(max_batch))
-        self.max_delay = max(0.0, float(max_delay))
-        self._queue: List[Tuple[Dict[str, Any],
-                                "asyncio.Future[Dict[str, Any]]"]] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self.flushes = 0
-        self.items = 0
-
-    def submit(self, item: Dict[str, Any]) -> "asyncio.Future[Dict[str, Any]]":
-        loop = asyncio.get_event_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._queue.append((item, future))
-        if len(self._queue) >= self.max_batch:
-            self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay, self.flush)
-        return future
-
-    def flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._queue:
-            return
-        window, self._queue = self._queue, []
-        self.flushes += 1
-        self.items += len(window)
-        asyncio.ensure_future(self._ship(window))
-
-    async def _ship(self, window: List[Tuple[Dict[str, Any],
-                                             "asyncio.Future[Dict[str, Any]]"
-                                             ]]) -> None:
-        try:
-            client = await self._gateway._client(self.name)
-            results = await client.verify_batch(
-                [item for item, _ in window]
-            )
-            if len(results) != len(window):
-                raise ServiceError(
-                    "backend %s answered %d results for %d items"
-                    % (self.name, len(results), len(window))
-                )
-        except BaseException as exc:  # noqa: BLE001 - handed to every waiter
-            for _, future in window:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (_, future), result in zip(window, results):
-            if not future.done():
-                future.set_result(result)
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "flushes": self.flushes,
-            "items": self.items,
-            "pending": len(self._queue),
-            "mean_batch_size": (self.items / self.flushes)
-            if self.flushes else 0.0,
-        }
-
-
 class ClusterGateway(FrameServer):
     """The gateway role: wire-compatible front door over N verifiers."""
 
@@ -288,9 +218,10 @@ class ClusterGateway(FrameServer):
         }
         self._clients: Dict[str, ServiceClient] = {}
         self._client_locks: Dict[str, asyncio.Lock] = {}
-        self._batchers: Dict[str, _BackendBatcher] = {
-            name: _BackendBatcher(
-                self, name, config.gather_batch, config.gather_delay
+        self._batchers: Dict[str, MicroBatcher] = {
+            name: MicroBatcher(
+                functools.partial(self._ship, name),
+                config.gather_batch, config.gather_delay,
             )
             for name in self._addresses
         }
@@ -327,6 +258,12 @@ class ClusterGateway(FrameServer):
             self.monitor.record_success(name, hello)
             self._clients[name] = client
             return client
+
+    async def _ship(self, name: str,
+                    items: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Settle step of ``name``'s window: one ``verify-batch`` frame."""
+        client = await self._client(name)
+        return await client.verify_batch(items)
 
     async def _drop_client(self, name: str) -> None:
         client = self._clients.pop(name, None)
@@ -463,9 +400,11 @@ class ClusterGateway(FrameServer):
         try:
             wire_item = {"signer": signer, "message": message,
                          "signature": signature.to_canonical()}
-            result, backend = await self._route(
-                key, lambda backend: self._batchers[backend].submit(wire_item)
-            )
+
+            async def send(backend: str) -> Dict[str, Any]:
+                return (await self._batchers[backend].submit(wire_item)).value
+
+            result, backend = await self._route(key, send)
             result = dict(result)
             result.setdefault("backend", backend)
             if (self.cache is not None and result.get("status") == "ok"

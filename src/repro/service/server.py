@@ -73,7 +73,7 @@ from repro.exceptions import (
     TruncatedFrame,
 )
 from repro.obs import STATS_SCHEMA, new_registry
-from repro.service.batching import MicroBatcher
+from repro.service.batching import MicroBatcher, verify_window
 from repro.service.cache import VerdictCache
 from repro.service.wire import (
     MAX_FRAME_BYTES,
@@ -573,6 +573,7 @@ class VerificationService(FrameServer):
         )
         self.code_registry = code_registry
         self.batcher = MicroBatcher(
+            verify_window,
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay,
         )
@@ -630,15 +631,17 @@ class VerificationService(FrameServer):
 
         self._inflight += 1
         try:
-            settled = await self.batcher.submit(public_key, message, signature)
+            settled = await self.batcher.submit(
+                (public_key, message, signature)
+            )
         finally:
             self._inflight -= 1
         self._m_queue_wait.observe(settled.queue_wait)
         self._m_batch_size.observe(settled.batch_size)
         if self.cache is not None:
-            self.cache.put(key, settled.verdict)
+            self.cache.put(key, settled.value)
         return self._verdict_response(
-            settled.verdict, cache_hit=False,
+            settled.value, cache_hit=False,
             batch_size=settled.batch_size, queue_wait=settled.queue_wait,
         )
 

@@ -55,7 +55,6 @@ from repro.sim.shard import (
     run_fleet,
     split_fleet,
     warm_worker,
-    worker_trace_path,
 )
 from repro.sim.trace import (
     TraceWriter,
@@ -105,5 +104,4 @@ __all__ = [
     "run_fleet",
     "split_fleet",
     "warm_worker",
-    "worker_trace_path",
 ]

@@ -77,10 +77,9 @@ __all__ = [
 def journey_id_for_index(index: int) -> str:
     """The deterministic journey id of the ``index``-th journey.
 
-    Journey ids are a pure function of position — the property that
-    lets a supervisor map a crashed unit's ``[agent_start, agent_stop)``
-    range back to the trace events it must scrub before re-executing
-    the unit.
+    Journey ids are a pure function of position, so units of any
+    partition own disjoint id sets and ``repro.trace replay`` can map
+    an id back to the journey index it re-runs.
     """
     return "j%05d" % index
 

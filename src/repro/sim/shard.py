@@ -10,7 +10,7 @@ a private stream.  This module exploits that property:
   :class:`~repro.sim.fleet.FleetConfig` into contiguous, disjoint
   :class:`ShardSpec` units;
 * :func:`execute_unit` runs one unit in the current process and returns
-  a :class:`ShardResult` with its warmup/compute/serialize timing, and
+  a :class:`ShardResult` with its compute timing and trace events, and
   :func:`run_in_process` is the coordinator's loop over such units;
 * :class:`FleetWorkerPool` holds persistent ``spawn`` workers that pull
   units from a **shared task queue** — an idle worker steals whatever
@@ -33,19 +33,17 @@ no random draw.  The unit partition itself is a pure function of
 events by content (completion time, journey id), so the merged result
 is a pure function of the partition — the schedule is invisible.
 
-Result channel and trace streams
---------------------------------
+Result channel and trace events
+-------------------------------
 Unit results return on a per-worker :func:`multiprocessing.Pipe` as
 pickle-free JSON frames (:mod:`repro.sim.wire`) instead of through
-``Pool.map`` pickling.  Trace events never cross the channel at all:
-each worker streams its finished units' events into its own JSONL file
-(``<trace>.worker-K-of-N``) and the coordinator merges the streams
-after the last unit completes — serialization cost stays in the
-workers, off the coordinator's critical path — then deletes them.
-Units the coordinator runs itself (all of them when ``workers=1``,
-whatever is left when a pool loses every worker) keep their events in
-memory and hand them to the merge directly, so every traced run writes
-its trace file exactly once.
+``Pool.map`` pickling.  A traced unit's events ride in its ``unit``
+frame (``events``; absent when the run is untraced), so every
+:class:`ShardResult` holds its events in memory, wherever the unit ran,
+and the coordinator writes the run's trace file once, from the merged
+lists.  Nothing touches the disk before that write: a worker that dies
+before its frame arrives leaves nothing behind, and its requeued unit
+sends its events afresh.
 """
 
 from __future__ import annotations
@@ -59,14 +57,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.chaos import (
-    WORKER_CRASH_MID_WRITE,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    kill_self,
-    torn_prefix,
-)
+from repro.chaos import Fault, FaultInjector, FaultPlan
 from repro.exceptions import ConfigurationError
 from repro.sim.fleet import (
     FleetConfig,
@@ -74,15 +65,8 @@ from repro.sim.fleet import (
     FleetResult,
     JourneyOutcome,
     fleet_host_names,
-    journey_id_for_index,
 )
-from repro.sim.trace import (
-    append_events,
-    events_to_jsonl,
-    merge_shard_events,
-    merge_trace_files,
-    sanitize_stream_file,
-)
+from repro.sim.trace import TraceWriter, merge_shard_events
 from repro.sim.wire import (
     WIRE_VERSION,
     decode_message,
@@ -96,7 +80,6 @@ __all__ = [
     "ShardResult",
     "FleetWorkerPool",
     "DEFAULT_UNITS_PER_WORKER",
-    "worker_trace_path",
     "split_fleet",
     "plan_units",
     "execute_unit",
@@ -179,17 +162,6 @@ def warm_worker(
     )
 
 
-def worker_trace_path(trace_path: str, worker_index: int, workers: int) -> str:
-    """Per-worker JSONL stream path derived from the merged trace path.
-
-    Pool workers append every unit they execute to their own stream
-    file; which units land in which stream depends on the (dynamic)
-    schedule, but the *merged* trace does not — units own disjoint
-    journey-id sets, so the canonical event order is schedule-free.
-    """
-    return "%s.worker-%02d-of-%02d" % (trace_path, worker_index, workers)
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """One deterministic slice (unit) of a fleet run.
@@ -235,14 +207,12 @@ class ShardResult:
     """Everything one unit sends back to the coordinator.
 
     Crosses the worker boundary as a pickle-free JSON frame
-    (:mod:`repro.sim.wire`): journey outcomes, plain dictionaries, and
-    numbers only.  Trace events never cross the result channel: a pool
-    worker appends them to its stream file, and a unit run in process
-    keeps them in :attr:`events` for the merge.
+    (:mod:`repro.sim.wire`): journey outcomes, trace events, plain
+    dictionaries, and numbers only.
 
-    The ``compute`` / ``serialize`` seconds are this unit's share of
-    the per-worker overhead split; ``compute_cpu_seconds`` uses CPU
-    time (:func:`time.process_time`), which is what keeps a
+    The ``compute`` seconds are this unit's share of the per-worker
+    overhead split; ``compute_cpu_seconds`` uses CPU time
+    (:func:`time.process_time`), which is what keeps a
     useful-parallel-work utilization honest on oversubscribed
     machines — an engine timesharing one core burns wall time but not
     CPU time.
@@ -267,15 +237,12 @@ class ShardResult:
     #: Engine execution wall / CPU time for this unit.
     compute_seconds: float = 0.0
     compute_cpu_seconds: float = 0.0
-    #: Trace serialization time for this unit (0 when tracing is off).
-    serialize_seconds: float = 0.0
     #: Sample-bearing telemetry snapshot of the unit's engine
     #: (``None`` when observability is disabled).  Merged fleet-wide by
     #: :func:`run_fleet` into ``worker_report["telemetry"]``.
     telemetry: Optional[Dict[str, Any]] = None
-    #: The unit's trace events when they were not streamed to a file
-    #: (``None`` for units that came back over the result channel).
-    events: Optional[List[Dict[str, Any]]] = None
+    #: The unit's trace events (empty when the run is untraced).
+    events: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def split_fleet(config: FleetConfig, num_units: int) -> List[ShardSpec]:
@@ -335,24 +302,13 @@ def plan_units(
     return min(config.num_agents, workers * DEFAULT_UNITS_PER_WORKER)
 
 
-def execute_unit(
-    spec: ShardSpec,
-    stream: Optional[str] = None,
-    fault: Optional[Fault] = None,
-) -> ShardResult:
-    """Execute one unit in the current process, timing each phase.
+def execute_unit(spec: ShardSpec) -> ShardResult:
+    """Execute one unit in the current process.
 
-    With ``stream`` (a pool worker's JSONL file) the unit's events are
-    appended to it; without, they stay in memory on the result's
+    The unit's trace events stay in memory on the result's
     :attr:`~ShardResult.events`.  Compute is timed in both wall and CPU
-    seconds, serialization separately — the raw material of the
-    per-worker overhead split in ``worker_report``.
-
-    ``fault`` is the chaos hook for the one injury that must fire
-    *inside* the serialize phase: a
-    :data:`~repro.chaos.WORKER_CRASH_MID_WRITE` appends only a torn
-    prefix of the unit's events, fsyncs, and SIGKILLs the process —
-    the crash signature the supervisor's stream repair must survive.
+    seconds — the raw material of the per-worker overhead split in
+    ``worker_report``.
     """
     started = time.perf_counter()
     cpu_started = time.process_time()
@@ -366,20 +322,6 @@ def execute_unit(
     result = engine.run()
     compute_seconds = time.perf_counter() - started
     compute_cpu_seconds = time.process_time() - cpu_started
-    serialize_started = time.perf_counter()
-    events: Optional[List[Dict[str, Any]]] = None
-    if stream:
-        if fault is not None and fault.kind == WORKER_CRASH_MID_WRITE:
-            payload = events_to_jsonl(engine.trace.events)
-            with open(stream, "a", encoding="utf-8") as handle:
-                handle.write(torn_prefix(payload, fault.fraction))
-                handle.flush()
-                os.fsync(handle.fileno())
-            kill_self()
-        append_events(stream, engine.trace.events)
-    else:
-        events = engine.trace.events
-    serialize_seconds = time.perf_counter() - serialize_started
     return ShardResult(
         spec=spec,
         outcomes=result.outcomes,
@@ -393,12 +335,11 @@ def execute_unit(
         worker_pid=os.getpid(),
         compute_seconds=compute_seconds,
         compute_cpu_seconds=compute_cpu_seconds,
-        serialize_seconds=serialize_seconds,
         telemetry=(
             engine.metrics.snapshot(include_samples=True)
             if engine.metrics.enabled else None
         ),
-        events=events,
+        events=engine.trace.events,
     )
 
 
@@ -406,8 +347,7 @@ def run_in_process(specs: Iterable[ShardSpec]) -> List[ShardResult]:
     """The coordinator's loop: execute units here, in unit order.
 
     This is all of a ``workers=1`` run and the tail of a pooled run
-    that lost every worker.  Each result keeps its unit's events in
-    memory for the merge; nothing is written until the merged trace.
+    that lost every worker.
     """
     return [
         execute_unit(spec)
@@ -416,8 +356,12 @@ def run_in_process(specs: Iterable[ShardSpec]) -> List[ShardResult]:
 
 
 def _unit_result_to_wire(result: ShardResult) -> Dict[str, Any]:
-    """The JSON frame a worker sends for one finished unit."""
-    return {
+    """The JSON frame a worker sends for one finished unit.
+
+    A traced unit's events ride along as ``events``; an untraced
+    unit's frame has no such key.
+    """
+    frame = {
         "kind": "unit",
         "version": WIRE_VERSION,
         "worker": result.worker_index,
@@ -435,9 +379,11 @@ def _unit_result_to_wire(result: ShardResult) -> Dict[str, Any]:
         "campaign_attacked": result.campaign_attacked,
         "compute_seconds": result.compute_seconds,
         "compute_cpu_seconds": result.compute_cpu_seconds,
-        "serialize_seconds": result.serialize_seconds,
         "telemetry": result.telemetry,
     }
+    if result.spec.traced:
+        frame["events"] = result.events
+    return frame
 
 
 def _unit_result_from_wire(
@@ -470,14 +416,13 @@ def _unit_result_from_wire(
         worker_pid=message["pid"],
         compute_seconds=message["compute_seconds"],
         compute_cpu_seconds=message["compute_cpu_seconds"],
-        serialize_seconds=message["serialize_seconds"],
         telemetry=message.get("telemetry"),
+        events=message.get("events", []),
     )
 
 
 def _unit_worker_main(
     worker_index: int,
-    workers: int,
     host_names: Sequence[str],
     backend: Optional[str],
     table_cache_dir: Optional[str],
@@ -495,14 +440,13 @@ def _unit_worker_main(
        deterministic per-worker probe that cannot interleave with unit
        execution because it never touches the shared task queue;
     2. optionally stall (test hook for forcing adversarial schedules);
-    3. loop: pull ``(spec, trace_template)`` tasks from the shared
-       queue — this *is* the work stealing; whichever worker is idle
-       takes the next unit.  Each pull is announced with a ``lease``
-       frame *before* execution starts, so the coordinator always
-       knows which unit dies with a worker and must be requeued.  Then
-       execute, stream trace events to this worker's own JSONL file,
-       and send the result back as one pickle-free JSON frame.  A
-       ``None`` task is the shutdown sentinel.
+    3. loop: pull unit specs from the shared queue — this *is* the
+       work stealing; whichever worker is idle takes the next unit.
+       Each pull is announced with a ``lease`` frame *before*
+       execution starts, so the coordinator always knows which unit
+       dies with a worker and must be requeued.  Then execute and send
+       the result, trace events included, back as one pickle-free JSON
+       frame.  A ``None`` task is the shutdown sentinel.
 
     ``faults`` is this worker's share of a chaos plan
     (:meth:`repro.chaos.FaultPlan.for_worker`); the injector applies
@@ -525,10 +469,9 @@ def _unit_worker_main(
             time.sleep(stall_seconds)
         leases = 0
         while True:
-            task = tasks.get()
-            if task is None:
+            spec = tasks.get()
+            if spec is None:
                 break
-            spec, trace_template = task
             channel.send_bytes(encode_message({
                 "kind": "lease",
                 "version": WIRE_VERSION,
@@ -538,11 +481,7 @@ def _unit_worker_main(
             fault = injector.fault_for_unit(leases)
             leases += 1
             injector.apply_pre_execution(fault)
-            stream = (
-                worker_trace_path(trace_template, worker_index, workers)
-                if trace_template else None
-            )
-            result = execute_unit(spec, stream=stream, fault=fault)
+            result = execute_unit(spec)
             result.worker_index = worker_index
             injector.apply_post_execution(fault, channel)
             channel.send_bytes(encode_message(_unit_result_to_wire(result)))
@@ -588,16 +527,16 @@ class FleetWorkerPool:
     -----------
     The pool is supervised, not fail-fast.  Workers announce every unit
     they lease before executing it; when a worker process dies (EOF or
-    a torn frame on its channel), the coordinator joins it, repairs the
-    dead worker's trace stream (drops the torn final line and any
-    events the crashed unit already appended —
-    :func:`repro.sim.trace.sanitize_stream_file`), requeues the leased
-    unit, and respawns a replacement at the same index while the
-    ``respawn_budget`` (default: one per worker) lasts.  Budget spent,
-    the pool degrades to the surviving workers; with *no* survivors the
-    coordinator executes the remaining units itself.  Units carry their
-    substream identity, so a re-executed unit is bit-identical to the
-    first attempt by construction — crashes cost wall time, never bits.
+    a torn frame on its channel), the coordinator joins it, requeues
+    the leased unit, and respawns a replacement at the same index while
+    the ``respawn_budget`` (default: one per worker) lasts.  A unit's
+    trace events travel in its result frame, so a death leaves nothing
+    to repair: the lost attempt never reached the coordinator.  Budget
+    spent, the pool degrades to the surviving workers; with *no*
+    survivors the coordinator executes the remaining units itself.
+    Units carry their substream identity, so a re-executed unit is
+    bit-identical to the first attempt by construction — crashes cost
+    wall time, never bits.
     Deterministic Python exceptions inside a unit still raise (an
     ``error`` frame): those reproduce on retry, so retrying them would
     loop, not heal.
@@ -652,7 +591,6 @@ class FleetWorkerPool:
         self._respawns = 0
         self._degraded_units = 0
         self._leases_observed = 0
-        self._trace_losses: Dict[str, int] = {}
         self._closed = False
         for index in range(workers):
             self._spawn_worker(index, initial=True)
@@ -682,7 +620,7 @@ class FleetWorkerPool:
         receiver, sender = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_unit_worker_main,
-            args=(index, self.workers, self._host_names, self.backend,
+            args=(index, self._host_names, self.backend,
                   self.table_cache_dir, self._tasks, sender, stall, faults),
             daemon=True,
             name="fleet-worker-%d" % index,
@@ -754,18 +692,13 @@ class FleetWorkerPool:
         return units
 
     def _service_deaths(
-        self,
-        outstanding: Optional[Dict[int, ShardSpec]] = None,
-        trace_path: Optional[str] = None,
+        self, outstanding: Optional[Dict[int, ShardSpec]] = None
     ) -> None:
         """Supervise every death :meth:`_receive` has detected.
 
-        For each dead worker: join it for the exitcode, repair its
-        trace stream and requeue the unit it held a lease on (if any),
-        and respawn a replacement at the same index while the budget
-        lasts.  The repair must precede both the requeue and the
-        respawn — the re-executed unit and the replacement worker
-        append to the very bytes being scrubbed.
+        For each dead worker: join it for the exitcode, requeue the unit
+        it held a lease on (if any), and respawn a replacement at the
+        same index while the budget lasts.
         """
         while self._pending_deaths:
             index = self._pending_deaths.pop(0)
@@ -779,42 +712,16 @@ class FleetWorkerPool:
                 "leased_unit": leased,
                 "requeued": False,
                 "respawned": False,
-                "trace_repair": None,
             }
             if (leased is not None and outstanding is not None
                     and leased in outstanding):
-                spec = outstanding[leased]
-                if trace_path:
-                    stream = worker_trace_path(
-                        trace_path, index, self.workers
-                    )
-                    crash["trace_repair"] = sanitize_stream_file(
-                        stream,
-                        drop_journeys=[
-                            journey_id_for_index(i)
-                            for i in range(spec.agent_start, spec.agent_stop)
-                        ],
-                    )
-                self._tasks.put((spec, trace_path))
+                self._tasks.put(outstanding[leased])
                 crash["requeued"] = True
             if self._respawns < self.respawn_budget:
                 self._respawns += 1
                 self._spawn_worker(index, initial=False)
                 crash["respawned"] = True
             self._crashes.append(crash)
-
-    def note_trace_losses(self, losses: Dict[str, int]) -> None:
-        """Record merge-time torn-tail drops against this pool.
-
-        :func:`run_fleet` merges the per-worker trace streams after
-        ``run_units`` returns and reports any dropped tail lines here,
-        so :meth:`supervision_report` of a persistent pool carries the
-        full loss record, not just the crash record.
-        """
-        for path, count in losses.items():
-            self._trace_losses[path] = (
-                self._trace_losses.get(path, 0) + int(count)
-            )
 
     def supervision_report(self) -> Dict[str, Any]:
         """Everything the pool has survived so far."""
@@ -824,7 +731,6 @@ class FleetWorkerPool:
             "crashes": [dict(crash) for crash in self._crashes],
             "degraded_units": self._degraded_units,
             "leases": self._leases_observed,
-            "trace_losses": dict(self._trace_losses),
         }
 
     def _collect_warm_states(self, timeout: float) -> None:
@@ -852,27 +758,22 @@ class FleetWorkerPool:
     # -- scheduling -------------------------------------------------------------
 
     def run_units(
-        self,
-        specs: Sequence[ShardSpec],
-        trace_path: Optional[str] = None,
+        self, specs: Sequence[ShardSpec]
     ) -> Tuple[List[ShardResult], Dict[str, Any]]:
         """Execute units across the pool via the shared task queue.
 
         Every spec goes onto the queue at once; workers pull (steal)
         whatever is next as they go idle.  Blocks until all results are
-        back and returns them (schedule order) together with the
-        scheduling report: per-worker units / journeys /
-        warmup-compute-serialize split, the supervision record
-        (crashes survived, respawns, degraded units), and — when
-        ``trace_path`` is set — the trace stream files the caller must
-        merge (units the coordinator finished itself carry their events
-        in memory instead).
+        back and returns them (schedule order), trace events included,
+        together with the scheduling report: per-worker units /
+        journeys / warmup-compute split and the supervision record
+        (crashes survived, respawns, degraded units).
 
         Worker deaths do not fail the run: leased units are requeued
-        (after stream repair) and workers respawned while the budget
-        lasts; if every worker is gone and the budget is spent, the
-        coordinator finishes the remaining units in-process.  The
-        returned results are bit-identical to a crash-free run.
+        and workers respawned while the budget lasts; if every worker
+        is gone and the budget is spent, the coordinator finishes the
+        remaining units in-process.  The returned results are
+        bit-identical to a crash-free run.
         """
         if self._closed:
             raise ConfigurationError("worker pool is closed")
@@ -883,17 +784,8 @@ class FleetWorkerPool:
                     "duplicate unit index %d" % spec.shard_index
                 )
             by_index[spec.shard_index] = spec
-        trace_files: List[str] = []
-        if trace_path:
-            # Truncate the streams up front: workers append per unit,
-            # and a reused pool must not leak a previous run's events.
-            for index in range(self.workers):
-                stream = worker_trace_path(trace_path, index, self.workers)
-                with open(stream, "w", encoding="utf-8"):
-                    pass
-                trace_files.append(stream)
         for spec in specs:
-            self._tasks.put((spec, trace_path))
+            self._tasks.put(spec)
         outstanding: Dict[int, ShardSpec] = dict(by_index)
         results: List[ShardResult] = []
         while outstanding:
@@ -909,7 +801,7 @@ class FleetWorkerPool:
                 results.extend(leftover)
                 break
             frames = self._receive(timeout=_POLL_SECONDS)
-            self._service_deaths(outstanding, trace_path)
+            self._service_deaths(outstanding)
             for frame in frames:
                 spec = by_index.get(frame.get("shard_index"))
                 if spec is None:
@@ -931,7 +823,6 @@ class FleetWorkerPool:
             "workers": _per_worker_report(
                 results, self.workers, self._warm_states
             ),
-            "trace_files": trace_files,
             "supervision": self.supervision_report(),
         }
         return results, report
@@ -1045,9 +936,6 @@ def _per_worker_report(
             "compute_cpu_seconds": round(
                 sum(r.compute_cpu_seconds for r in mine), 6
             ),
-            "serialize_seconds": round(
-                sum(r.serialize_seconds for r in mine), 6
-            ),
         })
     return report
 
@@ -1153,27 +1041,11 @@ def merge_shard_results(
 def _write_merged_trace(
     config: FleetConfig,
     trace_path: str,
-    stream_files: Sequence[str],
-    unit_events: Sequence[List[Dict[str, Any]]] = (),
-) -> Dict[str, int]:
-    """Write the canonical merged trace: one header, then every event.
-
-    ``stream_files`` are pool workers' JSONL streams, read tolerantly;
-    ``unit_events`` are the in-memory event lists of units the
-    coordinator ran itself.  The file is written once, straight from
-    the merged event list.  Returns the torn-tail losses the tolerant
-    read absorbed (stream path → dropped line count) so callers can
-    surface them in the run's ``worker_report`` instead of losing
-    events silently.
-    """
-    losses: Dict[str, int] = {}
-    streams = list(unit_events)
-    if stream_files:
-        streams.append(merge_trace_files(stream_files, losses=losses))
+    unit_events: Iterable[List[Dict[str, Any]]],
+) -> None:
+    """Write the canonical merged trace: one header, then every event."""
     header = {"event": "fleet", "config": config.to_canonical()}
-    with open(trace_path, "w", encoding="utf-8") as handle:
-        handle.write(events_to_jsonl([header, *merge_shard_events(streams)]))
-    return losses
+    TraceWriter([header, *merge_shard_events(unit_events)]).write(trace_path)
 
 
 def _merged_telemetry(
@@ -1211,8 +1083,6 @@ def _merged_telemetry(
         registry.counter("pool.degraded_units").inc(
             int(supervision.get("degraded_units") or 0)
         )
-    for path, count in (report.get("trace_losses") or {}).items():
-        registry.counter("trace.torn_tail_lines_dropped").inc(int(count))
     return registry.snapshot()
 
 
@@ -1229,9 +1099,7 @@ def run_fleet(
     ----------
     config:
         The fleet description.  ``config.trace_path`` (if set) receives
-        the merged JSONL trace; pooled runs stream per-worker files next
-        to it while they run and delete them once the merge is written
-        (a failed merge leaves them for inspection).
+        the merged JSONL trace, the only file the run writes.
     workers:
         Worker processes to use.  ``1`` (or a one-unit plan) runs every
         unit through the coordinator's in-process loop,
@@ -1273,7 +1141,6 @@ def run_fleet(
             "mode": "in-process",
             "workers": _per_worker_report(shard_results, 0, {}),
         }
-        streams: List[str] = []
     else:
         active = pool
         own_pool: Optional[FleetWorkerPool] = None
@@ -1283,35 +1150,21 @@ def run_fleet(
             )
             active = own_pool
         try:
-            shard_results, report = active.run_units(
-                specs, trace_path=config.trace_path
-            )
+            shard_results, report = active.run_units(specs)
         finally:
             if own_pool is not None:
                 own_pool.close()
-        streams = report.pop("trace_files")
 
     merge_started = time.perf_counter()
     merged = merge_shard_results(
         config, shard_results, wall_seconds=time.perf_counter() - started
     )
-    losses: Dict[str, int] = {}
     if config.trace_path:
-        losses = _write_merged_trace(
-            config, config.trace_path, streams,
-            [r.events for r in shard_results if r.events is not None],
+        _write_merged_trace(
+            config, config.trace_path, [r.events for r in shard_results]
         )
-        for stream in streams:
-            os.remove(stream)
     report["merge_seconds"] = round(time.perf_counter() - merge_started, 6)
     report["num_units"] = len(specs)
-    report["trace_losses"] = losses
-    if losses:
-        supervision = report.get("supervision")
-        if supervision is not None:
-            supervision["trace_losses"] = dict(losses)
-        if pool is not None:
-            pool.note_trace_losses(losses)
     report["telemetry"] = _merged_telemetry(shard_results, report)
     merged.worker_report = report
     return merged

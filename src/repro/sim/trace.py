@@ -58,7 +58,6 @@ __all__ = [
     "merge_shard_events",
     "merge_trace_files",
     "read_trace",
-    "sanitize_stream_file",
     "journey_events",
     "execution_log_at",
 ]
@@ -100,10 +99,8 @@ def merge_shard_events(
 def events_to_jsonl(events: Iterable[Dict[str, Any]]) -> str:
     """Serialize events as JSONL (sorted keys, stable floats).
 
-    The single serialization routine every trace file goes through —
-    :class:`TraceWriter`, the per-worker event streams of the
-    work-stealing scheduler, and the shard merger all produce the same
-    bytes for the same events.
+    The single serialization routine every trace file goes through, so
+    the same events give the same bytes whoever writes them.
     """
     # ``json.dumps`` runs the C encoder; ``json.dump`` streams through
     # the pure-Python one.  Both give the same text.
@@ -114,14 +111,11 @@ def events_to_jsonl(events: Iterable[Dict[str, Any]]) -> str:
 
 
 def append_events(path: str, events: Iterable[Dict[str, Any]]) -> None:
-    """Append events to a JSONL stream file.
+    """Append events to a JSONL file.
 
-    Used by pool workers to stream each finished unit's events into
-    their per-worker file: serialization happens in the worker (off the
-    coordinator's critical path) and the events never cross the result
-    channel.  The coordinator truncates the stream files before
-    dispatching a run, so appends from consecutive units of the same
-    run accumulate and runs never bleed into each other.
+    The package itself never calls this (a fleet run writes its trace
+    once, through :meth:`TraceWriter.write`); it stays public because
+    ``perfbench/tracer.py`` names it.
     """
     payload = events_to_jsonl(events)
     with open(path, "a", encoding="utf-8") as handle:
@@ -131,23 +125,15 @@ def append_events(path: str, events: Iterable[Dict[str, Any]]) -> None:
 def merge_trace_files(
     paths: Iterable[str],
     tolerate_truncated_tail: bool = True,
-    losses: Optional[Dict[str, int]] = None,
 ) -> List[Dict[str, Any]]:
-    """Merge per-worker JSONL stream files into one canonical event list.
+    """Merge JSONL event files into one canonical event list.
 
-    Reads each file (missing files count as empty streams — a worker
-    that never got a traced unit leaves its stream file empty or
-    absent) and folds them through :func:`merge_shard_events`.  The
-    result is independent of file order: units own disjoint journey-id
-    sets, so the canonical key never ties across files.
-
-    Per-worker streams are appended to by processes that can be killed
-    mid-write, so by default a torn *final* line in a file is dropped
-    rather than fatal; every complete event before it is recovered.
-    Pass a ``losses`` dictionary to learn which files lost a tail
-    (path → dropped line count) — merging never hides a loss, it
-    reports it.  Malformed lines anywhere but the tail still raise:
-    those are corruption, not a crash signature.
+    Reads each file (missing files count as empty) and folds them
+    through :func:`merge_shard_events`.  The result is independent of
+    file order as long as the files own disjoint journey-id sets.  By
+    default a torn *final* line in a file is dropped rather than fatal
+    (:func:`_read_events_tolerant`); malformed lines anywhere else
+    still raise.
     """
     import os
 
@@ -156,9 +142,7 @@ def merge_trace_files(
         if not os.path.exists(path):
             continue
         if tolerate_truncated_tail:
-            events, truncated = _read_events_tolerant(path)
-            if truncated and losses is not None:
-                losses[path] = truncated
+            events, _ = _read_events_tolerant(path)
         else:
             events = read_trace(path)
         streams.append(events)
@@ -170,11 +154,13 @@ class TraceWriter:
 
     Events are kept in memory (a fleet run is a few thousand small
     dictionaries) and written out in one pass so a crashed run never
-    leaves a half-written line behind.
+    leaves a half-written line behind.  ``events`` seeds the writer
+    with an already-built list — the merged trace of a multi-unit run
+    is written that way, without re-emitting each event.
     """
 
-    def __init__(self) -> None:
-        self._events: List[Dict[str, Any]] = []
+    def __init__(self, events: Iterable[Dict[str, Any]] = ()) -> None:
+        self._events: List[Dict[str, Any]] = list(events)
 
     def emit(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Record one event; ``kind`` becomes the ``event`` field."""
@@ -221,14 +207,16 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
 
 
 def _read_events_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Read a JSONL stream, tolerating a torn final line.
+    """Read a JSONL file, tolerating a torn final line.
 
-    A process killed mid-append leaves the last line incomplete (or,
-    at worst, complete-but-undecodable).  Everything before it is
-    intact — appends are sequential — so the tolerant reader recovers
-    every complete event and reports how many tail lines it dropped
-    (0 or 1).  An undecodable line that is *not* the last one means the
-    file is corrupt, not crash-torn, and still raises.
+    ``python -m repro.trace`` reads traces through this, so a trace cut
+    short by a crash still opens.  A process killed mid-write leaves
+    the last line incomplete (or, at worst,
+    complete-but-undecodable).  Everything before it is intact — writes
+    are sequential — so the tolerant reader recovers every complete
+    event and reports how many tail lines it dropped (0 or 1).  An
+    undecodable line that is *not* the last one means the file is
+    corrupt, not crash-torn, and still raises.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -242,39 +230,6 @@ def _read_events_tolerant(path: str) -> Tuple[List[Dict[str, Any]], int]:
                 return events, 1
             raise
     return events, 0
-
-
-def sanitize_stream_file(
-    path: str, drop_journeys: Iterable[str] = ()
-) -> Dict[str, int]:
-    """Scrub a per-worker stream after its worker crashed.
-
-    Drops a torn final line (the append the crash interrupted) and every
-    event belonging to ``drop_journeys`` — the journeys of the unit the
-    dead worker held a lease on.  That unit will be re-executed
-    elsewhere and append its events again; leaving the partial first
-    attempt in place would duplicate them in the merge.  The file is
-    rewritten in place.  Returns counters (``events_kept``,
-    ``events_dropped``, ``lines_truncated``) for the supervision
-    report.
-    """
-    import os
-
-    if not os.path.exists(path):
-        return {"events_kept": 0, "events_dropped": 0, "lines_truncated": 0}
-    events, truncated = _read_events_tolerant(path)
-    drop = set(drop_journeys)
-    kept = [
-        event for event in events
-        if str(event.get("journey", "")) not in drop
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(events_to_jsonl(kept))
-    return {
-        "events_kept": len(kept),
-        "events_dropped": len(events) - len(kept),
-        "lines_truncated": truncated,
-    }
 
 
 def attack_events(events: Iterable[Dict[str, Any]]

@@ -55,7 +55,7 @@ def load_trace(path: str, strict: bool = False) -> List[Dict[str, Any]]:
     """Read a JSONL trace file into its event list.
 
     The default is the tolerant reader (a torn final line — the
-    signature of a worker killed mid-append — is dropped); ``strict``
+    signature of a process killed mid-write — is dropped); ``strict``
     raises on any undecodable line instead.
     """
     if strict:

@@ -4,7 +4,7 @@ Fast unit tests only — no worker processes die here.  The end-to-end
 survival properties (a SIGKILLed worker's run stays byte-identical)
 live in ``tests/sim/test_supervision.py``; this file pins down the
 deterministic *description* of the injuries: same seed, same plan,
-same torn bytes, on every machine.
+on every machine.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from repro.chaos import (
     SLOW_FRAME,
     TABLE_CACHE_CORRUPTION,
     WORKER_CRASH,
-    WORKER_CRASH_MID_WRITE,
     WORKER_FAULT_KINDS,
     WORKER_STALL,
     Fault,
     FaultInjector,
     FaultPlan,
     corrupt_table_cache,
-    torn_prefix,
 )
 from repro.exceptions import ConfigurationError
 
@@ -48,14 +46,6 @@ class TestFaultValidation:
         with pytest.raises(ConfigurationError):
             Fault(kind=WORKER_STALL, worker=0, seconds=-0.1).validate()
 
-    def test_tear_fraction_must_be_a_proper_fraction(self):
-        for fraction in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ConfigurationError):
-                Fault(kind=WORKER_CRASH_MID_WRITE, worker=0,
-                      fraction=fraction).validate()
-        Fault(kind=WORKER_CRASH_MID_WRITE, worker=0,
-              fraction=0.5).validate()
-
     def test_lethality_classification(self):
         assert set(LETHAL_FAULT_KINDS) <= set(FAULT_KINDS)
         assert Fault(kind=WORKER_CRASH, worker=0).lethal
@@ -64,11 +54,11 @@ class TestFaultValidation:
         assert not Fault(kind=SLOW_FRAME, worker=0).lethal
 
     def test_describe_carries_only_the_relevant_knobs(self):
-        entry = Fault(kind=WORKER_CRASH_MID_WRITE, worker=1, at_unit=2,
-                      fraction=0.25).describe()
+        entry = Fault(kind=WORKER_STALL, worker=1, at_unit=2,
+                      seconds=0.25).describe()
         assert entry == {
-            "kind": WORKER_CRASH_MID_WRITE, "worker": 1, "at_unit": 2,
-            "fraction": 0.25,
+            "kind": WORKER_STALL, "worker": 1, "at_unit": 2,
+            "seconds": 0.25,
         }
         entry = Fault(kind=BACKEND_SIGKILL, backend=2,
                       seconds=0.5).describe()
@@ -134,20 +124,6 @@ class TestFaultInjector:
         assert injector.fault_for_unit(1) is None
         assert injector.fault_for_unit(2) is crash
         assert injector.fault_for_unit(3) is None
-
-
-class TestTornPrefix:
-    def test_cut_point_is_deterministic_and_proper(self):
-        payload = b'{"event":"hop","journey":"j00001"}\n' * 4
-        torn = torn_prefix(payload, 0.5)
-        assert torn == torn_prefix(payload, 0.5)
-        assert 0 < len(torn) < len(payload)
-        assert payload.startswith(torn)
-
-    def test_extremes_still_tear_strictly_inside(self):
-        payload = b"ab"
-        assert torn_prefix(payload, 0.01) == b"a"
-        assert torn_prefix(payload, 0.99) == b"a"
 
 
 class TestTableCacheCorruption:

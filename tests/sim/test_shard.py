@@ -117,9 +117,8 @@ class TestShardDeterminism:
         assert merged.shards is not None and len(merged.shards) == 3
 
     def test_traced_run_writes_one_file(self, tmp_path):
-        # In-process units (workers=1, one unit or several) never touch
-        # the disk before the merge; pooled runs delete their
-        # per-worker streams once the merged trace is written.
+        # No unit touches the disk: pooled units send their events in
+        # their result frames, in-process units keep them in memory.
         for workers, unit_size in ((1, 24), (1, 7), (2, None)):
             workdir = tmp_path / ("w%d-u%s" % (workers, unit_size))
             workdir.mkdir()
@@ -133,7 +132,6 @@ class TestShardDeterminism:
     def test_in_process_run_serializes_its_trace_once(
         self, tmp_path, monkeypatch, single_process
     ):
-        import repro.sim.shard as shard_module
         import repro.sim.trace as trace_module
 
         _, plain_trace = single_process
@@ -144,12 +142,21 @@ class TestShardDeterminism:
             calls.append(1)
             return real(events)
 
-        # Every trace serialization goes through this one routine.
+        writes = []
+        real_write = trace_module.TraceWriter.write
+
+        def counting_write(writer, path, canonical_order=False):
+            writes.append(path)
+            return real_write(writer, path, canonical_order)
+
+        # Every trace serialization goes through this one routine, and
+        # the merged trace is written by the one trace writer.
         monkeypatch.setattr(trace_module, "events_to_jsonl", counting)
-        monkeypatch.setattr(shard_module, "events_to_jsonl", counting)
+        monkeypatch.setattr(trace_module.TraceWriter, "write", counting_write)
         path = str(tmp_path / "fleet.jsonl")
         run_fleet(_config(trace_path=path), workers=1, unit_size=7)
         assert len(calls) == 1
+        assert writes == [path]
         with open(path, "rb") as handle:
             assert handle.read() == plain_trace
 
@@ -287,53 +294,8 @@ class TestPlanUnits:
 
 
 class TestObservabilityPlumbing:
-    """Satellite: merge-time trace losses must surface in
-    ``worker_report`` / ``supervision_report()`` instead of vanishing,
-    and per-unit telemetry snapshots must fold into one fleet-wide
-    block on the merged result."""
-
-    def test_clean_run_reports_empty_trace_losses(self, tmp_path):
-        path = str(tmp_path / "fleet.jsonl")
-        result = run_fleet(_config(trace_path=path), workers=2, unit_size=6)
-        report = result.worker_report
-        assert report["trace_losses"] == {}
-        assert report["supervision"]["trace_losses"] == {}
-
-    def test_merged_trace_write_reports_torn_tail_losses(self, tmp_path):
-        import json
-
-        from repro.sim.shard import _write_merged_trace
-
-        intact = tmp_path / "w0.jsonl"
-        intact.write_text(
-            json.dumps({"event": "hop", "ts": 1.0, "journey": "j00000"})
-            + "\n",
-            encoding="utf-8",
-        )
-        torn = tmp_path / "w1.jsonl"
-        torn.write_text(
-            json.dumps({"event": "hop", "ts": 2.0, "journey": "j00001"})
-            + "\n" + '{"event": "set',  # the interrupted append
-            encoding="utf-8",
-        )
-        merged = str(tmp_path / "merged.jsonl")
-        losses = _write_merged_trace(_config(), merged, [str(intact),
-                                                         str(torn)])
-        assert losses == {str(torn): 1}
-        from repro.sim import read_trace
-
-        events = read_trace(merged)
-        assert events[0]["event"] == "fleet"
-        assert [e.get("journey") for e in events[1:]] == ["j00000", "j00001"]
-
-    def test_note_trace_losses_accumulates_into_supervision_report(self):
-        with FleetWorkerPool(1) as pool:
-            pool.note_trace_losses({"/tmp/w0.jsonl": 1})
-            pool.note_trace_losses({"/tmp/w0.jsonl": 2, "/tmp/w1.jsonl": 1})
-            report = pool.supervision_report()
-        assert report["trace_losses"] == {
-            "/tmp/w0.jsonl": 3, "/tmp/w1.jsonl": 1,
-        }
+    """Per-unit telemetry snapshots must fold into one fleet-wide block
+    on the merged result."""
 
     def test_worker_report_carries_merged_telemetry(self):
         from repro.obs import TELEMETRY_SCHEMA

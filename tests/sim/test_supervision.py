@@ -5,17 +5,22 @@ SIGKILLed mid-run by a seeded ``FaultPlan`` produces the *same
 deterministic signature and the same merged trace bytes* as the
 fault-free single-process run — across both recovery paths (respawn
 a replacement worker; budget exhausted, coordinator degrades and
-finishes the queue itself).
+finishes the queue itself).  A unit's trace events travel in its
+result frame, so no chaotic run leaves anything but the trace file on
+disk.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.chaos import (
     CHANNEL_TRUNCATION,
+    SLOW_FRAME,
     WORKER_CRASH,
-    WORKER_CRASH_MID_WRITE,
+    WORKER_STALL,
     Fault,
     FaultPlan,
 )
@@ -94,6 +99,8 @@ def _chaotic_run(tmp_path, plan, respawn_budget=None):
         supervision = pool.supervision_report()
     with open(path, "rb") as handle:
         trace = handle.read()
+    # Nothing but the trace: no per-worker file, repaired or not.
+    assert os.listdir(str(tmp_path)) == ["chaotic.jsonl"]
     return result, trace, supervision
 
 
@@ -116,26 +123,6 @@ class TestCrashRecoveryBitIdentity:
         assert supervision["respawns"] == 1
         assert supervision["degraded_units"] == 0
 
-    def test_mid_write_crash_leaves_a_repaired_stream(
-        self, tmp_path, reference
-    ):
-        """The nastiest injury: die *while* flushing a torn trace line.
-        Supervision must scrub the stream before requeueing, so the
-        re-executed unit appends to clean bytes."""
-        signature, trace = reference
-        plan = FaultPlan(faults=(
-            Fault(kind=WORKER_CRASH_MID_WRITE, worker=1, at_unit=0,
-                  fraction=0.5),
-        ))
-        result, chaotic_trace, supervision = _chaotic_run(tmp_path, plan)
-        assert result.deterministic_signature() == signature
-        assert chaotic_trace == trace
-        repair = supervision["crashes"][0]["trace_repair"]
-        assert repair is not None
-        # The torn final line and the dead unit's partial journeys are
-        # both gone from the stream the replacement appends to.
-        assert repair["lines_truncated"] + repair["events_dropped"] > 0
-
     def test_channel_truncation_is_survived(self, tmp_path, reference):
         signature, trace = reference
         plan = FaultPlan(faults=(
@@ -145,6 +132,17 @@ class TestCrashRecoveryBitIdentity:
         assert result.deterministic_signature() == signature
         assert chaotic_trace == trace
         assert len(supervision["crashes"]) == 1
+
+    @pytest.mark.parametrize("kind", [WORKER_STALL, SLOW_FRAME])
+    def test_non_lethal_faults_cost_no_bits(self, tmp_path, reference, kind):
+        signature, trace = reference
+        plan = FaultPlan(faults=(
+            Fault(kind=kind, worker=0, at_unit=0, seconds=0.05),
+        ))
+        result, chaotic_trace, supervision = _chaotic_run(tmp_path, plan)
+        assert result.deterministic_signature() == signature
+        assert chaotic_trace == trace
+        assert supervision["crashes"] == []
 
     def test_generated_plans_are_survivable(self, tmp_path, reference):
         """Property over seeds: whatever injuries ``generate`` deals,

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import FleetConfig, execute_unit, split_fleet
-from repro.sim.shard import _unit_result_from_wire, _unit_result_to_wire
+from repro.sim import FleetConfig, execute_unit, run_fleet, split_fleet
+from repro.sim.shard import (
+    _unit_result_from_wire,
+    _unit_result_to_wire,
+    _write_merged_trace,
+)
 from repro.sim.wire import (
     WIRE_VERSION,
     decode_message,
@@ -82,6 +86,33 @@ class TestFrameCodec:
         assert clone.events_processed == result.events_processed
         assert clone.verifier_stats == result.verifier_stats
         assert clone.compute_cpu_seconds == result.compute_cpu_seconds
+
+    def test_untraced_frame_carries_no_events(self, unit_result):
+        _spec, result = unit_result
+        assert "events" not in _unit_result_to_wire(result)
+
+    def test_traced_frames_carry_events_the_merge_writes_unchanged(
+        self, tmp_path
+    ):
+        """A traced unit's events ride its frame; the trace merged from
+        decoded frames is byte-identical to the in-process one."""
+        path = str(tmp_path / "fleet.jsonl")
+        config = _config(trace_path=path)
+        run_fleet(config, workers=1)
+        with open(path, "rb") as handle:
+            in_process = handle.read()
+        clones = []
+        for spec in split_fleet(config, 3):
+            result = execute_unit(spec)
+            frame = decode_message(
+                encode_message(_unit_result_to_wire(result))
+            )
+            assert frame["events"] == result.events
+            clones.append(_unit_result_from_wire(frame, spec))
+        merged = str(tmp_path / "from-frames.jsonl")
+        _write_merged_trace(config, merged, [c.events for c in clones])
+        with open(merged, "rb") as handle:
+            assert handle.read() == in_process
 
     def test_frame_for_the_wrong_spec_is_rejected(self, unit_result):
         spec, result = unit_result
