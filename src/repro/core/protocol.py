@@ -45,9 +45,8 @@ from repro.core.checkers.base import Checker, CheckContext
 from repro.core.checkers.reexecution import ReExecutionChecker
 from repro.core.reference_data import ReferenceDataSet
 from repro.core.verdict import CheckResult, Verdict, VerdictStatus
-from repro.crypto.canonical import canonical_equal
-from repro.crypto.dsa import DSASignature
-from repro.crypto.signing import SignedEnvelope
+from repro.crypto.canonical import CanonicalSpan, canonical_decode
+from repro.crypto.signing import SignedEnvelope, SignedStatement
 from repro.platform.host import Host
 from repro.platform.registry import ProtectionMechanism
 from repro.platform.session import SessionRecord
@@ -130,13 +129,13 @@ class ReferenceStateProtocol(ProtectionMechanism):
         # next host hashes what actually arrived and compares — without
         # re-encoding the whole state into the protocol payload (the
         # dominant per-hop cost of protocol version 1).
-        resulting_envelope = host.sign({
+        resulting_envelope = host.sign_statement({
             "agent_id": record.agent_id,
             "hop_index": hop_index,
             "role": "resulting-state",
             "state_digest": record.resulting_state.digest().hex(),
         })
-        input_envelope = host.sign({
+        input_envelope = host.sign_statement({
             "agent_id": record.agent_id,
             "hop_index": hop_index,
             "role": "session-input",
@@ -151,8 +150,8 @@ class ReferenceStateProtocol(ProtectionMechanism):
             "owner": record.owner,
             "trusted": host.trusted,
             "initial_commitment": data.pop("pending_initial_commitment", None),
-            "resulting_envelope": resulting_envelope.to_canonical(),
-            "input_envelope": input_envelope.to_canonical(),
+            "resulting_envelope": resulting_envelope,
+            "input_envelope": input_envelope,
         }
         return data
 
@@ -227,7 +226,11 @@ class ReferenceStateProtocol(ProtectionMechanism):
         itinerary: Itinerary,
         protocol_data: Optional[Dict[str, Any]],
     ) -> List[Verdict]:
-        history = (protocol_data or {}).get("verdict_history", [])
+        history = [
+            canonical_decode(entry.data) if type(entry) is CanonicalSpan
+            else entry
+            for entry in (protocol_data or {}).get("verdict_history", [])
+        ]
         attacks = [
             entry for entry in history
             if entry.get("verdict", {}).get("status") == VerdictStatus.ATTACK_DETECTED.value
@@ -287,11 +290,10 @@ class ReferenceStateProtocol(ProtectionMechanism):
             "role": "initial-state",
             "state_digest": state.digest().hex(),
         }
-        receiver_envelope = receiver.sign(payload)
         return {
             "payload": payload,
             "state": state,
-            "receiver_signature": receiver_envelope.to_canonical(),
+            "receiver_signature": receiver.sign_statement(payload),
             "sender_envelope": sender_envelope,
         }
 
@@ -455,11 +457,8 @@ class ReferenceStateProtocol(ProtectionMechanism):
             ))
             return None
         try:
-            envelope = SignedEnvelope(
-                payload=envelope_data["payload"],
-                signer=envelope_data["signer"],
-                signature=DSASignature.from_canonical(envelope_data["signature"]),
-            )
+            envelope = SignedStatement.from_canonical(envelope_data)
+            payload = envelope.payload()
         except Exception:
             results.append(CheckResult(
                 checker=checker_name,
@@ -467,7 +466,8 @@ class ReferenceStateProtocol(ProtectionMechanism):
                 details={"reason": "the %s commitment is malformed" % role},
             ))
             return None
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
+        if not isinstance(payload, dict):
+            payload = {}
         if payload.get("role") != role:
             results.append(CheckResult(
                 checker=checker_name,
@@ -519,11 +519,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
             ))
             return None
         try:
-            receiver_envelope = SignedEnvelope(
-                payload=receiver_data["payload"],
-                signer=receiver_data["signer"],
-                signature=DSASignature.from_canonical(receiver_data["signature"]),
-            )
+            receiver_envelope = SignedStatement.from_canonical(receiver_data)
         except Exception:
             results.append(CheckResult(
                 checker=checker_name,
@@ -538,7 +534,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
                 details={"reason": "the receiver signature on the initial state does not verify"},
             ))
             return None
-        if not canonical_equal(receiver_envelope.payload, payload):
+        if receiver_envelope.body != CanonicalSpan.of(payload):
             results.append(CheckResult(
                 checker=checker_name,
                 status=VerdictStatus.ATTACK_DETECTED,
@@ -579,13 +575,10 @@ class ReferenceStateProtocol(ProtectionMechanism):
         sender_envelope_data = commitment.get("sender_envelope")
         if sender_envelope_data:
             try:
-                sender_envelope = SignedEnvelope(
-                    payload=sender_envelope_data["payload"],
-                    signer=sender_envelope_data["signer"],
-                    signature=DSASignature.from_canonical(
-                        sender_envelope_data["signature"]
-                    ),
+                sender_envelope = SignedStatement.from_canonical(
+                    sender_envelope_data
                 )
+                sender_payload = sender_envelope.payload()
             except Exception:
                 results.append(CheckResult(
                     checker=checker_name,
@@ -600,10 +593,8 @@ class ReferenceStateProtocol(ProtectionMechanism):
                     details={"reason": "the sender signature on the initial state does not verify"},
                 ))
                 return None
-            sender_payload = (
-                sender_envelope.payload
-                if isinstance(sender_envelope.payload, dict) else {}
-            )
+            if not isinstance(sender_payload, dict):
+                sender_payload = {}
             if sender_payload.get("state_digest") != committed_digest:
                 results.append(CheckResult(
                     checker=checker_name,
@@ -645,13 +636,16 @@ class ReferenceStateProtocol(ProtectionMechanism):
 
     def _append_verdict(self, host: Host, data: Dict[str, Any],
                         verdict: Verdict) -> None:
-        """Append a host-signed verdict to the travelling history."""
-        envelope = host.sign(verdict.to_canonical())
-        data.setdefault("verdict_history", []).append({
-            "verdict": verdict.to_canonical(),
-            "signer": envelope.signer,
-            "signature": envelope.signature.to_canonical(),
-        })
+        """Append a host-signed verdict to the travelling history.
+
+        The entry is encoded once, here, and travels as those bytes.
+        """
+        statement = host.sign_statement(verdict.to_canonical())
+        data.setdefault("verdict_history", []).append(CanonicalSpan.of({
+            "verdict": statement.body,
+            "signer": statement.signer,
+            "signature": statement.signature.to_canonical(),
+        }))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ substrate for the reproduction, implemented from scratch:
 * :mod:`repro.crypto.batch` — verification queues and memo caches that
   amortize signature cost across fleet-scale simulation runs,
 * :mod:`repro.crypto.keys` — identities and key stores,
-* :mod:`repro.crypto.signing` — signed and counter-signed envelopes,
+* :mod:`repro.crypto.signing` — signed envelopes and statements,
 * :mod:`repro.crypto.certificates` — a minimal CA / trust-anchor model.
 """
 
@@ -80,9 +80,9 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.keys import Identity, IdentityRing, KeyStore, derive_seed
 from repro.crypto.signing import (
-    MultiSignedEnvelope,
     RecoverableEnvelope,
     SignedEnvelope,
+    SignedStatement,
     Signer,
 )
 from repro.crypto.tablecache import (
@@ -152,8 +152,8 @@ __all__ = [
     "IdentityRing",
     "KeyStore",
     "derive_seed",
-    "MultiSignedEnvelope",
     "RecoverableEnvelope",
     "SignedEnvelope",
+    "SignedStatement",
     "Signer",
 ]

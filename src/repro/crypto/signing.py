@@ -1,28 +1,34 @@
-"""Signed envelopes: the wire format for authenticated reference data.
+"""Signed envelopes and statements: authenticated reference data.
 
 The paper's example mechanism requires several signing patterns:
 
 * a host signs the *hash* of a resulting agent state,
 * a host signs a whole message (the "plain" agents in Table 1 are
   "signed and verified as a whole"),
-* an initial state is signed by **both** the checked host and the
-  checking host ("initial states have to be signed by both the checking
-  host and the checked host"), i.e. counter-signing,
+* initial states are committed to by both the checking host and the
+  checked host ("initial states have to be signed by both the checking
+  host and the checked host"),
 * input elements may be signed by the party that produced them
   (Section 4.3 "possible extensions").
 
-This module provides :class:`SignedEnvelope` (one signer) and
-:class:`MultiSignedEnvelope` (several signers over the same payload),
-plus a :class:`Signer` facade that binds an identity to a key store for
+This module provides :class:`SignedEnvelope` (a payload and one
+signature), :class:`RecoverableEnvelope` (the batch-verifiable variant),
+:class:`SignedStatement` (a signed payload that keeps the exact bytes it
+signed, so it is encoded once however often it travels) and a
+:class:`Signer` facade that binds an identity to a key store for
 verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional
 
-from repro.crypto.canonical import canonical_encode
+from repro.crypto.canonical import (
+    CanonicalSpan,
+    canonical_decode,
+    canonical_encode,
+)
 from repro.crypto.dsa import DSASignature, RecoverableSignature
 from repro.crypto.hashing import StateDigest, hash_bytes
 from repro.crypto.keys import Identity, KeyStore
@@ -31,7 +37,7 @@ from repro.exceptions import SignatureError
 __all__ = [
     "SignedEnvelope",
     "RecoverableEnvelope",
-    "MultiSignedEnvelope",
+    "SignedStatement",
     "Signer",
 ]
 
@@ -148,65 +154,79 @@ class RecoverableEnvelope:
         return public_key.verify_recoverable(self.message(), self.signature)
 
 
-@dataclass
-class MultiSignedEnvelope:
-    """A payload counter-signed by several principals.
+@dataclass(frozen=True)
+class SignedStatement:
+    """A signed payload that keeps the exact canonical bytes it signed.
 
-    Used for the dual commitment on initial states in the example
-    protocol: the sending (checked) host and the receiving (checking)
-    host both sign the same initial state so that neither can later
-    claim a different state was handed over.
+    ``body`` holds the payload's canonical encoding as a
+    :class:`~repro.crypto.canonical.CanonicalSpan`; the signature covers
+    ``body.data``.  Verifying hashes those bytes and encoding splices
+    them in, so a statement is encoded once, when it is made, however
+    many transfers carry it afterwards.  Its canonical form is that of
+    a :class:`SignedEnvelope` over the same payload, and the statement
+    memoizes that encoding too.  Read the payload with
+    :meth:`payload`, which decodes ``body`` strictly.
     """
 
-    payload: Any
-    signatures: Dict[str, DSASignature] = field(default_factory=dict)
+    body: CanonicalSpan
+    signer: str
+    signature: DSASignature
 
-    def add_signature(self, identity: Identity) -> None:
-        """Append ``identity``'s signature over the payload."""
-        message = canonical_encode(self.payload)
-        self.signatures[identity.name] = identity.private_key.sign(message)
+    @classmethod
+    def from_canonical(cls, data: Any) -> "SignedStatement":
+        """The statement ``data`` stands for; a statement passes unchanged.
 
-    def signers(self) -> Tuple[str, ...]:
-        """Names of all principals that have signed, sorted."""
-        return tuple(sorted(self.signatures))
+        ``data`` decoded from bytes carries its payload as a value,
+        which is encoded once here to recover the signed bytes.
 
-    def verify_all(self, keystore: KeyStore) -> bool:
-        """Return whether every attached signature verifies."""
-        if not self.signatures:
-            return False
-        message = canonical_encode(self.payload)
-        for signer, signature in self.signatures.items():
-            public_key = keystore.maybe_get(signer)
-            if public_key is None or not public_key.verify(message, signature):
-                return False
-        return True
+        Raises
+        ------
+        SignatureError
+            If ``data`` is not a statement's canonical form.
+        """
+        if type(data) is cls:
+            return data
+        try:
+            signer = data["signer"]
+            if not isinstance(signer, str):
+                raise TypeError("signer is not a string")
+            return cls(
+                body=CanonicalSpan.of(data["payload"]),
+                signer=signer,
+                signature=DSASignature.from_canonical(data["signature"]),
+            )
+        except Exception as exc:
+            raise SignatureError("malformed signed statement: %s" % exc) from exc
 
-    def verify_signer(self, signer: str, keystore: KeyStore) -> bool:
-        """Return whether a specific principal's signature verifies."""
-        signature = self.signatures.get(signer)
-        if signature is None:
-            return False
-        public_key = keystore.maybe_get(signer)
-        if public_key is None:
-            return False
-        return public_key.verify(canonical_encode(self.payload), signature)
-
-    def require_signers(self, required: Tuple[str, ...], keystore: KeyStore) -> None:
-        """Raise unless all of ``required`` have valid signatures."""
-        for signer in required:
-            if not self.verify_signer(signer, keystore):
-                raise SignatureError(
-                    "required counter-signature by %r is missing or invalid"
-                    % signer
-                )
+    def payload(self) -> Any:
+        """The signed payload, decoded strictly from ``body``."""
+        return canonical_decode(self.body.data)
 
     def to_canonical(self) -> dict:
         return {
-            "payload": self.payload,
-            "signatures": {
-                name: sig.to_canonical() for name, sig in self.signatures.items()
-            },
+            "payload": self.body,
+            "signer": self.signer,
+            "signature": self.signature.to_canonical(),
         }
+
+    def __canonical_bytes__(self) -> bytes:
+        cached = self.__dict__.get("_encoding")
+        if cached is None:
+            cached = canonical_encode(self.to_canonical())
+            object.__setattr__(self, "_encoding", cached)
+        return cached
+
+    def verify(self, keystore: KeyStore,
+               message: Optional[bytes] = None) -> bool:
+        """Verify the signature over ``body`` against the signer's key.
+
+        ``message`` is accepted for :class:`SignedEnvelope`
+        compatibility and ignored: the signed bytes are ``body``.
+        """
+        public_key = keystore.maybe_get(self.signer)
+        if public_key is None:
+            return False
+        return public_key.verify(self.body.data, self.signature)
 
 
 class Signer:
@@ -246,6 +266,15 @@ class Signer:
             payload=payload, signer=self._identity.name, signature=signature
         )
 
+    def sign_statement(self, payload: Any) -> SignedStatement:
+        """Sign ``payload``, keeping its canonical bytes in the statement."""
+        body = CanonicalSpan(canonical_encode(payload))
+        return SignedStatement(
+            body=body,
+            signer=self._identity.name,
+            signature=self._identity.private_key.sign(body.data),
+        )
+
     def sign_recoverable(self, payload: Any,
                          message: Optional[bytes] = None) -> RecoverableEnvelope:
         """Sign ``payload`` keeping the nonce commitment for batching."""
@@ -256,17 +285,6 @@ class Signer:
             payload=payload, signer=self._identity.name, signature=signature
         )
         object.__setattr__(envelope, "_message_cache", message)
-        return envelope
-
-    def counter_sign(self, envelope: MultiSignedEnvelope) -> MultiSignedEnvelope:
-        """Add this principal's signature to an existing multi-envelope."""
-        envelope.add_signature(self._identity)
-        return envelope
-
-    def start_multi_signature(self, payload: Any) -> MultiSignedEnvelope:
-        """Create a multi-signer envelope with this principal's signature."""
-        envelope = MultiSignedEnvelope(payload=payload)
-        envelope.add_signature(self._identity)
         return envelope
 
     def verify(self, envelope: SignedEnvelope,

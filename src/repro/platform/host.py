@@ -14,7 +14,7 @@ attribute the cost to the "sign & verify" column of Tables 1 and 2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.agents.agent import AgentCodeRegistry, MobileAgent, default_registry
 from repro.agents.context import NullMetrics, OutwardAction
@@ -23,9 +23,9 @@ from repro.agents.messaging import MessageBoard
 from repro.agents.state import AgentState
 from repro.crypto.keys import Identity, KeyStore
 from repro.crypto.signing import (
-    MultiSignedEnvelope,
     RecoverableEnvelope,
     SignedEnvelope,
+    SignedStatement,
     Signer,
 )
 from repro.exceptions import ProtocolError
@@ -223,6 +223,12 @@ class Host:
         with self.metrics.measure(category):
             return self.signer.sign(payload, message=message)
 
+    def sign_statement(self, payload: Any,
+                       category: str = "protocol_crypto") -> SignedStatement:
+        """Sign a payload into a statement that keeps its signed bytes."""
+        with self.metrics.measure(category):
+            return self.signer.sign_statement(payload)
+
     def sign_recoverable(self, payload: Any,
                          category: str = "protocol_crypto",
                          message: Optional[bytes] = None) -> RecoverableEnvelope:
@@ -230,40 +236,15 @@ class Host:
         with self.metrics.measure(category):
             return self.signer.sign_recoverable(payload, message=message)
 
-    def verify(self, envelope: SignedEnvelope,
+    def verify(self, envelope: Union[SignedEnvelope, SignedStatement],
                expected_signer: Optional[str] = None,
                category: str = "protocol_crypto",
                message: Optional[bytes] = None) -> bool:
-        """Verify an envelope; time is charged to the given timing category."""
+        """Verify an envelope or statement; time goes to ``category``."""
         with self.metrics.measure(category):
             return self.signer.verify(
                 envelope, expected_signer=expected_signer, message=message
             )
-
-    def start_multi_signature(self, payload: Any,
-                              category: str = "protocol_crypto") -> MultiSignedEnvelope:
-        """Create a counter-signable envelope signed by this host."""
-        with self.metrics.measure(category):
-            return self.signer.start_multi_signature(payload)
-
-    def counter_sign(self, envelope: MultiSignedEnvelope,
-                     category: str = "protocol_crypto") -> MultiSignedEnvelope:
-        """Add this host's signature to a counter-signable envelope."""
-        with self.metrics.measure(category):
-            return self.signer.counter_sign(envelope)
-
-    def verify_multi(self, envelope: MultiSignedEnvelope,
-                     required_signers: Tuple[str, ...] = (),
-                     category: str = "protocol_crypto") -> bool:
-        """Verify a counter-signed envelope (all or required signers)."""
-        with self.metrics.measure(category):
-            if required_signers:
-                try:
-                    envelope.require_signers(required_signers, self.keystore)
-                except Exception:
-                    return False
-                return True
-            return envelope.verify_all(self.keystore)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Host %s trusted=%s sessions=%d>" % (

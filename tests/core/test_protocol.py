@@ -15,6 +15,7 @@ from repro.attacks.injector import (
 from repro.attacks.scenarios import _fabricate_inflated_state
 from repro.core.protocol import ReferenceStateProtocol
 from repro.core.verdict import VerdictStatus
+from repro.crypto.canonical import canonical_decode
 from repro.workloads.generators import build_generic_scenario, build_shopping_scenario
 
 
@@ -201,6 +202,9 @@ class TestRobustness:
 
     def test_verdict_history_is_signed_by_the_checking_hosts(self):
         result = _run_shopping()
-        history = result.final_protocol_data["verdict_history"]
+        history = [
+            canonical_decode(entry.data)
+            for entry in result.final_protocol_data["verdict_history"]
+        ]
         assert all("signature" in entry and "signer" in entry
                    for entry in history)

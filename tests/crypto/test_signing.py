@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.keys import Identity, KeyStore
-from repro.crypto.signing import MultiSignedEnvelope, SignedEnvelope, Signer
+from repro.crypto.signing import SignedEnvelope, Signer
 from repro.exceptions import SignatureError
 
 
@@ -74,44 +74,3 @@ class TestSignedEnvelope:
         first = principals["alice"].sign({"a": 1, "b": 2})
         second = principals["alice"].sign({"b": 2, "a": 1})
         assert first.payload_digest() == second.payload_digest()
-
-
-class TestMultiSignedEnvelope:
-    def test_dual_signature_verifies(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        principals["bob"].counter_sign(envelope)
-        assert envelope.signers() == ("alice", "bob")
-        assert envelope.verify_all(principals["keystore"])
-
-    def test_single_signer_verification(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        assert envelope.verify_signer("alice", principals["keystore"])
-        assert not envelope.verify_signer("bob", principals["keystore"])
-
-    def test_require_signers(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        principals["bob"].counter_sign(envelope)
-        envelope.require_signers(("alice", "bob"), principals["keystore"])
-        with pytest.raises(SignatureError):
-            envelope.require_signers(("alice", "bob", "carol"),
-                                     principals["keystore"])
-
-    def test_unsigned_envelope_does_not_verify(self, principals):
-        assert not MultiSignedEnvelope(payload="x").verify_all(principals["keystore"])
-
-    def test_payload_change_invalidates_all(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        principals["bob"].counter_sign(envelope)
-        envelope.payload = {"state": 2}
-        assert not envelope.verify_all(principals["keystore"])
-
-    def test_unknown_counter_signer_fails_verify_all(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        principals["mallory"].counter_sign(envelope)
-        assert not envelope.verify_all(principals["keystore"])
-
-    def test_canonical_form_contains_all_signatures(self, principals):
-        envelope = principals["alice"].start_multi_signature({"state": 1})
-        principals["bob"].counter_sign(envelope)
-        canonical = envelope.to_canonical()
-        assert set(canonical["signatures"]) == {"alice", "bob"}

@@ -83,15 +83,6 @@ class TestSigning:
         assert verifier_host.verify(envelope, expected_signer="vendor")
         assert not verifier_host.verify(envelope, expected_signer="archive")
 
-    def test_multi_signature_round_trip(self, keystore):
-        a = Host("a", keystore=keystore)
-        b = Host("b", keystore=keystore)
-        envelope = a.start_multi_signature({"state": 1})
-        b.counter_sign(envelope)
-        assert a.verify_multi(envelope)
-        assert a.verify_multi(envelope, required_signers=("a", "b"))
-        assert not a.verify_multi(envelope, required_signers=("a", "b", "c"))
-
     def test_signing_is_charged_to_categories(self, keystore):
         metrics = TimingCollector()
         host = Host("vendor", keystore=keystore, metrics=metrics)
