@@ -4,7 +4,7 @@
 Runs the full serving stack inside one process:
 
 1. capture a deterministic fleet's verification traffic — every
-   whole-transfer signature and every ReferenceStateProtocol v2
+   whole-transfer signature and every ReferenceStateProtocol v3
    session check, each paired with its in-process ground-truth verdict
    (:mod:`repro.sim.requests`),
 2. start the asyncio verification server (micro-batching, LRU verdict

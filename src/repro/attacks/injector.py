@@ -152,7 +152,8 @@ class InitialStateTamperInjector(AttackInjector):
     """Modify the agent's data *before* executing it (area 5).
 
     Under the example protocol the initial state was committed to by the
-    previous host (and counter-signed on arrival), so executing from a
+    previous host (and by this host, in its session manifest), so
+    executing from a
     modified initial state yields a resulting state the checker cannot
     reproduce from the committed initial state.
     """

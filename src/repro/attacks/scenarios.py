@@ -99,8 +99,7 @@ def _strip_commitments(protocol_data: Dict[str, Any]) -> Optional[Dict[str, Any]
     active mechanism appended for the session the malicious host just ran.
     """
     stripped = dict(protocol_data)
-    for key in ("prev_session", "sessions", "commitments", "proof_packages",
-                "pending_initial_commitment"):
+    for key in ("prev_session", "sessions", "commitments", "proof_packages"):
         stripped.pop(key, None)
     for key in list(stripped):
         if "commitment" in key or "signature" in key or "signed" in key:

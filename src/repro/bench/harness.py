@@ -85,6 +85,12 @@ def measure_generic_agent(
             trusted_hosts=scenario.trusted_host_names,
         )
 
+    # A host that has been running has its key's exponentiation table;
+    # built lazily, it would land inside whichever cell first uses a
+    # key a few times and charge that cell for it.
+    for host in scenario.system.registry.hosts():
+        host.identity.public_key.precompute()
+
     started = time.perf_counter()
     journey = scenario.system.launch(agent, scenario.itinerary, protection=protection)
     overall_seconds = time.perf_counter() - started

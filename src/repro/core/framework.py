@@ -8,7 +8,7 @@ moments (after every session, after the task, or both).
 
 The framework deliberately stays generic; the specific protocol the
 paper uses for its measurements (per-session re-execution with
-dual-signed initial states, Section 6) lives in
+dual-committed initial states, Section 6) lives in
 :mod:`repro.core.protocol` and can be seen as a hand-tuned instance of
 what this class does from configuration.
 

@@ -12,20 +12,32 @@ here:
 * the reference data is the **initial state**, the **resulting state**,
   and the **input** of the session;
 * **digital signatures and secure hashes** authenticate the data a host
-  produces; **initial states are signed by both the checking host and
-  the checked host** (dual commitment), so neither can later claim a
-  different state was handed over;
+  produces; **initial states are committed to by both the checking host
+  and the checked host** (dual commitment), so neither can later claim
+  a different state was handed over;
 * sessions on **trusted hosts are not checked** ("trusted hosts will not
   attack by definition");
-* the mechanism transports the **complete initial state** of the checked
-  session (digest-pinned by both signatures), so the next host can
-  re-execute and the owner "is able to prove his/her damage in case of
-  a fraud"; the resulting state needs no copy of its own — it is the
-  very agent state that migrates, pinned by a signed digest (the paper's
-  "signs hashes of initial and resulting states");
+* the mechanism transports the **complete initial state** and the
+  **input** of the checked session, so the next host can re-execute and
+  the owner "is able to prove his/her damage in case of a fraud"; the
+  resulting state needs no copy of its own — it is the very agent state
+  that migrates;
 * the known limitation is inherited: **collaboration attacks of two or
   more consecutive hosts cannot be detected** — the collaborating next
   host simply skips the check.
+
+Protocol version 3 folds everything a host states about one session
+under **one signature**: at the end of its session a host signs a
+*session manifest* holding its verdict on the previous session and the
+digests of the initial state it received, of its resulting state and of
+its input log.  The full initial state and the input log travel
+unsigned, pinned by those digests.  To check a session the next host
+verifies two manifests, the checked host's and its sender's; the dual
+commitment is the equality of the sender's resulting digest and the
+checked host's initial digest.  Every blame still rests on a claim the
+blamed host signed.  The manifests travel as the bytes they were signed
+over (:class:`~repro.crypto.signing.SignedStatement`), and together they
+are the journey's verdict history.
 
 The expected cost profile (Table 2) is that the protocol roughly doubles
 the execution cost of light agents and adds ~1/3 for computation-heavy
@@ -34,7 +46,7 @@ agents (the main routine runs once more during checking).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.agents.agent import AgentCodeRegistry, MobileAgent, default_registry
 from repro.agents.input import InputLog
@@ -46,6 +58,7 @@ from repro.core.checkers.reexecution import ReExecutionChecker
 from repro.core.reference_data import ReferenceDataSet
 from repro.core.verdict import CheckResult, Verdict, VerdictStatus
 from repro.crypto.canonical import CanonicalSpan, canonical_decode
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.signing import SignedEnvelope, SignedStatement
 from repro.platform.host import Host
 from repro.platform.registry import ProtectionMechanism
@@ -53,13 +66,31 @@ from repro.platform.session import SessionRecord
 
 __all__ = ["ReferenceStateProtocol", "SessionVerifier", "check_session_payload"]
 
-#: Key under which the protocol stores its payload version.  Version 2
-#: switched the per-session commitments from signing full states to
-#: signing state *digests* (the form the paper itself describes: "signs
-#: hashes of initial and resulting states"); the full initial state
-#: still travels once per session — unsigned but digest-pinned — because
-#: the next host needs it for re-execution.
-_PROTOCOL_VERSION = 2
+#: Key under which the protocol stores its payload version.  Version 3
+#: signs one session manifest per host per hop where version 2 signed
+#: five separate statements (resulting state, input, initial-state
+#: commitment, verdict, and the sender half of the commitment).
+_PROTOCOL_VERSION = 3
+
+#: The ``role`` a session manifest's payload carries.
+_MANIFEST_ROLE = "session-manifest"
+#: The digest fields of a session manifest.
+_DIGESTS = ("initial_digest", "resulting_digest", "input_digest")
+
+
+def _attack(checker: str, reason: str, **details: Any) -> CheckResult:
+    details["reason"] = reason
+    return CheckResult(
+        checker=checker, status=VerdictStatus.ATTACK_DETECTED, details=details
+    )
+
+
+def _signer_of(entry: Any) -> Optional[str]:
+    """The claimed signer of a history entry, or ``None`` if malformed."""
+    try:
+        return SignedStatement.from_canonical(entry).signer
+    except Exception:
+        return None
 
 
 class ReferenceStateProtocol(ProtectionMechanism):
@@ -79,6 +110,13 @@ class ReferenceStateProtocol(ProtectionMechanism):
     check_trusted_hosts:
         Set to ``True`` to check every session regardless of trust
         (useful for ablation measurements of the skip optimization).
+
+    The payload that travels with the agent holds ``prev_session`` (the
+    unsigned metadata, initial state and input of the session just
+    executed) and ``verdict_history`` (every host's signed session
+    manifest, oldest first).  Between arrival and departure a host keeps
+    what its manifest will state under ``pending``; that key never
+    travels.
     """
 
     name = "reference-state-protocol"
@@ -101,16 +139,12 @@ class ReferenceStateProtocol(ProtectionMechanism):
 
     def prepare_launch(self, agent: MobileAgent, itinerary: Itinerary,
                        home_host: Host) -> Dict[str, Any]:
-        initial_state = agent.capture_state()
-        commitment = self._make_commitment(
-            home_host, agent, hop_index=0, state=initial_state, sender_envelope=None
-        )
         return {
             "mechanism": self.name,
             "version": _PROTOCOL_VERSION,
             "prev_session": None,
-            "pending_initial_commitment": commitment,
             "verdict_history": [],
+            "pending": _pending(agent.capture_state(), None, None),
         }
 
     def after_session(
@@ -123,25 +157,28 @@ class ReferenceStateProtocol(ProtectionMechanism):
         protocol_data: Optional[Dict[str, Any]],
     ) -> Dict[str, Any]:
         data = protocol_data or self.prepare_launch(agent, itinerary, host)
-
-        # The resulting state needs no transport of its own: it *is* the
-        # agent state that migrates.  Signing its digest pins it — the
-        # next host hashes what actually arrived and compares — without
-        # re-encoding the whole state into the protocol payload (the
-        # dominant per-hop cost of protocol version 1).
-        resulting_envelope = host.sign_statement({
+        pending = data.pop("pending", None) or _pending(
+            record.initial_state, None, None
+        )
+        initial_state = pending["initial_state"]
+        verdict = pending["verdict"]
+        # The input log is encoded once; its digest goes into the
+        # manifest and its bytes travel as they are.
+        session_input = CanonicalSpan.of(record.input_log.to_canonical())
+        manifest = host.sign_statement({
+            "role": _MANIFEST_ROLE,
             "agent_id": record.agent_id,
             "hop_index": hop_index,
-            "role": "resulting-state",
-            "state_digest": record.resulting_state.digest().hex(),
+            "sender": pending["sender"],
+            "verdict": verdict.to_canonical() if verdict is not None else None,
+            "initial_digest": initial_state.digest().hex(),
+            # The resulting state needs no transport of its own: it *is*
+            # the agent state that migrates, and the next host hashes
+            # what actually arrived.
+            "resulting_digest": record.resulting_state.digest().hex(),
+            "input_digest": hash_bytes(session_input.data).hex(),
         })
-        input_envelope = host.sign_statement({
-            "agent_id": record.agent_id,
-            "hop_index": hop_index,
-            "role": "session-input",
-            "input": record.input_log.to_canonical(),
-        })
-
+        data.setdefault("verdict_history", []).append(manifest)
         data["prev_session"] = {
             "host": host.name,
             "hop_index": hop_index,
@@ -149,9 +186,10 @@ class ReferenceStateProtocol(ProtectionMechanism):
             "code_name": record.code_name,
             "owner": record.owner,
             "trusted": host.trusted,
-            "initial_commitment": data.pop("pending_initial_commitment", None),
-            "resulting_envelope": resulting_envelope,
-            "input_envelope": input_envelope,
+            # Splice points: the state's memoized encoding and the
+            # input's bytes are encoded into the transfer as they are.
+            "initial_state": initial_state,
+            "input": session_input,
         }
         return data
 
@@ -165,59 +203,57 @@ class ReferenceStateProtocol(ProtectionMechanism):
     ) -> Tuple[List[Verdict], Optional[Dict[str, Any]]]:
         observed_state = agent.capture_state()
         checked_host = itinerary.previous_host(hop_index)
-        verdicts: List[Verdict] = []
+        data = protocol_data if isinstance(protocol_data, dict) else None
+        prev = data.get("prev_session") if data is not None else None
+        history = data.get("verdict_history") if data is not None else None
+        if not isinstance(history, list):
+            history = None
+        chained = False
 
-        if protocol_data is None or protocol_data.get("prev_session") is None:
-            verdict = self._protocol_data_missing_verdict(host, checked_host, hop_index)
-            data = protocol_data if protocol_data is not None else {
-                "mechanism": self.name,
-                "version": _PROTOCOL_VERSION,
-                "verdict_history": [],
-            }
-            data["prev_session"] = None
-            data["pending_initial_commitment"] = self._make_commitment(
-                host, agent, hop_index, observed_state, sender_envelope=None
+        if prev is None:
+            verdict = self._protocol_data_missing_verdict(
+                host, checked_host, hop_index
             )
-            self._append_verdict(host, data, verdict)
-            return [verdict], data
-
-        prev = protocol_data["prev_session"]
-        protocol_data["prev_session"] = None
-
-        skip_reason = self._skip_reason(host, prev, checked_host)
-        if skip_reason is not None:
-            verdict = Verdict(
-                status=VerdictStatus.SKIPPED,
-                mechanism=self.name,
-                moment=CheckMoment.AFTER_SESSION,
-                checking_host=host.name,
-                checked_host=checked_host,
-                hop_index=prev.get("hop_index"),
-                results=[CheckResult(
-                    checker="session-check",
-                    status=VerdictStatus.SKIPPED,
-                    details={"reason": skip_reason},
-                )],
-            )
+            if data is None:
+                data = {"mechanism": self.name, "version": _PROTOCOL_VERSION}
         else:
-            verdict = self._check_previous_session(
-                host, prev, observed_state, checked_host
+            skip_reason = self._skip_reason(host, prev, checked_host)
+            if skip_reason is not None:
+                verdict = Verdict(
+                    status=VerdictStatus.SKIPPED,
+                    mechanism=self.name,
+                    moment=CheckMoment.AFTER_SESSION,
+                    checking_host=host.name,
+                    checked_host=checked_host,
+                    hop_index=hop_index - 1,
+                    results=[CheckResult(
+                        checker="session-check",
+                        status=VerdictStatus.SKIPPED,
+                        details={"reason": skip_reason},
+                    )],
+                )
+            else:
+                verdict = self._check_previous_session(
+                    host, self._session_payload(prev, history),
+                    observed_state, checked_host,
+                )
+            # This host's manifest names the checked host as its sender
+            # (so the next check demands the checked host's manifest)
+            # only when that manifest is the last one received and this
+            # check found nothing wrong with it.
+            chained = (
+                bool(history)
+                and _signer_of(history[-1]) == checked_host
+                and not any(result.is_attack and result.checker == _MANIFEST_ROLE
+                            for result in verdict.results)
             )
-        verdicts.append(verdict)
-        self._append_verdict(host, protocol_data, verdict)
 
-        # Dual commitment on the current session's initial state: this
-        # (checking) host acknowledges the state it received; the sending
-        # host's signature over the same state is its resulting-state
-        # envelope, which is attached as the sender half.
-        protocol_data["pending_initial_commitment"] = self._make_commitment(
-            host,
-            agent,
-            hop_index,
-            observed_state,
-            sender_envelope=prev.get("resulting_envelope"),
+        data["prev_session"] = None
+        data["verdict_history"] = history if history is not None else []
+        data["pending"] = _pending(
+            observed_state, verdict, checked_host if chained else None
         )
-        return verdicts, protocol_data
+        return [verdict], data
 
     def after_task(
         self,
@@ -226,19 +262,23 @@ class ReferenceStateProtocol(ProtectionMechanism):
         itinerary: Itinerary,
         protocol_data: Optional[Dict[str, Any]],
     ) -> List[Verdict]:
-        history = [
-            canonical_decode(entry.data) if type(entry) is CanonicalSpan
-            else entry
-            for entry in (protocol_data or {}).get("verdict_history", [])
-        ]
+        history = (protocol_data or {}).get("verdict_history")
+        verdicts = []
+        for entry in history if isinstance(history, list) else ():
+            try:
+                manifest = SignedStatement.from_canonical(entry).payload()
+            except Exception:
+                continue
+            if isinstance(manifest, dict) and isinstance(
+                    manifest.get("verdict"), dict):
+                verdicts.append(manifest["verdict"])
         attacks = [
-            entry for entry in history
-            if entry.get("verdict", {}).get("status") == VerdictStatus.ATTACK_DETECTED.value
+            verdict for verdict in verdicts
+            if verdict.get("status") == VerdictStatus.ATTACK_DETECTED.value
         ]
         blamed = sorted({
-            entry["verdict"].get("checked_host")
-            for entry in attacks
-            if entry.get("verdict", {}).get("checked_host")
+            verdict["checked_host"] for verdict in attacks
+            if isinstance(verdict.get("checked_host"), str)
         })
         summary = Verdict(
             status=(
@@ -254,7 +294,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
                     VerdictStatus.ATTACK_DETECTED if attacks else VerdictStatus.OK
                 ),
                 details={
-                    "session_verdicts": len(history),
+                    "session_verdicts": len(verdicts),
                     "attacks_detected": len(attacks),
                     "blamed_hosts": blamed,
                 },
@@ -264,40 +304,24 @@ class ReferenceStateProtocol(ProtectionMechanism):
 
     # ------------------------------------------------------------ protocol steps --
 
-    def _make_commitment(
-        self,
-        receiver: Host,
-        agent: MobileAgent,
-        hop_index: int,
-        state: AgentState,
-        sender_envelope: Optional[Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """Build the (dual-signable) commitment on a session's initial state.
+    @staticmethod
+    def _session_payload(prev: Any, history: Optional[List[Any]]) -> Any:
+        """``prev`` joined with the two manifests that vouch for it.
 
-        Both halves of the dual commitment sign the state's *digest*:
-        the receiver half here, the sender half being the previous
-        host's resulting-state envelope over the same digest.  The full
-        state rides along under ``"state"`` — unsigned, but pinned by
-        the signed digest — because the next host must re-execute from
-        it.  Embedding the :class:`~repro.agents.state.AgentState`
-        object (rather than its expanded dictionary) lets the canonical
-        encoder splice in the state's memoized encoding when the
-        commitment is packed for the wire.
+        This is the payload :func:`check_session_payload` takes: the
+        checked host's manifest is the newest in the history, its
+        sender's the one before.
         """
-        payload = {
-            "agent_id": agent.agent_id,
-            "hop_index": hop_index,
-            "role": "initial-state",
-            "state_digest": state.digest().hex(),
-        }
-        return {
-            "payload": payload,
-            "state": state,
-            "receiver_signature": receiver.sign_statement(payload),
-            "sender_envelope": sender_envelope,
-        }
+        if not isinstance(prev, dict):
+            return prev
+        history = history or []
+        return dict(
+            prev,
+            manifest=history[-1] if history else None,
+            sender_manifest=history[-2] if len(history) > 1 else None,
+        )
 
-    def _skip_reason(self, checking_host: Host, prev: Dict[str, Any],
+    def _skip_reason(self, checking_host: Host, prev: Any,
                      checked_host: Optional[str]) -> Optional[str]:
         """Return why the check is skipped, or ``None`` to check."""
         collaborates = getattr(checking_host, "collaborates_with", None)
@@ -309,306 +333,221 @@ class ReferenceStateProtocol(ProtectionMechanism):
             return "checked host is trusted; trusted hosts are not checked"
         return None
 
-    def _is_trusted(self, checked_host: Optional[str], prev: Dict[str, Any]) -> bool:
+    def _is_trusted(self, checked_host: Optional[str], prev: Any) -> bool:
         if checked_host is None:
             return False
         if self.trusted_hosts is not None:
             return checked_host in self.trusted_hosts
-        return bool(prev.get("trusted", False))
+        return isinstance(prev, dict) and bool(prev.get("trusted", False))
 
     def _check_previous_session(
         self,
         host: Host,
-        prev: Dict[str, Any],
+        session: Any,
         observed_state: AgentState,
         checked_host: Optional[str],
     ) -> Verdict:
-        """Verify signatures and re-execute the previous session."""
+        """Verify the manifests and re-execute the previous session.
+
+        ``session`` is the previous session's payload joined with its
+        two manifests (see :meth:`_session_payload`).  A payload or
+        field of the wrong type is an attack by the host that handed it
+        over, never an error of the checker.
+        """
         results: List[CheckResult] = []
-        hop_index = prev.get("hop_index")
-        claimed_host = prev.get("host")
+        hop_index = session.get("hop_index") if isinstance(session, dict) else None
+        claimed_host = (
+            session.get("host") if isinstance(session, dict) else None
+        )
+        if type(hop_index) is not int or not isinstance(claimed_host, str):
+            results.append(_attack(
+                "session-metadata", "the session payload is malformed"
+            ))
+            return self._verdict(host, results, checked_host,
+                                 hop_index if type(hop_index) is int else None)
 
         if checked_host is not None and claimed_host != checked_host:
-            results.append(CheckResult(
-                checker="session-metadata",
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={
-                    "reason": "protocol data claims a different executing host",
-                    "claimed_host": claimed_host,
-                    "expected_host": checked_host,
-                },
+            results.append(_attack(
+                "session-metadata",
+                "protocol data claims a different executing host",
+                claimed_host=claimed_host,
+                expected_host=checked_host,
             ))
 
-        resulting = self._verify_envelope(
-            host, prev.get("resulting_envelope"), checked_host, "resulting-state",
-            results,
+        agent_id = session.get("agent_id")
+        manifest = self._verify_manifest(
+            host, session.get("manifest"), checked_host or claimed_host,
+            agent_id, hop_index, _MANIFEST_ROLE, results,
         )
-        session_input = self._verify_envelope(
-            host, prev.get("input_envelope"), checked_host, "session-input", results
-        )
-        initial_state = self._verify_commitment(
-            host, prev.get("initial_commitment"), results
-        )
-
-        claimed_digest: Optional[str] = None
-        if resulting is not None:
-            claimed_digest = resulting.get("state_digest")
-            if not isinstance(claimed_digest, str):
-                results.append(CheckResult(
-                    checker="resulting-state",
-                    status=VerdictStatus.ATTACK_DETECTED,
-                    details={"reason": "malformed committed resulting-state digest"},
-                ))
-                claimed_digest = None
-
+        initial_state: Optional[AgentState] = None
         input_log: Optional[InputLog] = None
-        if session_input is not None:
-            try:
-                input_log = InputLog.from_canonical(session_input.get("input"))
-            except Exception:
-                results.append(CheckResult(
-                    checker="session-input",
-                    status=VerdictStatus.ATTACK_DETECTED,
-                    details={"reason": "malformed committed input log"},
+        if manifest is not None:
+            sender = manifest.get("sender")
+            if sender is not None:
+                sender_manifest = self._verify_manifest(
+                    host, session.get("sender_manifest"), sender,
+                    agent_id, hop_index - 1, "sender-manifest", results,
+                )
+                if (sender_manifest is not None
+                        and sender_manifest["resulting_digest"]
+                        != manifest["initial_digest"]):
+                    results.append(_attack(
+                        "initial-state-commitment",
+                        "the sender and the checked host committed to "
+                        "different initial states",
+                    ))
+            initial_state = self._pinned_initial_state(
+                session.get("initial_state"), manifest, results
+            )
+            input_log = self._pinned_input(
+                session.get("input"), manifest, results
+            )
+            # Consistency between what the host signed and what it
+            # actually sent: the arriving agent state *is* the claimed
+            # resulting state, so one digest comparison suffices.
+            if manifest["resulting_digest"] != observed_state.digest().hex():
+                results.append(_attack(
+                    "arrival-consistency",
+                    "the agent state that arrived differs from the state "
+                    "the checked host signed",
                 ))
-
-        # Consistency between what the host signed and what it actually
-        # sent: the arriving agent state *is* the claimed resulting
-        # state, so one digest comparison replaces decoding and
-        # re-encoding a transported copy.
-        if (claimed_digest is not None
-                and claimed_digest != observed_state.digest().hex()):
-            results.append(CheckResult(
-                checker="arrival-consistency",
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={
-                    "reason": (
-                        "the agent state that arrived differs from the state "
-                        "the checked host signed"
-                    ),
-                },
-            ))
 
         if not any(result.is_attack for result in results):
             reference = ReferenceDataSet(
-                session_host=claimed_host or (checked_host or "unknown"),
-                hop_index=hop_index if hop_index is not None else 0,
-                agent_id=prev.get("agent_id", "unknown"),
-                code_name=prev.get("code_name", "unknown"),
-                owner=prev.get("owner", "unknown"),
+                session_host=claimed_host,
+                hop_index=hop_index,
+                agent_id=agent_id,
+                code_name=session.get("code_name", "unknown"),
+                owner=session.get("owner", "unknown"),
                 initial_state=initial_state,
                 # The digest match above established that the observed
                 # state is exactly the state the checked host committed
                 # to, so it serves as the claimed resulting state.
-                resulting_state=(
-                    observed_state if claimed_digest is not None else None
-                ),
+                resulting_state=observed_state,
                 input_log=input_log,
             )
             context = CheckContext(
                 reference_data=reference,
                 observed_state=observed_state,
-                checked_host=checked_host or claimed_host or "unknown",
+                checked_host=checked_host or claimed_host,
                 checking_host=host.name,
-                hop_index=hop_index if hop_index is not None else 0,
+                hop_index=hop_index,
                 keystore=host.keystore,
                 code_registry=self.code_registry,
                 metrics=host.metrics,
             )
             results.append(self.checker.check(context))
 
+        return self._verdict(host, results, checked_host or claimed_host,
+                             hop_index)
+
+    def _verdict(self, host: Host, results: List[CheckResult],
+                 checked_host: Optional[str],
+                 hop_index: Optional[int]) -> Verdict:
         state_difference = None
         for result in results:
             if result.is_attack and "state_difference" in result.details:
                 state_difference = result.details["state_difference"]
                 break
-
         return Verdict.from_results(
             results,
             mechanism=self.name,
             moment=CheckMoment.AFTER_SESSION,
             checking_host=host.name,
-            checked_host=checked_host or claimed_host,
+            checked_host=checked_host,
             hop_index=hop_index,
             state_difference=state_difference,
         )
 
     # ------------------------------------------------------------ verification --
 
-    def _verify_envelope(
+    def _verify_manifest(
         self,
         host: Host,
-        envelope_data: Optional[Dict[str, Any]],
-        expected_signer: Optional[str],
-        role: str,
+        entry: Any,
+        signer: Optional[str],
+        agent_id: Any,
+        hop_index: int,
+        checker: str,
         results: List[CheckResult],
     ) -> Optional[Dict[str, Any]]:
-        """Verify a signed envelope from the protocol payload.
+        """Verify one session manifest; return its payload or ``None``.
 
-        Returns the payload on success and appends an attack result on
-        failure (missing, malformed, wrong signer, or bad signature).
+        The manifest must be well formed, state the expected session
+        (agent and hop), and carry a valid signature by ``signer``.
+        Anything else appends an attack result under ``checker``.
         """
-        checker_name = "%s-signature" % role
-        if not envelope_data:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the %s commitment is missing" % role},
-            ))
+        if entry is None:
+            results.append(_attack(checker, "the %s is missing" % checker))
             return None
         try:
-            envelope = SignedStatement.from_canonical(envelope_data)
-            payload = envelope.payload()
+            statement = SignedStatement.from_canonical(entry)
+            payload = statement.payload()
         except Exception:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the %s commitment is malformed" % role},
+            payload = None
+        if (not isinstance(payload, dict)
+                or payload.get("role") != _MANIFEST_ROLE
+                or not all(isinstance(payload.get(key), str)
+                           for key in _DIGESTS)
+                or not isinstance(payload.get("sender"), (str, type(None)))):
+            results.append(_attack(checker, "the %s is malformed" % checker))
+            return None
+        if (payload.get("agent_id") != agent_id
+                or payload.get("hop_index") != hop_index):
+            results.append(_attack(
+                checker, "the %s states another session" % checker
             ))
             return None
-        if not isinstance(payload, dict):
-            payload = {}
-        if payload.get("role") != role:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the commitment role does not match %r" % role},
-            ))
-            return None
-        if not host.verify(envelope, expected_signer=expected_signer):
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={
-                    "reason": "the %s signature does not verify" % role,
-                    "claimed_signer": envelope.signer,
-                },
+        if not host.verify(statement, expected_signer=signer):
+            results.append(_attack(
+                checker, "the %s signature does not verify" % checker,
+                claimed_signer=statement.signer,
             ))
             return None
         return payload
 
-    def _verify_commitment(
-        self,
-        host: Host,
-        commitment: Optional[Dict[str, Any]],
-        results: List[CheckResult],
-    ) -> Optional[AgentState]:
-        """Verify the dual-signed initial-state commitment.
-
-        Returns the committed initial state on success.  The receiver
-        (checked host) signature over the state digest is mandatory;
-        the transported full state must hash to that digest; the sender
-        envelope — the previous host's resulting-state commitment over
-        the same digest — is verified when present.
-        """
-        checker_name = "initial-state-commitment"
-        if not commitment:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the initial-state commitment is missing"},
-            ))
-            return None
-        payload = commitment.get("payload") or {}
-        receiver_data = commitment.get("receiver_signature")
-        if not receiver_data:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the receiver signature on the initial state is missing"},
-            ))
-            return None
+    @staticmethod
+    def _pinned_initial_state(value: Any, manifest: Dict[str, Any],
+                              results: List[CheckResult]
+                              ) -> Optional[AgentState]:
+        """The transported initial state, if it hashes to the signed digest."""
         try:
-            receiver_envelope = SignedStatement.from_canonical(receiver_data)
+            state = AgentState.from_canonical(value)
+            digest = state.digest().hex()
         except Exception:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the receiver signature is malformed"},
+            results.append(_attack(
+                "initial-state-commitment",
+                "the transported initial state is malformed",
             ))
             return None
-        if not host.verify(receiver_envelope):
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the receiver signature on the initial state does not verify"},
+        if digest != manifest["initial_digest"]:
+            results.append(_attack(
+                "initial-state-commitment",
+                "the transported initial state does not hash to the "
+                "digest the checked host signed",
             ))
             return None
-        if receiver_envelope.body != CanonicalSpan.of(payload):
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the receiver signed a different initial state"},
-            ))
-            return None
-        committed_digest = payload.get("state_digest")
-        if not isinstance(committed_digest, str):
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the committed initial-state digest is malformed"},
-            ))
-            return None
+        return state
 
+    @staticmethod
+    def _pinned_input(value: Any, manifest: Dict[str, Any],
+                      results: List[CheckResult]) -> Optional[InputLog]:
+        """The transported input log, if it hashes to the signed digest."""
         try:
-            committed_state = AgentState.from_canonical(commitment.get("state"))
+            span = CanonicalSpan.of(value)
+            if hash_bytes(span.data).hex() != manifest["input_digest"]:
+                results.append(_attack(
+                    "session-input",
+                    "the transported input log does not hash to the "
+                    "digest the checked host signed",
+                ))
+                return None
+            return InputLog.from_canonical(canonical_decode(span.data))
         except Exception:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={"reason": "the committed initial state is malformed"},
+            results.append(_attack(
+                "session-input", "the transported input log is malformed"
             ))
             return None
-        if committed_state.digest().hex() != committed_digest:
-            results.append(CheckResult(
-                checker=checker_name,
-                status=VerdictStatus.ATTACK_DETECTED,
-                details={
-                    "reason": (
-                        "the transported initial state does not hash to the "
-                        "digest both hosts signed"
-                    )
-                },
-            ))
-            return None
-
-        sender_envelope_data = commitment.get("sender_envelope")
-        if sender_envelope_data:
-            try:
-                sender_envelope = SignedStatement.from_canonical(
-                    sender_envelope_data
-                )
-                sender_payload = sender_envelope.payload()
-            except Exception:
-                results.append(CheckResult(
-                    checker=checker_name,
-                    status=VerdictStatus.ATTACK_DETECTED,
-                    details={"reason": "the sender half of the commitment is malformed"},
-                ))
-                return None
-            if not host.verify(sender_envelope):
-                results.append(CheckResult(
-                    checker=checker_name,
-                    status=VerdictStatus.ATTACK_DETECTED,
-                    details={"reason": "the sender signature on the initial state does not verify"},
-                ))
-                return None
-            if not isinstance(sender_payload, dict):
-                sender_payload = {}
-            if sender_payload.get("state_digest") != committed_digest:
-                results.append(CheckResult(
-                    checker=checker_name,
-                    status=VerdictStatus.ATTACK_DETECTED,
-                    details={
-                        "reason": (
-                            "the sender and the receiver committed to different "
-                            "initial states"
-                        )
-                    },
-                ))
-                return None
-
-        return committed_state
 
     # ------------------------------------------------------------------ misc --
 
@@ -634,18 +573,11 @@ class ReferenceStateProtocol(ProtectionMechanism):
             hop_index=hop_index - 1,
         )
 
-    def _append_verdict(self, host: Host, data: Dict[str, Any],
-                        verdict: Verdict) -> None:
-        """Append a host-signed verdict to the travelling history.
 
-        The entry is encoded once, here, and travels as those bytes.
-        """
-        statement = host.sign_statement(verdict.to_canonical())
-        data.setdefault("verdict_history", []).append(CanonicalSpan.of({
-            "verdict": statement.body,
-            "signer": statement.signer,
-            "signature": statement.signature.to_canonical(),
-        }))
+def _pending(initial_state: AgentState, verdict: Optional[Verdict],
+             sender: Optional[str]) -> Dict[str, Any]:
+    """What a host's manifest will state, kept from arrival to departure."""
+    return {"initial_state": initial_state, "verdict": verdict, "sender": sender}
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +606,11 @@ class SessionVerifier:
         self.keystore = keystore
         self.metrics = metrics if metrics is not None else NullMetrics()
 
-    def verify(self, envelope: SignedEnvelope,
+    def verify(self, envelope: Union[SignedEnvelope, SignedStatement],
                expected_signer: Optional[str] = None,
                category: str = "protocol_crypto",
                message: Optional[bytes] = None) -> bool:
-        """Verify an envelope against the keystore (host-compatible)."""
+        """Verify an envelope or statement (host-compatible)."""
         if expected_signer is not None and envelope.signer != expected_signer:
             return False
         with self.metrics.measure(category):
@@ -696,13 +628,15 @@ def check_session_payload(
     checker: Optional[Checker] = None,
     metrics: Optional[Any] = None,
 ) -> Verdict:
-    """Check one protocol-v2 ``prev_session`` payload outside a journey.
+    """Check one protocol-v3 session payload outside a journey.
 
     This is the wire-facing twin of the in-journey check the next host
-    performs on arrival: given the previous session's commitments (in
-    canonical form, exactly as they travel), the observed agent state,
-    and the name of the checked host, it verifies every signature,
-    re-executes the session, and returns the same
+    performs on arrival.  ``prev_session`` is the previous session's
+    payload joined with its two manifests, under ``manifest`` (the
+    checked host's) and ``sender_manifest`` (its sender's, or ``None``),
+    in canonical form exactly as they travel.  Given it, the observed
+    agent state and the name of the checked host, the check verifies
+    both manifests, re-executes the session, and returns the same
     :class:`~repro.core.verdict.Verdict` the in-process protocol would
     produce — bit for bit, because verdicts contain no wall-clock or
     transport-dependent data.  ``checking_host`` names the principal on

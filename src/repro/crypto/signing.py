@@ -154,6 +154,9 @@ class RecoverableEnvelope:
         return public_key.verify_recoverable(self.message(), self.signature)
 
 
+_UNSET = object()
+
+
 @dataclass(frozen=True)
 class SignedStatement:
     """A signed payload that keeps the exact canonical bytes it signed.
@@ -164,8 +167,14 @@ class SignedStatement:
     them in, so a statement is encoded once, when it is made, however
     many transfers carry it afterwards.  Its canonical form is that of
     a :class:`SignedEnvelope` over the same payload, and the statement
-    memoizes that encoding too.  Read the payload with
-    :meth:`payload`, which decodes ``body`` strictly.
+    memoizes that encoding too.
+
+    Read the payload with :meth:`payload`: the signer's own value for a
+    statement made by :meth:`Signer.sign_statement`, else ``body``
+    decoded strictly, once.  Like an
+    :class:`~repro.agents.state.AgentState` snapshot, a statement is
+    immutable by contract, so an in-process hop shares it (payload
+    included) where a remote receiver would decode the same bytes.
     """
 
     body: CanonicalSpan
@@ -199,8 +208,12 @@ class SignedStatement:
             raise SignatureError("malformed signed statement: %s" % exc) from exc
 
     def payload(self) -> Any:
-        """The signed payload, decoded strictly from ``body``."""
-        return canonical_decode(self.body.data)
+        """The signed payload (read-only: it is shared, not copied)."""
+        cached = self.__dict__.get("_payload", _UNSET)
+        if cached is _UNSET:
+            cached = canonical_decode(self.body.data)
+            object.__setattr__(self, "_payload", cached)
+        return cached
 
     def to_canonical(self) -> dict:
         return {
@@ -269,11 +282,13 @@ class Signer:
     def sign_statement(self, payload: Any) -> SignedStatement:
         """Sign ``payload``, keeping its canonical bytes in the statement."""
         body = CanonicalSpan(canonical_encode(payload))
-        return SignedStatement(
+        statement = SignedStatement(
             body=body,
             signer=self._identity.name,
             signature=self._identity.private_key.sign(body.data),
         )
+        object.__setattr__(statement, "_payload", payload)
+        return statement
 
     def sign_recoverable(self, payload: Any,
                          message: Optional[bytes] = None) -> RecoverableEnvelope:

@@ -60,7 +60,7 @@ class Verifier(Protocol):
                             observed_state: Dict[str, Any],
                             checked_host: Optional[str],
                             checking_host: str) -> Dict[str, Any]:
-        """Run a protocol-v2 session check; returns the verdict."""
+        """Run a protocol-v3 session check; returns the verdict."""
         ...
 
     async def stats(self) -> Dict[str, Any]:

@@ -18,11 +18,14 @@ verification:
   (:class:`repro.service.batching.MicroBatcher`) settled with one batch
   equation, fronted by an LRU verdict cache
   (:class:`repro.service.cache.VerdictCache`) keyed on digest+signature.
-* ``check-session`` — a full ReferenceStateProtocol v2 ``prev_session``
-  payload.  The server verifies every commitment signature and
-  re-executes the session via
+* ``check-session`` — a full ReferenceStateProtocol v3 session payload
+  (``prev_session``: the session's metadata, initial state and input,
+  with the checked host's and its sender's signed manifests).  The
+  server verifies both manifests and re-executes the session via
   :func:`repro.core.protocol.check_session_payload`, returning the
-  exact verdict the in-process protocol would produce.
+  exact verdict the in-process protocol would produce.  A payload
+  field of the wrong type is answered with an attack verdict, since it
+  is the checked host's evidence that is bad.
 
 Every endpoint decodes a request frame's top level only: the two bulky
 fields of a session check (:data:`SPAN_FIELDS`) arrive as canonical
@@ -56,6 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 # names arriving in check-session payloads.
 import repro.workloads.shopping  # noqa: F401
 import repro.workloads.survey  # noqa: F401
+from repro.agents.state import AgentState
 from repro.core.protocol import check_session_payload
 from repro.crypto.canonical import (
     CanonicalDecoder,
@@ -67,6 +71,7 @@ from repro.crypto.dsa import RecoverableSignature
 from repro.crypto.tablecache import table_cache_info
 from repro.crypto.keys import Identity, KeyStore
 from repro.exceptions import (
+    AgentStateError,
     FrameTooLarge,
     MalformedFrame,
     SerializationError,
@@ -669,6 +674,14 @@ class VerificationService(FrameServer):
                 request_id, "malformed-request",
                 "check-session needs prev_session:dict, "
                 "observed_state:dict, checking_host:str",
+            )
+        try:
+            observed_state = AgentState.from_canonical(observed_state)
+        except AgentStateError as exc:
+            self.counters.errors += 1
+            return self._error_response(
+                request_id, "malformed-request",
+                "observed_state is not an agent state: %s" % exc,
             )
         verdict = check_session_payload(
             prev_session,

@@ -19,10 +19,10 @@ Two capture taps feed the stream:
   afterwards with :func:`corrupt_requests`);
 * a recording subclass of
   :class:`~repro.core.protocol.ReferenceStateProtocol` snapshots every
-  non-skipped session check — the ``prev_session`` payload in wire
-  form, the observed state, and the verdict the in-process check
-  produced — as ``check-session`` requests whose expected answer is the
-  canonical verdict, bit for bit.
+  non-skipped session check — the session payload with its two signed
+  manifests, in wire form, the observed state, and the verdict the
+  in-process check produced — as ``check-session`` requests whose
+  expected answer is the canonical verdict, bit for bit.
 
 Capture is deterministic: the stream is a pure function of the
 :class:`~repro.sim.fleet.FleetConfig` (same seed, same requests, same
@@ -133,13 +133,13 @@ class RecordingFleetEngine(FleetEngine):
         engine = self
 
         class _RecordingProtocol(type(base)):
-            def _check_previous_session(self, host, prev, observed_state,
+            def _check_previous_session(self, host, session, observed_state,
                                         checked_host):
                 verdict = super()._check_previous_session(
-                    host, prev, observed_state, checked_host
+                    host, session, observed_state, checked_host
                 )
                 engine._record_session(
-                    host, prev, observed_state, checked_host, verdict
+                    host, session, observed_state, checked_host, verdict
                 )
                 return verdict
 
@@ -148,14 +148,14 @@ class RecordingFleetEngine(FleetEngine):
             trusted_hosts=base.trusted_hosts,
         )
 
-    def _record_session(self, host: Any, prev: Dict[str, Any],
+    def _record_session(self, host: Any, session: Dict[str, Any],
                         observed_state: Any, checked_host: Optional[str],
                         verdict: Any) -> None:
         # Round-trip through the canonical codec so the captured payload
         # is exactly what a remote checker would hold after decoding the
-        # frame — object splices (AgentState instances inside the
-        # commitment) become plain canonical dictionaries.
-        wire_prev = canonical_decode(canonical_encode(prev))
+        # frame — object splices (the initial state, the input bytes and
+        # the signed manifests) become plain canonical values.
+        wire_prev = canonical_decode(canonical_encode(session))
         self.captured_sessions.append(VerificationRequest(
             op="check-session",
             payload={

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.attacks.injector import (
     DataTamperInjector,
@@ -15,7 +16,6 @@ from repro.attacks.injector import (
 from repro.attacks.scenarios import _fabricate_inflated_state
 from repro.core.protocol import ReferenceStateProtocol
 from repro.core.verdict import VerdictStatus
-from repro.crypto.canonical import canonical_decode
 from repro.workloads.generators import build_generic_scenario, build_shopping_scenario
 
 
@@ -201,10 +201,106 @@ class TestRobustness:
         assert missing
 
     def test_verdict_history_is_signed_by_the_checking_hosts(self):
-        result = _run_shopping()
-        history = [
-            canonical_decode(entry.data)
-            for entry in result.final_protocol_data["verdict_history"]
-        ]
-        assert all("signature" in entry and "signer" in entry
-                   for entry in history)
+        scenario, agent = build_shopping_scenario()
+        result = scenario.system.launch(agent, scenario.itinerary,
+                                        protection=_protocol(scenario))
+        history = result.final_protocol_data["verdict_history"]
+        # One manifest per session, signed by the host that ran it; each
+        # verdict after the first session rides in the checking host's
+        # manifest.
+        assert [entry.signer for entry in history] == list(
+            result.visited_hosts)
+        assert all(entry.verify(scenario.keystore) for entry in history)
+        verdicts = [entry.payload()["verdict"] for entry in history]
+        assert verdicts[0] is None
+        assert all(verdict["checking_host"] == entry.signer
+                   for verdict, entry in zip(verdicts[1:], history[1:]))
+
+
+def _replace_prev_session(data):
+    data["prev_session"] = "not a session"
+    return data
+
+
+def _replace_initial_state(data):
+    data["prev_session"]["initial_state"] = "not a state"
+    return data
+
+
+def _replace_input(data):
+    data["prev_session"]["input"] = {"records": "not an input log"}
+    return data
+
+
+def _replace_history(data):
+    data["verdict_history"] = "not a history"
+    return data
+
+
+def _replace_own_manifest(data):
+    data["verdict_history"][-1] = "not a manifest"
+    return data
+
+
+def _replace_sender_manifest(data):
+    data["verdict_history"][-2] = {"payload": {}, "signer": ["x"]}
+    return data
+
+
+class TestMalformedProtocolPayload:
+    """A payload field of the wrong type is an attack, never a crash.
+
+    The malicious host hands over a payload whose statements or fields
+    have the wrong type; the next host must finish the journey and blame
+    exactly the host that handed the payload over.
+    """
+
+    @pytest.mark.parametrize("mutator", [
+        _replace_prev_session,
+        _replace_initial_state,
+        _replace_input,
+        _replace_history,
+        _replace_own_manifest,
+        _replace_sender_manifest,
+    ])
+    def test_is_blamed_on_the_host_that_handed_it_over(self, mutator):
+        result = _run_shopping(
+            num_shops=4, malicious_shop=1,
+            injectors=[ProtocolDataTamperInjector(mutator)],
+        )
+        assert len(result.records) == len(result.itinerary.hosts)
+        assert result.detected_attack()
+        assert result.blamed_hosts() == ("shop-1",)
+
+
+class TestDetachedCheck:
+    def _session(self):
+        from repro.sim import FleetConfig, journey_request_stream
+
+        stream = journey_request_stream(
+            FleetConfig(num_agents=4, num_hosts=4, seed=5)
+        )
+        # A check of a session after the first, so both manifests exist.
+        return next(
+            request.payload for request in stream.session_requests
+            if request.payload["prev_session"]["hop_index"] > 0
+        )
+
+    @pytest.mark.parametrize("field", [
+        "manifest", "sender_manifest", "initial_state", "input", "hop_index",
+    ])
+    def test_a_malformed_statement_field_is_an_attack(self, field):
+        from repro.core.protocol import check_session_payload
+        from repro.service.server import build_service_keystore
+
+        payload = self._session()
+        prev_session = dict(payload["prev_session"], **{field: "x"})
+        verdict = check_session_payload(
+            prev_session,
+            payload["observed_state"],
+            payload["checked_host"],
+            checking_host=payload["checking_host"],
+            keystore=build_service_keystore(4),
+        )
+        assert verdict.status is VerdictStatus.ATTACK_DETECTED
+        assert verdict.checked_host == payload["checked_host"]

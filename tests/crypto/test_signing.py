@@ -1,11 +1,17 @@
-"""Tests for signed and counter-signed envelopes."""
+"""Tests for signed envelopes and signed statements."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.crypto.canonical import (
+    CanonicalSpan,
+    canonical_copy,
+    canonical_decode,
+    canonical_encode,
+)
 from repro.crypto.keys import Identity, KeyStore
-from repro.crypto.signing import SignedEnvelope, Signer
+from repro.crypto.signing import SignedEnvelope, SignedStatement, Signer
 from repro.exceptions import SignatureError
 
 
@@ -74,3 +80,59 @@ class TestSignedEnvelope:
         first = principals["alice"].sign({"a": 1, "b": 2})
         second = principals["alice"].sign({"b": 2, "a": 1})
         assert first.payload_digest() == second.payload_digest()
+
+
+class TestSignedStatement:
+    PAYLOAD = {"role": "manifest", "digests": ["ab", "cd"], "hop": 2}
+
+    def test_verifies_over_its_own_bytes(self, principals):
+        statement = principals["alice"].sign_statement(self.PAYLOAD)
+        assert statement.body.data == canonical_encode(self.PAYLOAD)
+        assert statement.verify(principals["keystore"])
+        assert statement.payload() == self.PAYLOAD
+
+    def test_encodes_like_an_envelope_over_the_same_payload(self, principals):
+        statement = principals["alice"].sign_statement(self.PAYLOAD)
+        envelope = SignedEnvelope(self.PAYLOAD, statement.signer,
+                                  statement.signature)
+        assert canonical_encode([statement]) == canonical_encode(
+            [envelope.to_canonical()]
+        )
+
+    def test_is_shared_by_a_canonical_copy(self, principals):
+        statement = principals["alice"].sign_statement(self.PAYLOAD)
+        assert canonical_copy({"history": [statement]})["history"][0] \
+            is statement
+
+    def test_decoded_form_verifies_and_decodes(self, principals):
+        statement = principals["alice"].sign_statement(self.PAYLOAD)
+        wire = canonical_decode(canonical_encode(statement))
+        received = SignedStatement.from_canonical(wire)
+        assert received == statement
+        assert received.verify(principals["keystore"])
+        assert received.payload() == self.PAYLOAD
+
+    def test_altered_bytes_do_not_verify(self, principals):
+        statement = principals["alice"].sign_statement(self.PAYLOAD)
+        forged = SignedStatement(
+            body=CanonicalSpan.of(dict(self.PAYLOAD, hop=3)),
+            signer=statement.signer,
+            signature=statement.signature,
+        )
+        assert not forged.verify(principals["keystore"])
+
+    def test_unknown_signer_does_not_verify(self, principals):
+        statement = principals["mallory"].sign_statement(self.PAYLOAD)
+        assert not statement.verify(principals["keystore"])
+
+    @pytest.mark.parametrize("data", [
+        "x",
+        None,
+        {"payload": {}, "signer": ["alice"], "signature": {"r": 1, "s": 1}},
+        {"payload": {}, "signer": "alice"},
+        {"payload": {}, "signer": "alice", "signature": "x"},
+    ])
+    def test_malformed_canonical_forms_raise(self, data):
+        with pytest.raises(SignatureError):
+            SignedStatement.from_canonical(data)
+

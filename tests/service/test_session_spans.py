@@ -224,3 +224,54 @@ class TestForwardedBytes:
             sent = canonical_decode(canonical_encode(payload))
             sent["id"] = decode_body(frame, SPAN_FIELDS)["id"]
             assert frame == canonical_encode(sent)
+
+
+class TestMalformedStatements:
+    """A session whose statements have the wrong type gets a verdict.
+
+    The payload decodes, so it is the checked host's evidence that is
+    bad, not the request: the verifier answers with an attack verdict
+    blaming the checked host, not with an error.
+    """
+
+    @pytest.mark.parametrize("role", sorted(ENDPOINTS))
+    @pytest.mark.parametrize("field", ["manifest", "initial_state"])
+    def test_is_an_attack_verdict(self, role, field):
+        stream = journey_request_stream(
+            FleetConfig(num_agents=4, num_hosts=4, seed=5)
+        )
+        payload = stream.session_requests[0].payload
+        request = dict(payload, id=7, prev_session=dict(
+            payload["prev_session"], **{field: "x"}
+        ))
+
+        async def run():
+            async with ENDPOINTS[role]() as (endpoint, verifier):
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
+                response = await _exchange(reader, writer, request)
+                writer.close()
+                return response
+
+        response = asyncio.run(run())
+        assert response["status"] == "ok" and response["id"] == 7
+        assert response["verdict"]["status"] == "attack-detected"
+        assert response["verdict"]["checked_host"] == payload["checked_host"]
+
+    def test_an_observed_state_that_is_not_a_state_is_a_malformed_request(
+            self):
+        async def run():
+            async with _verifier() as (endpoint, verifier):
+                reader, writer = await asyncio.open_connection(
+                    *endpoint.address
+                )
+                response = await _exchange(
+                    reader, writer, _session(8, {}, {"data": 1})
+                )
+                writer.close()
+                return response
+
+        response = asyncio.run(run())
+        assert response["status"] == "error" and response["id"] == 8
+        assert response["error"] == "malformed-request"
