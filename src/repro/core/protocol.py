@@ -157,9 +157,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
         protocol_data: Optional[Dict[str, Any]],
     ) -> Dict[str, Any]:
         data = protocol_data or self.prepare_launch(agent, itinerary, host)
-        pending = data.pop("pending", None) or _pending(
-            record.initial_state, None, None
-        )
+        pending = data.pop("pending")
         initial_state = pending["initial_state"]
         verdict = pending["verdict"]
         # The input log is encoded once; its digest goes into the
@@ -178,7 +176,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
             "resulting_digest": record.resulting_state.digest().hex(),
             "input_digest": hash_bytes(session_input.data).hex(),
         })
-        data.setdefault("verdict_history", []).append(manifest)
+        data["verdict_history"].append(manifest)
         data["prev_session"] = {
             "host": host.name,
             "hop_index": hop_index,
