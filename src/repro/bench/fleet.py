@@ -114,7 +114,6 @@ def fleet_summary_markdown(result: FleetResult) -> str:
                     ["verified", str(stats.get("verified", 0))],
                     ["failed", str(stats.get("failed", 0))],
                     ["batches", str(stats.get("batches", 0))],
-                    ["cache hits", str(stats.get("cache", {}).get("hits", 0))],
                 ],
             ),
         ]

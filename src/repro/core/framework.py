@@ -73,9 +73,9 @@ class CheckingFramework(ProtectionMechanism):
         Registry used by re-execution checkers.
     trusted_hosts:
         Names of hosts the owner trusts; sessions on these hosts are not
-        checked when the policy says to skip trusted hosts.  When
-        ``None``, the executing host's own ``trusted`` flag is used (as
-        recorded at collection time).
+        checked when the policy says to skip trusted hosts.  Trust comes
+        only from this configuration: when ``None``, no host is trusted
+        (the unsigned ``trusted`` flag a host records is never read).
     """
 
     def __init__(
@@ -86,7 +86,7 @@ class CheckingFramework(ProtectionMechanism):
     ) -> None:
         self.policy = policy or session_reexecution_policy()
         self.code_registry = code_registry or default_registry
-        self.trusted_hosts = tuple(trusted_hosts) if trusted_hosts is not None else None
+        self.trusted_hosts = frozenset(trusted_hosts or ())
         self.name = "framework:%s" % self.policy.name
 
     # -- ProtectionMechanism hooks ---------------------------------------------------
@@ -141,7 +141,7 @@ class CheckingFramework(ProtectionMechanism):
         entry = protocol_data["prev_session"]
         protocol_data["prev_session"] = None
 
-        if self._should_skip(host, entry, checked_host):
+        if self._should_skip(host, checked_host):
             verdict = Verdict(
                 status=VerdictStatus.SKIPPED,
                 mechanism=self.name,
@@ -185,7 +185,7 @@ class CheckingFramework(ProtectionMechanism):
         for position, entry in enumerate(entries):
             checked_host = entry.get("host")
             hop_index = entry.get("hop_index")
-            if self._should_skip(host, entry, checked_host):
+            if self._should_skip(host, checked_host):
                 verdicts.append(
                     Verdict(
                         status=VerdictStatus.SKIPPED,
@@ -236,18 +236,15 @@ class CheckingFramework(ProtectionMechanism):
             }
         return entry
 
-    def _should_skip(self, checking_host: Host, entry: Dict[str, Any],
+    def _should_skip(self, checking_host: Host,
                      checked_host: Optional[str]) -> bool:
         if checked_host is None:
             return False
         collaborates = getattr(checking_host, "collaborates_with", None)
         if callable(collaborates) and collaborates(checked_host):
             return True
-        if not self.policy.skip_trusted_hosts:
-            return False
-        if self.trusted_hosts is not None:
-            return checked_host in self.trusted_hosts
-        return bool(entry.get("trusted", False))
+        return (self.policy.skip_trusted_hosts
+                and checked_host in self.trusted_hosts)
 
     def _verify_entry_signature(self, host: Host, entry: Dict[str, Any],
                                 checked_host: Optional[str]) -> Optional[CheckResult]:

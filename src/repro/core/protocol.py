@@ -102,8 +102,10 @@ class ReferenceStateProtocol(ProtectionMechanism):
         Registry providing the reference agent code for re-execution.
     trusted_hosts:
         Names of hosts the owner trusts.  Sessions executed on these
-        hosts are not checked.  When ``None``, the checked host's
-        ``trusted`` flag recorded at departure time is used.
+        hosts are not checked.  Trust comes only from this owner-side
+        configuration: when ``None``, no host is trusted.  The
+        ``trusted`` flag a host records in its unsigned session payload
+        is never read — a host could set it on its own session.
     checker:
         The checking algorithm applied to untrusted sessions; defaults
         to :class:`~repro.core.checkers.reexecution.ReExecutionChecker`.
@@ -129,9 +131,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
         check_trusted_hosts: bool = False,
     ) -> None:
         self.code_registry = code_registry or default_registry
-        self.trusted_hosts = (
-            frozenset(trusted_hosts) if trusted_hosts is not None else None
-        )
+        self.trusted_hosts = frozenset(trusted_hosts or ())
         self.checker = checker or ReExecutionChecker()
         self.check_trusted_hosts = check_trusted_hosts
 
@@ -215,7 +215,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
             if data is None:
                 data = {"mechanism": self.name, "version": _PROTOCOL_VERSION}
         else:
-            skip_reason = self._skip_reason(host, prev, checked_host)
+            skip_reason = self._skip_reason(host, checked_host)
             if skip_reason is not None:
                 verdict = Verdict(
                     status=VerdictStatus.SKIPPED,
@@ -319,7 +319,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
             sender_manifest=history[-2] if len(history) > 1 else None,
         )
 
-    def _skip_reason(self, checking_host: Host, prev: Any,
+    def _skip_reason(self, checking_host: Host,
                      checked_host: Optional[str]) -> Optional[str]:
         """Return why the check is skipped, or ``None`` to check."""
         collaborates = getattr(checking_host, "collaborates_with", None)
@@ -327,16 +327,9 @@ class ReferenceStateProtocol(ProtectionMechanism):
             return "checking host collaborates with the checked host"
         if self.check_trusted_hosts:
             return None
-        if self._is_trusted(checked_host, prev):
+        if checked_host in self.trusted_hosts:
             return "checked host is trusted; trusted hosts are not checked"
         return None
-
-    def _is_trusted(self, checked_host: Optional[str], prev: Any) -> bool:
-        if checked_host is None:
-            return False
-        if self.trusted_hosts is not None:
-            return checked_host in self.trusted_hosts
-        return isinstance(prev, dict) and bool(prev.get("trusted", False))
 
     def _check_previous_session(
         self,

@@ -14,8 +14,8 @@ substrate for the reproduction, implemented from scratch:
 * :mod:`repro.crypto.hashing` — secure hashes of states and traces,
 * :mod:`repro.crypto.dsa` — DSA key generation, signing, verification,
   and randomized batch verification,
-* :mod:`repro.crypto.batch` — verification queues and memo caches that
-  amortize signature cost across fleet-scale simulation runs,
+* :mod:`repro.crypto.batch` — the batch settle step shared by the
+  fleet's deferred transfer check and the verification service,
 * :mod:`repro.crypto.keys` — identities and key stores,
 * :mod:`repro.crypto.signing` — signed envelopes and statements,
 * :mod:`repro.crypto.certificates` — a minimal CA / trust-anchor model.
@@ -32,12 +32,7 @@ from repro.crypto.backend import (
     set_backend,
     use_backend,
 )
-from repro.crypto.batch import (
-    BatchReport,
-    BatchVerifier,
-    BatchedTransferVerifier,
-    VerificationCache,
-)
+from repro.crypto.batch import BatchedTransferVerifier, verify_window
 from repro.crypto.canonical import (
     CanonicalDecoder,
     CanonicalEncoder,
@@ -112,10 +107,8 @@ __all__ = [
     "get_table_cache",
     "set_table_cache",
     "table_cache_info",
-    "BatchReport",
-    "BatchVerifier",
     "BatchedTransferVerifier",
-    "VerificationCache",
+    "verify_window",
     "CanonicalDecoder",
     "CanonicalEncoder",
     "canonical_decode",

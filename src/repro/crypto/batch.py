@@ -1,243 +1,60 @@
-"""Batched and memoized signature verification.
+"""Batched signature verification: one settle step for every caller.
 
 Fleet-scale simulation turns signature verification into the dominant
-cost: every migration is signed and verified as a whole, and every
-protection-protocol commitment is verified again by the next host.
-This module amortizes that cost two ways:
+cost: every migration is signed and verified as a whole.  Many
+commitment-carrying signatures can be settled with one randomized
+batch equation (:func:`repro.crypto.dsa.batch_verify`), falling back
+to :func:`~repro.crypto.dsa.find_invalid` only to name the bad ones.
 
-* :class:`BatchVerifier` queues commitment-carrying envelopes and
-  settles many of them with one randomized batch equation
-  (:func:`repro.crypto.dsa.batch_verify`), falling back to individual
-  verification only to attribute failures;
-* :class:`VerificationCache` memoizes verification outcomes by content,
-  so re-verifying the same envelope (e.g. the owner re-checking
-  commitments the journey already checked) is a dictionary lookup.
-
-:class:`BatchedTransferVerifier` packages both behind the
-``verify_transfer`` hook of
-:class:`~repro.platform.registry.JourneyRunner`, deferring transfer
-signature failures to flush time — the right trade for a discrete-event
-fleet, where a bad transfer signature surfaces as a reported failure
-rather than an exception on the hot path.
+:func:`verify_window` is that settle step.  The verification service
+settles its micro-batch windows with it, and
+:class:`BatchedTransferVerifier` settles the fleet's deferred transfer
+checks with it, behind the ``verify_transfer`` hook of
+:class:`~repro.platform.registry.JourneyRunner`.  Transfer signature
+failures are deferred to flush time — the right trade for a
+discrete-event fleet, where a bad transfer signature surfaces as a
+reported failure rather than an exception on the hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random, SystemRandom
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.backend import get_backend
-from repro.crypto.dsa import (
-    DSAPublicKey,
-    RecoverableSignature,
-    batch_verify,
-    find_invalid,
-)
-from repro.crypto.hashing import hash_bytes
+from repro.crypto.dsa import batch_verify, find_invalid
 from repro.crypto.keys import KeyStore
-from repro.crypto.signing import RecoverableEnvelope
 
-__all__ = [
-    "VerificationCache",
-    "BatchReport",
-    "BatchVerifier",
-    "BatchedTransferVerifier",
-]
+__all__ = ["BatchedTransferVerifier", "verify_window"]
 
-#: Content key of one verification: (signer, message digest, r, s, R).
-CacheKey = Tuple[str, bytes, int, int, int]
+_SYSTEM_RANDOM = SystemRandom()
+
+#: Pending transfer checks that trigger a settlement on enqueue.
+TRANSFER_WINDOW = 64
 
 
-class VerificationCache:
-    """Memoizes signature-verification outcomes by content.
+def verify_window(
+    items: Sequence[Any], rng: Optional[Random] = None
+) -> List[bool]:
+    """Settle ``(public_key, message, signature)`` items; one verdict each.
 
-    Signatures are deterministic functions of (signer, message), so an
-    outcome observed once holds forever; the cache key is the signer
-    name, the digest of the canonical message, and the full
-    ``(r, s, commitment)`` triple — the commitment must participate,
-    otherwise a forged commitment with a matching ``r`` would alias to
-    a cached valid outcome (or a bogus one would poison the genuine
-    signature).  A bounded FIFO eviction keeps memory flat on
-    unbounded fleets.
+    Two or more items go through one batch equation, and
+    :func:`~repro.crypto.dsa.find_invalid` names the bad ones when it
+    fails.  A single item takes the plain
+    :meth:`~repro.crypto.dsa.DSAPublicKey.verify_recoverable` path:
+    the one-item batch equation costs more than individual
+    verification.  ``rng`` is the source of the random batch exponents;
+    the default, :class:`random.SystemRandom`, is what the batch test's
+    soundness against adversarial streams requires, so pass a seeded
+    generator only to reproduce non-adversarial benchmarks.
     """
-
-    def __init__(self, max_entries: int = 65536) -> None:
-        self._entries: Dict[CacheKey, bool] = {}
-        self._max_entries = max(1, int(max_entries))
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(signer: str, message: bytes,
-            signature: RecoverableSignature) -> CacheKey:
-        digest = hash_bytes(message).digest
-        return (signer, digest, signature.r, signature.s,
-                signature.commitment)
-
-    def get(self, key: CacheKey) -> Optional[bool]:
-        """Cached outcome for ``key``, or ``None`` when unknown."""
-        outcome = self._entries.get(key)
-        if outcome is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return outcome
-
-    def put(self, key: CacheKey, outcome: bool) -> None:
-        """Record an outcome, evicting oldest entries beyond the cap."""
-        if key not in self._entries and len(self._entries) >= self._max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = outcome
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, Any]:
-        """Hit/miss counters, current size, and the lifetime hit rate."""
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self),
-            "hit_rate": (self.hits / total) if total else 0.0,
-        }
-
-
-@dataclass
-class BatchReport:
-    """What one :meth:`BatchVerifier.flush` call settled."""
-
-    verified: int = 0
-    failed: int = 0
-    batches: int = 0
-    #: ``(signer, payload digest hex)`` of every failed verification.
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-
-    def merge(self, other: "BatchReport") -> None:
-        self.verified += other.verified
-        self.failed += other.failed
-        self.batches += other.batches
-        self.failures.extend(other.failures)
-
-
-@dataclass
-class _Pending:
-    public_key: DSAPublicKey
-    message: bytes
-    signature: RecoverableSignature
-    key: CacheKey
-    signer: str
-    on_result: Optional[Callable[[bool], None]]
-
-
-class BatchVerifier:
-    """Queues recoverable-envelope verifications and settles them in bulk.
-
-    Parameters
-    ----------
-    keystore:
-        Directory resolving signer names to public keys.  An unknown
-        signer fails immediately (never enters a batch).
-    batch_size:
-        Queue length that triggers an automatic flush on enqueue.
-    rng:
-        Source for the random batch exponents.  Defaults to
-        :class:`random.SystemRandom` (unpredictable, as the batch
-        test's soundness requires); pass a seeded generator only for
-        reproducible simulation of non-adversarial streams.
-    cache:
-        Optional shared :class:`VerificationCache`.
-    """
-
-    def __init__(
-        self,
-        keystore: KeyStore,
-        batch_size: int = 64,
-        rng: Optional[Random] = None,
-        cache: Optional[VerificationCache] = None,
-    ) -> None:
-        self.keystore = keystore
-        self.batch_size = max(1, int(batch_size))
-        self.rng = rng if rng is not None else SystemRandom()
-        self.cache = cache if cache is not None else VerificationCache()
-        self.report = BatchReport()
-        self._pending: List[_Pending] = []
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, not-yet-settled verifications."""
-        return len(self._pending)
-
-    def enqueue(self, envelope: RecoverableEnvelope,
-                on_result: Optional[Callable[[bool], None]] = None) -> Optional[bool]:
-        """Queue one envelope for batched verification.
-
-        Returns the outcome immediately when it is already known (cache
-        hit or unknown signer); otherwise returns ``None`` and the
-        outcome is delivered through ``on_result`` at flush time.
-        """
-        message = envelope.message()
-        key = VerificationCache.key(envelope.signer, message, envelope.signature)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._settle(envelope.signer, message, cached, on_result)
-            return cached
-        public_key = self.keystore.maybe_get(envelope.signer)
-        if public_key is None:
-            self.cache.put(key, False)
-            self._settle(envelope.signer, message, False, on_result)
-            return False
-        self._pending.append(_Pending(
-            public_key=public_key,
-            message=message,
-            signature=envelope.signature,
-            key=key,
-            signer=envelope.signer,
-            on_result=on_result,
-        ))
-        if len(self._pending) >= self.batch_size:
-            self.flush()
-        return None
-
-    def flush(self) -> BatchReport:
-        """Settle every queued verification; returns this flush's report."""
-        flush_report = BatchReport()
-        if not self._pending:
-            return flush_report
-        pending, self._pending = self._pending, []
-        items = [(p.public_key, p.message, p.signature) for p in pending]
-        flush_report.batches = 1
-        if batch_verify(items, rng=self.rng):
-            outcomes = [True] * len(pending)
-        else:
-            bad = set(find_invalid(items))
-            outcomes = [index not in bad for index in range(len(pending))]
-        for entry, outcome in zip(pending, outcomes):
-            self.cache.put(entry.key, outcome)
-            if outcome:
-                flush_report.verified += 1
-            else:
-                flush_report.failed += 1
-                flush_report.failures.append(
-                    (entry.signer, hash_bytes(entry.message).hex()[:16])
-                )
-            if entry.on_result is not None:
-                entry.on_result(outcome)
-        self.report.merge(flush_report)
-        return flush_report
-
-    def _settle(self, signer: str, message: bytes, outcome: bool,
-                on_result: Optional[Callable[[bool], None]]) -> None:
-        if outcome:
-            self.report.verified += 1
-        else:
-            self.report.failed += 1
-            self.report.failures.append(
-                (signer, hash_bytes(message).hex()[:16])
-            )
-        if on_result is not None:
-            on_result(outcome)
+    if len(items) == 1:
+        public_key, message, signature = items[0]
+        return [public_key.verify_recoverable(message, signature)]
+    if batch_verify(items, rng=rng if rng is not None else _SYSTEM_RANDOM):
+        return [True] * len(items)
+    bad = set(find_invalid(items))
+    return [index not in bad for index in range(len(items))]
 
 
 class BatchedTransferVerifier:
@@ -246,31 +63,36 @@ class BatchedTransferVerifier:
     Drop-in for the eager sign-and-verify pair of
     :class:`~repro.platform.registry.JourneyRunner`: the sender signs
     the transfer with a recoverable signature, the verification is
-    queued, and ``verify_transfer`` returns optimistically.  Failures
-    surface through :attr:`deferred_failures` after :meth:`flush` —
-    callers that need per-journey attribution pass a ``journey`` label
-    via :meth:`bind`.
+    queued, and ``verify_transfer`` returns optimistically.  A full
+    window of :data:`TRANSFER_WINDOW` pending checks settles at once
+    through :func:`verify_window`; :meth:`flush` settles the rest.
+    Failures surface through :attr:`deferred_failures` — callers that
+    need per-journey attribution pass a ``journey`` label via
+    :meth:`bind`.  A signer the keystore does not know fails closed at
+    once and never enters a window.
     """
 
     def __init__(
         self,
         keystore: KeyStore,
-        batch_size: int = 64,
-        rng: Optional[Random] = None,
-        cache: Optional[VerificationCache] = None,
         observer: Optional[Callable[..., None]] = None,
     ) -> None:
-        self.verifier = BatchVerifier(
-            keystore, batch_size=batch_size, rng=rng, cache=cache
-        )
+        self.keystore = keystore
         #: ``{"journey": ..., "sender": ..., "receiver": ...}`` per failure.
         self.deferred_failures: List[Dict[str, Any]] = []
-        self._journey: Optional[str] = None
         #: Optional tap called with ``(envelope, journey)`` for every
         #: transfer queued for verification.  The verification service's
         #: journey-replay source (:mod:`repro.sim.requests`) uses it to
         #: capture the exact signed wire traffic of a fleet run.
         self.observer = observer
+        self._journey: Optional[str] = None
+        #: Queued ``(public_key, message, signature)`` items and the
+        #: failure context of each, index for index.
+        self._items: List[Tuple[Any, bytes, Any]] = []
+        self._contexts: List[Dict[str, Any]] = []
+        self.verified = 0
+        self.failed = 0
+        self.batches = 0
 
     def bind(self, journey: Optional[str]) -> None:
         """Attribute subsequently queued transfers to ``journey``."""
@@ -291,33 +113,46 @@ class BatchedTransferVerifier:
             envelope = sender.sign_recoverable(
                 payload, category="sign_verify", message=message
             )
+        if self.observer is not None:
+            self.observer(envelope, self._journey)
         context = {
             "journey": self._journey,
             "sender": sender.name,
             "receiver": receiver.name,
         }
-
-        def on_result(outcome: bool, context: Dict[str, Any] = context) -> None:
-            if not outcome:
-                self.deferred_failures.append(context)
-
-        if self.observer is not None:
-            self.observer(envelope, self._journey)
-        self.verifier.enqueue(envelope, on_result=on_result)
+        public_key = self.keystore.maybe_get(envelope.signer)
+        if public_key is None:
+            self.failed += 1
+            self.deferred_failures.append(context)
+            return True
+        self._items.append(
+            (public_key, envelope.message(), envelope.signature)
+        )
+        self._contexts.append(context)
+        if len(self._items) >= TRANSFER_WINDOW:
+            self.flush()
         return True
 
-    def flush(self) -> BatchReport:
-        """Settle all queued transfer verifications."""
-        return self.verifier.flush()
+    def flush(self) -> None:
+        """Settle every queued transfer verification."""
+        if not self._items:
+            return
+        items, self._items = self._items, []
+        contexts, self._contexts = self._contexts, []
+        self.batches += 1
+        for context, valid in zip(contexts, verify_window(items)):
+            if valid:
+                self.verified += 1
+            else:
+                self.failed += 1
+                self.deferred_failures.append(context)
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate verifier statistics for reporting."""
-        report = self.verifier.report
         return {
-            "verified": report.verified,
-            "failed": report.failed,
-            "batches": report.batches,
-            "cache": self.verifier.cache.stats(),
+            "verified": self.verified,
+            "failed": self.failed,
+            "batches": self.batches,
             "deferred_failures": len(self.deferred_failures),
             # The arithmetic engine behind every verification above —
             # throughput numbers are meaningless without it.

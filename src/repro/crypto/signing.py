@@ -98,8 +98,7 @@ class RecoverableEnvelope:
     Same trust semantics as :class:`SignedEnvelope`, but the signature
     keeps the full nonce commitment so many envelopes can be verified
     together via :func:`repro.crypto.dsa.batch_verify` (see
-    :class:`repro.crypto.batch.BatchVerifier`).  :meth:`to_envelope`
-    downgrades to a plain envelope for consumers that do not batch.
+    :func:`repro.crypto.batch.verify_window`).
     """
 
     payload: Any
@@ -130,14 +129,6 @@ class RecoverableEnvelope:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
-
-    def to_envelope(self) -> SignedEnvelope:
-        """Drop the commitment, yielding a plain signed envelope."""
-        return SignedEnvelope(
-            payload=self.payload,
-            signer=self.signer,
-            signature=self.signature.to_signature(),
-        )
 
     def to_canonical(self) -> dict:
         return {

@@ -12,13 +12,12 @@ caller's **settle step**: a function from the window's items to one
 result per item, either returned directly (settled inline) or awaited
 (a shipment).  A settle step that raises fails every waiter's future.
 
-:func:`verify_window` is the verifier's settle step.  A window of one
-item takes the plain :meth:`verify_recoverable` path (the single-item
-batch equation costs *more* than individual verification: it adds the
-small-exponent commitment power on top of the two exponentiations
-individual verification needs).  This is also what ``max_batch=1``
-means: the honest no-batching baseline the batching speed gate
-compares against, not a degenerate batch equation.
+:func:`~repro.crypto.batch.verify_window` is the verifier's settle
+step; it lives in :mod:`repro.crypto.batch` because the fleet's
+deferred transfer check settles through it too.  ``max_batch=1`` is
+the honest no-batching baseline the batching speed gate compares
+against: a window of one item takes the plain
+:meth:`verify_recoverable` path, not a degenerate batch equation.
 
 Inline settlement runs on the event loop.  That is a deliberate choice
 for a CPU-bound single-process service: a window of 256 signatures
@@ -32,44 +31,19 @@ from __future__ import annotations
 import asyncio
 import inspect
 from dataclasses import dataclass
-from random import Random, SystemRandom
 from typing import (
     Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set, Union,
 )
 
-from repro.crypto.dsa import batch_verify, find_invalid
 from repro.exceptions import ServiceError
 
-__all__ = ["MicroBatcher", "Settled", "verify_window"]
+__all__ = ["MicroBatcher", "Settled"]
 
 #: A settle step: the window's items in, one result per item out —
 #: returned directly or through an awaitable.
 SettleStep = Callable[
     [List[Any]], Union[Sequence[Any], Awaitable[Sequence[Any]]]
 ]
-
-_SYSTEM_RANDOM = SystemRandom()
-
-
-def verify_window(
-    items: Sequence[Any], rng: Optional[Random] = None
-) -> List[bool]:
-    """Settle ``(public_key, message, signature)`` items; one verdict each.
-
-    Two or more items go through one batch equation, and
-    :func:`~repro.crypto.dsa.find_invalid` names the bad ones when it
-    fails.  ``rng`` is the source of the random batch exponents; the
-    default, :class:`random.SystemRandom`, is what the batch test's
-    soundness against adversarial streams requires, so pass a seeded
-    generator only to reproduce non-adversarial benchmarks.
-    """
-    if len(items) == 1:
-        public_key, message, signature = items[0]
-        return [public_key.verify_recoverable(message, signature)]
-    if batch_verify(items, rng=rng if rng is not None else _SYSTEM_RANDOM):
-        return [True] * len(items)
-    bad = set(find_invalid(items))
-    return [index not in bad for index in range(len(items))]
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,9 @@ of those five components occupy different entries, so a cached verdict
 can never be served across differing digests or signatures — the
 staleness property ``tests/service/test_cache.py`` pins down.
 
-Unlike the FIFO :class:`repro.crypto.batch.VerificationCache` used
-inside fleet engines (where the stream is one pass and eviction order
-barely matters), the service sees *recurring* traffic — loadgen replays,
-retried requests, hot signers — so eviction is LRU: every hit refreshes
-the entry's position and the working set stays resident.
+The service sees *recurring* traffic — loadgen replays, retried
+requests, hot signers — so eviction is LRU: every hit refreshes the
+entry's position and the working set stays resident.
 
 Entries may carry a **tag** (the cluster gateway tags each verdict with
 the backend that produced it).  :meth:`VerdictCache.invalidate` drops

@@ -68,6 +68,13 @@ class _Connection:
                 future = self.inflight.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
+        except (KeyboardInterrupt, SystemExit):
+            # An interrupt belongs to the process, not to this
+            # connection.  Swallowed here, a SIGTERM that lands while
+            # this task runs would leave the process serving forever;
+            # the waiters fail with a plain ServiceError instead.
+            error = ServiceError("connection reader interrupted")
+            raise
         except BaseException as exc:  # noqa: BLE001 - propagated to waiters
             error = exc
         finally:

@@ -61,6 +61,7 @@ import repro.workloads.shopping  # noqa: F401
 import repro.workloads.survey  # noqa: F401
 from repro.agents.state import AgentState
 from repro.core.protocol import check_session_payload
+from repro.crypto.batch import verify_window
 from repro.crypto.canonical import (
     CanonicalDecoder,
     CanonicalSpan,
@@ -78,7 +79,7 @@ from repro.exceptions import (
     TruncatedFrame,
 )
 from repro.obs import STATS_SCHEMA, new_registry
-from repro.service.batching import MicroBatcher, verify_window
+from repro.service.batching import MicroBatcher
 from repro.service.cache import VerdictCache
 from repro.service.wire import (
     MAX_FRAME_BYTES,

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.agents.itinerary import Itinerary
 from repro.attacks.scenarios import AttackScenario, scenario_by_name
-from repro.crypto.batch import BatchedTransferVerifier, VerificationCache
+from repro.crypto.batch import BatchedTransferVerifier
 from repro.crypto.canonical import canonical_encode
 from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError
@@ -204,8 +204,6 @@ class FleetConfig:
     batched_verification:
         Verify whole-transfer signatures through the deferred batch
         path instead of eagerly at each migration.
-    verification_batch_size:
-        Queue length that triggers a batch settlement.
     trace_path:
         Optional file the JSONL trace is written to after the run.
     attack_fraction:
@@ -241,7 +239,6 @@ class FleetConfig:
     latency_per_byte: float = 1e-7
     session_service_time: float = 0.002
     batched_verification: bool = False
-    verification_batch_size: int = 64
     trace_path: Optional[str] = None
     attack_fraction: float = 0.0
     journey_scenarios: Tuple[str, ...] = ()
@@ -566,9 +563,6 @@ class FleetEngine:
         passes disjoint sub-ranges.  Journey identities, randomness, and
         virtual timestamps are global — a partial engine reproduces
         exactly the journeys of its range, bit for bit.
-    shard_index:
-        Index of the unit this engine runs in a multi-unit plan; it
-        derives the batch-verifier substream.
     record_trace:
         Whether the run builds its trace events in :attr:`trace`.
         Defaults to whether ``config.trace_path`` is set; a unit of a
@@ -581,7 +575,6 @@ class FleetEngine:
         config: FleetConfig,
         agent_start: int = 0,
         agent_stop: Optional[int] = None,
-        shard_index: int = 0,
         record_trace: Optional[bool] = None,
     ) -> None:
         config.validate()
@@ -594,7 +587,6 @@ class FleetEngine:
         self.config = config
         self.agent_start = agent_start
         self.agent_stop = stop
-        self.shard_index = shard_index
         self.record_trace = (
             bool(config.trace_path) if record_trace is None else record_trace
         )
@@ -690,14 +682,7 @@ class FleetEngine:
 
     def _build_transfer_verifier(self) -> BatchedTransferVerifier:
         """Build the batched transfer verifier (override hook)."""
-        return BatchedTransferVerifier(
-            self._keystore,
-            batch_size=self.config.verification_batch_size,
-            rng=Random(derive_substream(
-                self.config.seed, "batch", self.shard_index
-            )),
-            cache=VerificationCache(),
-        )
+        return BatchedTransferVerifier(self._keystore)
 
     def _build_topology(self) -> None:
         """Create the home host plus the service-host population."""

@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.crypto.batch import BatchedTransferVerifier, VerificationCache
+from repro.crypto.batch import BatchedTransferVerifier
 from repro.crypto.canonical import canonical_decode, canonical_encode
 from repro.crypto.signing import RecoverableEnvelope
-from repro.sim.fleet import FleetConfig, FleetEngine, derive_substream
+from repro.sim.fleet import FleetConfig, FleetEngine
 
 __all__ = [
     "VerificationRequest",
@@ -103,15 +103,9 @@ class RecordingFleetEngine(FleetEngine):
     # -- capture taps ------------------------------------------------------------
 
     def _build_transfer_verifier(self) -> BatchedTransferVerifier:
-        return BatchedTransferVerifier(
-            self._keystore,
-            batch_size=self.config.verification_batch_size,
-            rng=Random(derive_substream(
-                self.config.seed, "batch", self.shard_index
-            )),
-            cache=VerificationCache(),
-            observer=self._record_envelope,
-        )
+        verifier = super()._build_transfer_verifier()
+        verifier.observer = self._record_envelope
+        return verifier
 
     def _record_envelope(self, envelope: RecoverableEnvelope,
                          journey: Optional[str]) -> None:

@@ -26,8 +26,8 @@ a private stream.  This module exploits that property:
 Determinism under dynamic scheduling
 ------------------------------------
 Bit-identity survives any scheduling interleaving because units carry
-their *substream identity* (journey-index range + unit index), never
-their schedule order: which worker executes a unit, and when, changes
+their *substream identity* (journey-index range), never their schedule
+order: which worker executes a unit, and when, changes
 no random draw.  The unit partition itself is a pure function of
 ``(config, unit count)``, and the merge orders outcomes and trace
 events by content (completion time, journey id), so the merged result
@@ -172,8 +172,7 @@ class ShardSpec:
         The full fleet configuration (``trace_path`` stripped — a unit
         never writes the merged trace itself).
     shard_index:
-        Position of this unit in the partition; it also seeds the
-        unit's batch-verifier substream.
+        Position of this unit in the partition.
     agent_start / agent_stop:
         Journey-index range ``[agent_start, agent_stop)`` this unit
         executes.  Ranges of a partition are contiguous and disjoint.
@@ -316,7 +315,6 @@ def execute_unit(spec: ShardSpec) -> ShardResult:
         spec.config,
         agent_start=spec.agent_start,
         agent_stop=spec.agent_stop,
-        shard_index=spec.shard_index,
         record_trace=spec.traced,
     )
     result = engine.run()
@@ -945,27 +943,11 @@ def _merge_verifier_stats(
 ) -> Optional[Dict[str, Any]]:
     if not stats:
         return None
+    counters = ("verified", "failed", "batches", "deferred_failures")
     merged: Dict[str, Any] = {
-        "verified": 0, "failed": 0, "batches": 0,
-        "cache": {"hits": 0, "misses": 0, "entries": 0},
-        "deferred_failures": 0,
-        "shards": len(stats),
+        key: sum(entry.get(key, 0) for entry in stats) for key in counters
     }
-    for entry in stats:
-        merged["verified"] += entry.get("verified", 0)
-        merged["failed"] += entry.get("failed", 0)
-        merged["batches"] += entry.get("batches", 0)
-        merged["deferred_failures"] += entry.get("deferred_failures", 0)
-        cache = entry.get("cache", {})
-        for key in ("hits", "misses", "entries"):
-            merged["cache"][key] += cache.get(key, 0)
-    # Keep the merged cache dict shape-compatible with
-    # VerificationCache.stats() so reporting code never has to care
-    # whether a result came out of one process or many.
-    lookups = merged["cache"]["hits"] + merged["cache"]["misses"]
-    merged["cache"]["hit_rate"] = (
-        merged["cache"]["hits"] / lookups if lookups else 0.0
-    )
+    merged["shards"] = len(stats)
     return merged
 
 

@@ -7,6 +7,8 @@ under ``benchmarks/``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.harness import measure_generic_agent
@@ -21,6 +23,16 @@ from repro.bench.tables import (
     paper_reference_breakdowns,
 )
 from repro.bench.reporting import comparison_section, markdown_table
+from repro.core.checkers.reexecution import ReExecutionChecker
+from repro.crypto.dsa import DSAPrivateKey, DSAPublicKey
+
+
+def _counted(counts, name, method):
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+
+    return counting
 
 
 class TestMeasureGenericAgent:
@@ -34,12 +46,25 @@ class TestMeasureGenericAgent:
         assert not result.detected_attack
         assert result.journey.hops == 3
 
-    def test_protected_measurement_costs_more(self):
+    def test_protected_measurement_costs_more(self, monkeypatch):
+        """Protection's cost, counted rather than timed: on the 3-hop
+        journey it adds one manifest signature per host visit, one
+        manifest verification per checked session (the trusted home's
+        session is skipped), and one re-executed session."""
+        counts = Counter()
+        for owner, name in ((DSAPrivateKey, "sign"),
+                            (DSAPublicKey, "verify"),
+                            (ReExecutionChecker, "check")):
+            monkeypatch.setattr(owner, name,
+                                _counted(counts, name, getattr(owner, name)))
         plain = measure_generic_agent(cycles=1, inputs=5, protected=False)
+        plain_counts = Counter(counts)
+        counts.clear()
         protected = measure_generic_agent(cycles=1, inputs=5, protected=True)
         assert protected.protected
         assert not protected.detected_attack
-        assert protected.breakdown.overall_ms > plain.breakdown.overall_ms
+        assert plain_counts == {"sign": 2, "verify": 2}
+        assert counts - plain_counts == {"sign": 3, "verify": 2, "check": 1}
 
     def test_custom_label(self):
         result = measure_generic_agent(cycles=1, inputs=1, protected=False,

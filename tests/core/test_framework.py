@@ -129,3 +129,29 @@ class TestProtectedAgentMixin:
         # The impossible rule fails on every checked session, so the agent's
         # own rules are demonstrably part of the check.
         assert result.detected_attack()
+
+
+class TestTrustComesFromConfiguration:
+    def test_a_self_declared_trusted_session_is_still_checked(self):
+        def claim_trust(data):
+            data["prev_session"]["trusted"] = True
+            return data
+
+        scenario, agent = build_shopping_scenario(
+            num_shops=3,
+            malicious_shop=1,
+            injectors=[DataTamperInjector("cheapest_total", 1.0),
+                       ProtocolDataTamperInjector(claim_trust)],
+        )
+        framework = CheckingFramework(policy=session_reexecution_policy())
+        result = _run(scenario, agent, framework)
+        assert result.detected_attack()
+        assert result.blamed_hosts() == ("shop-1",)
+
+    def test_without_configuration_no_host_is_trusted(self):
+        scenario, agent = build_generic_scenario(cycles=1, input_elements=1,
+                                                 protected_agent=True)
+        framework = CheckingFramework(policy=session_reexecution_policy())
+        result = _run(scenario, agent, framework)
+        home_verdicts = [v for v in result.verdicts if v.checked_host == "home"]
+        assert home_verdicts and home_verdicts[0].status is VerdictStatus.OK

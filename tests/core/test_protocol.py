@@ -304,3 +304,41 @@ class TestDetachedCheck:
         )
         assert verdict.status is VerdictStatus.ATTACK_DETECTED
         assert verdict.checked_host == payload["checked_host"]
+
+
+def _claim_trust(data):
+    """A host marks its own session trusted in the unsigned payload."""
+    data["prev_session"]["trusted"] = True
+    return data
+
+
+class TestTrustComesFromConfiguration:
+    @pytest.mark.parametrize("trusted_hosts", [None, ("home",)])
+    def test_a_self_declared_trusted_session_is_still_checked(
+            self, trusted_hosts):
+        scenario, agent = build_shopping_scenario(
+            num_shops=3,
+            malicious_shop=1,
+            injectors=[DataTamperInjector("cheapest_total", 1.0),
+                       ProtocolDataTamperInjector(_claim_trust)],
+        )
+        protocol = ReferenceStateProtocol(
+            code_registry=scenario.system.code_registry,
+            trusted_hosts=trusted_hosts,
+        )
+        result = scenario.system.launch(agent, scenario.itinerary,
+                                        protection=protocol)
+        assert result.detected_attack()
+        assert result.blamed_hosts() == ("shop-1",)
+
+    def test_without_configuration_no_host_is_trusted(self):
+        scenario, agent = build_generic_scenario(protected_agent=True)
+        protocol = ReferenceStateProtocol(
+            code_registry=scenario.system.code_registry
+        )
+        result = scenario.system.launch(agent, scenario.itinerary,
+                                        protection=protocol)
+        by_host = {v.checked_host: v for v in result.verdicts
+                   if v.moment.value == "after-session"}
+        assert by_host["home"].status is VerdictStatus.OK
+        assert not result.detected_attack()

@@ -3,16 +3,22 @@
 The randomized batch test must accept exactly the signature sets the
 individual verifier accepts; these tests pin the acceptance boundary
 (valid batches, tampered components, forged commitments, mixed domain
-parameters) and the queue/cache machinery built on top.
+parameters), the shared settle step, and the fleet's deferred transfer
+check built on it.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.crypto.batch import BatchVerifier, BatchedTransferVerifier, VerificationCache
+from repro.crypto.batch import (
+    TRANSFER_WINDOW,
+    BatchedTransferVerifier,
+    verify_window,
+)
 from repro.crypto.dsa import (
     PARAMETERS_1024,
     RecoverableSignature,
@@ -119,110 +125,114 @@ class TestBatchVerify:
         assert not batch_verify(items, rng=random.Random(5))
 
 
-class TestBatchVerifier:
-    def _keystore_and_signer(self, name="host-a"):
-        keystore = KeyStore()
-        identity = Identity.generate(name)
-        keystore.register_identity(identity)
-        return keystore, Signer(identity, keystore)
-
-    def test_flush_settles_queued_envelopes(self):
-        keystore, signer = self._keystore_and_signer()
-        verifier = BatchVerifier(keystore, batch_size=100, rng=random.Random(0))
-        outcomes = []
-        for index in range(5):
-            verifier.enqueue(
-                signer.sign_recoverable({"n": index}), outcomes.append
-            )
-        assert verifier.pending == 5
-        report = verifier.flush()
-        assert report.verified == 5 and report.failed == 0
-        assert outcomes == [True] * 5
-
-    def test_auto_flush_at_batch_size(self):
-        keystore, signer = self._keystore_and_signer()
-        verifier = BatchVerifier(keystore, batch_size=3, rng=random.Random(0))
-        for index in range(3):
-            verifier.enqueue(signer.sign_recoverable({"n": index}))
-        assert verifier.pending == 0
-        assert verifier.report.verified == 3
-
-    def test_unknown_signer_fails_immediately(self):
-        keystore, signer = self._keystore_and_signer()
-        stranger = Identity.generate("stranger")
-        envelope = Signer(stranger, keystore).sign_recoverable({"x": 1})
-        outcomes = []
-        verifier = BatchVerifier(keystore, batch_size=10)
-        assert verifier.enqueue(envelope, outcomes.append) is False
-        assert outcomes == [False]
-        assert verifier.pending == 0
-
-    def test_cache_short_circuits_repeat_verifications(self):
-        keystore, signer = self._keystore_and_signer()
-        cache = VerificationCache()
-        verifier = BatchVerifier(keystore, batch_size=10, cache=cache)
-        envelope = signer.sign_recoverable({"same": "payload"})
-        verifier.enqueue(envelope)
-        verifier.flush()
-        assert verifier.enqueue(envelope) is True  # settled from cache
-        assert cache.hits == 1
-        assert verifier.report.verified == 2
-        assert verifier.report.batches == 1  # no second batch ran
-
-    def test_cache_eviction_keeps_size_bounded(self):
-        cache = VerificationCache(max_entries=2)
-        for index in range(5):
-            cache.put(("s", b"%d" % index, index, index, index), True)
-        assert len(cache) == 2
-
-    def test_forged_commitment_does_not_alias_a_cached_valid_outcome(self):
-        """Regression: the cache key must include the commitment.  A
-        forged envelope sharing (signer, message, r, s) with a cached
-        valid one must still be verified — and rejected — on its own."""
-        keystore, signer = self._keystore_and_signer()
-        verifier = BatchVerifier(keystore, batch_size=100)
-        envelope = signer.sign_recoverable({"payload": 1})
-        verifier.enqueue(envelope)
-        verifier.flush()
-
-        parameters = keystore.get(envelope.signer).parameters
-        shifted = envelope.signature.commitment + parameters.q
-        if shifted >= parameters.p:
-            shifted = envelope.signature.commitment - parameters.q
-        from dataclasses import replace
-
-        forged = replace(envelope, signature=RecoverableSignature(
-            r=envelope.signature.r, s=envelope.signature.s,
-            commitment=shifted,
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_verify_window_matches_individual_verification(signers, size):
+    items = _batch(signers, size)
+    if size > 1:
+        public, message, signature = items[-1]
+        items[-1] = (public, message, RecoverableSignature(
+            r=signature.r, s=signature.s + 1,
+            commitment=signature.commitment,
         ))
-        outcomes = []
-        settled = verifier.enqueue(forged, outcomes.append)
-        if settled is None:
-            verifier.flush()
-        assert outcomes == [False]
+    expected = [public.verify_recoverable(message, signature)
+                for public, message, signature in items]
+    assert verify_window(items, rng=random.Random(3)) == expected
+
+
+class _FakeHost:
+    """A transfer sender/receiver: a name and a recoverable signer."""
+
+    def __init__(self, name, identity, keystore, forge=False):
+        self.name = name
+        self._signer = Signer(identity, keystore)
+        self._parameters = identity.public_key.parameters
+        self._forge = forge
+
+    def sign_recoverable(self, payload, category="sign_verify"):
+        envelope = self._signer.sign_recoverable(payload)
+        if not self._forge:
+            return envelope
+        return replace(envelope, signature=_forged_commitment(
+            envelope.signature, self._parameters
+        ))
+
+
+def _forged_commitment(signature, parameters):
+    """The same ``(r, s)`` with a different commitment, ``R mod q == r``."""
+    shifted = signature.commitment + parameters.q
+    if shifted >= parameters.p:
+        shifted = signature.commitment - parameters.q
+    return RecoverableSignature(
+        r=signature.r, s=signature.s, commitment=shifted
+    )
 
 
 class TestBatchedTransferVerifier:
-    def test_deferred_failure_attribution(self):
+    def _hosts(self):
         keystore = KeyStore()
-        sender = Identity.generate("sender")
-        keystore.register_identity(sender)
+        identity = Identity.generate("sender")
+        keystore.register_identity(identity)
+        return (keystore, _FakeHost("sender", identity, keystore),
+                _FakeHost("receiver", identity, keystore),
+                _FakeHost("sender", identity, keystore, forge=True))
 
-        class _FakeHost:
-            def __init__(self, name, identity, keystore):
-                self.name = name
-                self._signer = Signer(identity, keystore)
+    def test_flush_settles_the_queued_transfers(self):
+        keystore, sender, receiver, _ = self._hosts()
+        verifier = BatchedTransferVerifier(keystore)
+        for hop in range(5):
+            assert verifier.verify_transfer(sender, receiver, {"hop": hop})
+        assert verifier.stats()["verified"] == 0
+        verifier.flush()
+        stats = verifier.stats()
+        assert (stats["verified"], stats["failed"], stats["batches"]) == (5, 0, 1)
+        assert verifier.deferred_failures == []
+        verifier.flush()
+        assert verifier.stats()["batches"] == 1
 
-            def sign_recoverable(self, payload, category="sign_verify"):
-                return self._signer.sign_recoverable(payload)
+    def test_a_full_window_settles_on_enqueue(self):
+        keystore, sender, receiver, _ = self._hosts()
+        verifier = BatchedTransferVerifier(keystore)
+        for hop in range(TRANSFER_WINDOW):
+            verifier.verify_transfer(sender, receiver, {"hop": hop})
+        stats = verifier.stats()
+        assert (stats["verified"], stats["batches"]) == (TRANSFER_WINDOW, 1)
 
+    def test_unknown_signer_fails_closed_without_entering_a_window(self):
+        keystore, _, receiver, _ = self._hosts()
+        stranger = _FakeHost("stranger", Identity.generate("stranger"),
+                             keystore)
+        verifier = BatchedTransferVerifier(keystore)
+        verifier.bind("j00007")
+        assert verifier.verify_transfer(stranger, receiver, {"hop": 1})
+        assert verifier.deferred_failures == [
+            {"journey": "j00007", "sender": "stranger",
+             "receiver": "receiver"},
+        ]
+        verifier.flush()
+        stats = verifier.stats()
+        assert (stats["failed"], stats["batches"]) == (1, 0)
+
+    def test_forged_commitment_is_rejected_inside_a_window(self):
+        """``R mod q == r`` alone must not pass the batch: the forged
+        transfer among valid ones is named, and only it."""
+        keystore, sender, receiver, forger = self._hosts()
+        verifier = BatchedTransferVerifier(keystore)
+        for hop in range(4):
+            verifier.bind("j%05d" % hop)
+            verifier.verify_transfer(sender, receiver, {"hop": hop})
+        verifier.bind("j00004")
+        verifier.verify_transfer(forger, receiver, {"hop": 4})
+        verifier.flush()
+        assert [f["journey"] for f in verifier.deferred_failures] == ["j00004"]
+        stats = verifier.stats()
+        assert (stats["verified"], stats["failed"]) == (4, 1)
+
+    def test_deferred_failure_attribution(self):
+        keystore, good_host, receiver, _ = self._hosts()
         # The receiving side's keystore does not know the rogue signer,
-        # so its transfer must fail at settlement time.
-        rogue = Identity.generate("rogue")
-        verifier = BatchedTransferVerifier(keystore, batch_size=10)
-        good_host = _FakeHost("sender", sender, keystore)
-        rogue_host = _FakeHost("rogue", rogue, keystore)
-        receiver = _FakeHost("receiver", sender, keystore)
+        # so its transfer must fail.
+        verifier = BatchedTransferVerifier(keystore)
+        rogue_host = _FakeHost("rogue", Identity.generate("rogue"), keystore)
 
         verifier.bind("j00001")
         assert verifier.verify_transfer(good_host, receiver, {"hop": 1})

@@ -2,7 +2,7 @@
 
 One :class:`MicroBatcher` serves both tiers; these tests drive it with
 both settle steps — the verifier's inline batch equation
-(:func:`verify_window`) and the gateway's awaited ``verify-batch``
+(:func:`~repro.crypto.batch.verify_window`) and the gateway's awaited ``verify-batch``
 shipment — and check that the window mechanics are the same for each.
 """
 
@@ -12,11 +12,11 @@ import asyncio
 import functools
 from random import Random
 
-import pytest
 
+from repro.crypto.batch import verify_window
 from repro.crypto.dsa import RecoverableSignature, generate_keypair
 from repro.exceptions import ServiceError
-from repro.service.batching import MicroBatcher, verify_window
+from repro.service.batching import MicroBatcher
 
 
 def _items(count: int, signers: int = 3):
@@ -290,13 +290,3 @@ class TestGatewayShipment:
         assert verdicts == [True, False, True]
         assert stats["batches"] == 1 and stats["items"] == 3
         assert "flushes" not in stats
-
-
-@pytest.mark.parametrize("size", [1, 2, 5])
-def test_verify_window_matches_individual_verification(size):
-    items = _items(size)
-    if size > 1:
-        items[-1] = _corrupt(items[-1])
-    expected = [public.verify_recoverable(message, signature)
-                for public, message, signature in items]
-    assert verify_window(items, rng=Random(3)) == expected

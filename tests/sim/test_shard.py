@@ -258,9 +258,7 @@ class TestPartialEngine:
     def test_partial_engine_reproduces_its_slice_of_the_full_run(self):
         config = _config()
         full = FleetEngine(config).run()
-        partial = FleetEngine(
-            config, agent_start=8, agent_stop=16, shard_index=1,
-        ).run()
+        partial = FleetEngine(config, agent_start=8, agent_stop=16).run()
         by_id = {o.journey_id: o for o in full.outcomes}
         assert len(partial.outcomes) == 8
         for outcome in partial.outcomes:
