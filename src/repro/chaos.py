@@ -4,8 +4,8 @@ The paper's subject is surviving misbehaving hosts; this module makes
 our *own* execution substrate misbehave on demand so the supervision
 machinery can be exercised deterministically.  A :class:`FaultPlan` is
 an immutable, picklable description of every fault a run will suffer —
-worker crashes, stalls, truncated result pipes, backend SIGKILLs,
-table-cache corruption, slow frame delivery — and a
+worker crashes, stalls, truncated result pipes, backend SIGKILLs and
+slow frame delivery — and a
 :class:`FaultInjector` applies one worker's share of the plan inside
 that worker's process.
 
@@ -42,12 +42,10 @@ __all__ = [
     "CHANNEL_TRUNCATION",
     "SLOW_FRAME",
     "BACKEND_SIGKILL",
-    "TABLE_CACHE_CORRUPTION",
     "FAULT_KINDS",
     "Fault",
     "FaultPlan",
     "FaultInjector",
-    "corrupt_table_cache",
     "kill_self",
 ]
 
@@ -78,18 +76,12 @@ SLOW_FRAME = "slow-frame"
 #: workers.
 BACKEND_SIGKILL = "backend-sigkill"
 
-#: Overwrite every entry of a fixed-base table cache directory with
-#: garbage.  The cache layer treats unreadable entries as misses and
-#: recomputes; this fault proves it.
-TABLE_CACHE_CORRUPTION = "table-cache-corruption"
-
 FAULT_KINDS = (
     WORKER_CRASH,
     WORKER_STALL,
     CHANNEL_TRUNCATION,
     SLOW_FRAME,
     BACKEND_SIGKILL,
-    TABLE_CACHE_CORRUPTION,
 )
 
 #: Fault kinds applied inside pool worker processes (everything a
@@ -318,27 +310,3 @@ class FaultInjector:
                 pass
             kill_self()
 
-
-def corrupt_table_cache(directory: str, seed: int = 0) -> int:
-    """Overwrite every cache entry in ``directory`` with garbage.
-
-    Deterministic garbage (sha256 of the seed and filename) so the
-    injury itself is replayable.  Returns the number of files
-    scribbled over.  The table cache treats undecodable entries as
-    misses, deletes them, and recomputes — corruption costs time, not
-    correctness.
-    """
-    corrupted = 0
-    if not os.path.isdir(directory):
-        return corrupted
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        garbage = hashlib.sha256(
-            ("corrupt|%d|%s" % (seed, name)).encode("utf-8")
-        ).digest()
-        with open(path, "wb") as handle:
-            handle.write(b"\x00chaos\x00" + garbage)
-        corrupted += 1
-    return corrupted

@@ -7,8 +7,6 @@ substrate for the reproduction, implemented from scratch:
 * :mod:`repro.crypto.backend` — pluggable modular-arithmetic engines
   (pure Python, optional gmpy2) with enforced cross-backend
   bit-identity,
-* :mod:`repro.crypto.tablecache` — persistent on-disk cache for
-  fixed-base precomputation tables, shared across processes,
 * :mod:`repro.crypto.canonical` — deterministic serialization of agent
   states and protocol payloads,
 * :mod:`repro.crypto.hashing` — secure hashes of states and traces,
@@ -80,15 +78,6 @@ from repro.crypto.signing import (
     SignedStatement,
     Signer,
 )
-from repro.crypto.tablecache import (
-    TABLE_CACHE_ENV_VAR,
-    TableCache,
-    default_cache_dir,
-    enable_table_cache,
-    get_table_cache,
-    set_table_cache,
-    table_cache_info,
-)
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -100,13 +89,6 @@ __all__ = [
     "get_backend",
     "set_backend",
     "use_backend",
-    "TABLE_CACHE_ENV_VAR",
-    "TableCache",
-    "default_cache_dir",
-    "enable_table_cache",
-    "get_table_cache",
-    "set_table_cache",
-    "table_cache_info",
     "BatchedTransferVerifier",
     "verify_window",
     "CanonicalDecoder",

@@ -71,13 +71,11 @@ class ModArith:
     convert at the boundary, because the integers flow straight into
     canonical encodings, signatures, and deterministic traces.
     ``columns`` values (fixed-base tables) are the one exception: they
-    are backend-native opaque state produced by :meth:`build_table` or
-    :meth:`prepare_columns` and consumed only by :meth:`table_pow` /
-    :meth:`export_columns` of the *same* backend.
+    are backend-native opaque state produced by :meth:`build_table` and
+    consumed only by :meth:`table_pow` of the *same* backend.
     """
 
-    #: Stable identifier recorded in reports, service stats, and the
-    #: persistent table cache key.
+    #: Stable identifier recorded in reports and service stats.
     name: str = "abstract"
 
     def modexp(self, base: int, exponent: int, modulus: int) -> int:
@@ -102,14 +100,6 @@ class ModArith:
                     num_windows: int) -> List[List[Any]]:
         """Build fixed-base table columns (backend-native entries)."""
         raise NotImplementedError
-
-    def prepare_columns(self, columns: List[List[int]]) -> List[List[Any]]:
-        """Convert plain-int columns (cache load) to the native form."""
-        return columns
-
-    def export_columns(self, columns: List[List[Any]]) -> List[List[int]]:
-        """Convert native columns to plain ints (cache store)."""
-        return [[int(value) for value in column] for column in columns]
 
     def table_pow(self, columns: List[List[Any]], window: int,
                   exponent: int, modulus: int) -> int:
@@ -270,10 +260,6 @@ class Gmpy2Backend(ModArith):
             columns.append(column)
             b = acc * b % mod
         return columns
-
-    def prepare_columns(self, columns: List[List[int]]) -> List[List[Any]]:
-        mpz = self._mpz
-        return [[mpz(value) for value in column] for column in columns]
 
     def table_pow(self, columns: List[List[Any]], window: int,
                   exponent: int, modulus: int) -> int:

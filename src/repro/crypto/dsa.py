@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.backend import ModArith, get_backend
-from repro.crypto.tablecache import TableCache, get_table_cache
 from repro.exceptions import CryptoError
 
 __all__ = [
@@ -133,21 +132,17 @@ class FixedBaseTable:
     exponentiation, so the table is always a drop-in replacement.
 
     The arithmetic engine is pluggable (``backend``, defaulting to the
-    process-wide :func:`~repro.crypto.backend.get_backend`), and the
-    column build consults the persistent table cache when one is
-    enabled (``cache="default"``; pass ``cache=False`` to force a local
-    rebuild, or an explicit :class:`~repro.crypto.tablecache.TableCache`
-    to target a specific directory).  Loaded or built, the columns are
-    identical integers — the cache and the backend can change *when*
-    work happens, never *what* the table computes.
+    process-wide :func:`~repro.crypto.backend.get_backend`).  The
+    columns are built in this process from ``(base, modulus)`` alone and
+    never read from anywhere else: a verifier's arithmetic trusts
+    nothing but the key it was handed.
     """
 
     __slots__ = ("base", "modulus", "window", "capacity_bits",
                  "_columns", "_backend")
 
     def __init__(self, base: int, modulus: int, exponent_bits: int,
-                 window: int = 5, backend: Optional[ModArith] = None,
-                 cache: object = "default") -> None:
+                 window: int = 5, backend: Optional[ModArith] = None) -> None:
         if modulus <= 1:
             raise CryptoError("fixed-base table needs a modulus > 1")
         if window < 1:
@@ -159,31 +154,9 @@ class FixedBaseTable:
         self.capacity_bits = num_windows * window
         engine = backend if backend is not None else get_backend()
         self._backend = engine
-        table_cache = self._resolve_cache(cache)
-        columns = None
-        key = None
-        if table_cache is not None:
-            key = TableCache.entry_key(
-                self.base, modulus, window, num_windows, engine.name
-            )
-            plain = table_cache.load(key)
-            if plain is not None:
-                columns = engine.prepare_columns(plain)
-        if columns is None:
-            columns = engine.build_table(
-                self.base, modulus, window, num_windows
-            )
-            if table_cache is not None:
-                table_cache.store(key, engine.export_columns(columns))
-        self._columns = columns
-
-    @staticmethod
-    def _resolve_cache(cache: object) -> Optional[TableCache]:
-        if cache == "default":
-            return get_table_cache()
-        if isinstance(cache, TableCache):
-            return cache
-        return None
+        self._columns = engine.build_table(
+            self.base, modulus, window, num_windows
+        )
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent % modulus`` via table lookups."""

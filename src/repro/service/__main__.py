@@ -19,7 +19,6 @@ import signal
 import sys
 from typing import List, Optional, Tuple
 
-from repro.crypto.tablecache import enable_table_cache
 from repro.service.cluster import (
     ClusterConfig,
     ClusterGateway,
@@ -99,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("python", "gmpy2", "auto"),
                        help="pin the crypto backend (default: "
                             "REPRO_CRYPTO_BACKEND, else auto-detect)")
-    serve.add_argument("--table-cache", default=None, metavar="PATH|off",
-                       help="persistent fixed-base table cache directory "
-                            "('off' disables; default: REPRO_TABLE_CACHE, "
-                            "else ~/.cache/repro/tables)")
 
     cluster = commands.add_parser(
         "cluster", help="run a gateway over existing verifier backends"
@@ -133,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spawn.add_argument("--backend", default=None,
                        choices=("python", "gmpy2", "auto"),
                        help="pin every verifier's crypto backend")
-    spawn.add_argument("--table-cache", default=None, metavar="PATH|off",
-                       help="table-cache directory shared by the verifiers")
     _add_gateway_arguments(spawn)
 
     loadgen = commands.add_parser(
@@ -184,10 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # The server is a long-lived entry point: persistent table caching
-    # is on by default so restarts (and sibling processes on the same
-    # host) load the fixed-base tables instead of rebuilding them.
-    cache = enable_table_cache(args.table_cache)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -201,10 +190,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = VerificationService(config)
     return _run_endpoint(
-        service,
-        "crypto backend: %s; table cache: %s"
-        % (service.backend.name,
-           cache.directory if cache is not None else "off"),
+        service, "crypto backend: %s" % service.backend.name
     )
 
 
@@ -285,9 +271,7 @@ def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
     verifiers: List[SpawnedVerifier] = []
     try:
         for _ in range(max(1, args.verifiers)):
-            verifier = spawn_verifier(
-                service, table_cache=args.table_cache
-            )
+            verifier = spawn_verifier(service)
             verifiers.append(verifier)
             print("verifier pid=%d listening on %s:%d"
                   % (verifier.process.pid, *verifier.address), flush=True)
@@ -331,7 +315,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
     report.corrupted = corrupted
     summary = report.summary()
-    # Attribute the numbers: which engine and table cache served them.
+    # Attribute the numbers: which crypto engine served them.
     server_stats = fetch_server_stats((host, port))
     summary["server"] = {
         "crypto": server_stats.get("crypto"),

@@ -608,7 +608,6 @@ def spawn_verifier(
     config: Optional[ServiceConfig] = None,
     *,
     startup_timeout: float = 60.0,
-    table_cache: Optional[str] = None,
 ) -> SpawnedVerifier:
     """Launch one ``python -m repro.service serve`` verifier subprocess.
 
@@ -629,8 +628,6 @@ def spawn_verifier(
     ]
     if config.backend is not None:
         command += ["--backend", config.backend]
-    if table_cache is not None:
-        command += ["--table-cache", table_cache]
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -680,13 +677,11 @@ class LocalCluster:
     """
 
     def __init__(self, verifiers: int = 3,
-                 config: Optional[ClusterConfig] = None,
-                 table_cache: Optional[str] = None) -> None:
+                 config: Optional[ClusterConfig] = None) -> None:
         if verifiers < 1:
             raise ConfigurationError("a cluster needs at least one verifier")
         self.num_verifiers = int(verifiers)
         self._template = config or ClusterConfig()
-        self._table_cache = table_cache
         self.verifiers: List[SpawnedVerifier] = []
         self.config: Optional[ClusterConfig] = None
         self.gateway_thread: Optional[ClusterThread] = None
@@ -708,10 +703,7 @@ class LocalCluster:
         """Spawn the verifiers, then the gateway; returns its address."""
         try:
             for _ in range(self.num_verifiers):
-                self.verifiers.append(spawn_verifier(
-                    self._template.service,
-                    table_cache=self._table_cache,
-                ))
+                self.verifiers.append(spawn_verifier(self._template.service))
             self.config = replace(
                 self._template,
                 backends=tuple(v.address for v in self.verifiers),

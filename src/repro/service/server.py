@@ -69,7 +69,6 @@ from repro.crypto.canonical import (
 )
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.dsa import RecoverableSignature
-from repro.crypto.tablecache import table_cache_info
 from repro.crypto.keys import Identity, KeyStore
 from repro.exceptions import (
     AgentStateError,
@@ -738,10 +737,7 @@ class VerificationService(FrameServer):
             "cache": self.cache.stats() if self.cache is not None else None,
             "batching": self.batcher.stats(),
             "inflight": self._inflight,
-            "crypto": {
-                "backend": self.backend.name,
-                "table_cache": table_cache_info(),
-            },
+            "crypto": {"backend": self.backend.name},
             "config": {
                 "max_batch": self.config.max_batch,
                 "max_delay": self.config.max_delay,

@@ -55,7 +55,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos import Fault, FaultInjector, FaultPlan
 from repro.exceptions import ConfigurationError
@@ -108,8 +108,8 @@ _POLL_SECONDS = 5.0
 
 
 #: Per-process record of the last :func:`warm_worker` run — the pid,
-#: the pinned backend, the wall time the warmup took, and the table
-#: cache counters.  Every pool worker sends this once on its result
+#: the pinned backend, the hosts warmed and the wall time the warmup
+#: took.  Every pool worker sends this once on its result
 #: channel (before pulling any task), which is what
 #: :meth:`FleetWorkerPool.warmup_report` collects.
 _WARM_STATE: Dict[str, Any] = {}
@@ -118,7 +118,6 @@ _WARM_STATE: Dict[str, Any] = {}
 def warm_worker(
     host_names: Sequence[str],
     backend: Optional[str] = None,
-    table_cache_dir: Optional[str] = None,
 ) -> None:
     """Pre-build deterministic crypto state in a (worker) process.
 
@@ -132,9 +131,8 @@ def warm_worker(
 
     ``backend`` pins the crypto backend in the worker (``spawn`` workers
     do not inherit the coordinator's in-process selection, only its
-    environment) and ``table_cache_dir`` points the persistent table
-    cache at a shared directory so the first process on a host builds
-    the tables and every later one loads them.
+    environment).  The tables are built here, in this process, from the
+    keys alone.
 
     Module-level on purpose: ``spawn`` workers resolve their target by
     qualified name.
@@ -142,13 +140,10 @@ def warm_worker(
     from repro.crypto.backend import get_backend, set_backend
     from repro.crypto.dsa import PARAMETERS_512
     from repro.crypto.keys import Identity
-    from repro.crypto.tablecache import set_table_cache, table_cache_info
 
     started = time.perf_counter()
     if backend is not None:
         set_backend(backend)
-    if table_cache_dir is not None:
-        set_table_cache(table_cache_dir)
     PARAMETERS_512.generator_table()
     for name in host_names:
         Identity.generate(name).public_key.precompute()
@@ -158,7 +153,6 @@ def warm_worker(
         backend=get_backend().name,
         hosts_warmed=len(host_names),
         warmup_seconds=time.perf_counter() - started,
-        table_cache=table_cache_info(),
     )
 
 
@@ -423,7 +417,6 @@ def _unit_worker_main(
     worker_index: int,
     host_names: Sequence[str],
     backend: Optional[str],
-    table_cache_dir: Optional[str],
     tasks: Any,
     channel: Any,
     stall_seconds: float = 0.0,
@@ -457,7 +450,7 @@ def _unit_worker_main(
     """
     injector = FaultInjector(faults)
     try:
-        warm_worker(host_names, backend, table_cache_dir)
+        warm_worker(host_names, backend)
         warm_frame = {
             "kind": "warm", "version": WIRE_VERSION, "worker": worker_index,
         }
@@ -553,7 +546,6 @@ class FleetWorkerPool:
         start_method: str = DEFAULT_START_METHOD,
         warm_config: Optional[FleetConfig] = None,
         backend: Optional[str] = None,
-        table_cache_dir: Optional[Union[str, os.PathLike]] = None,
         stall_seconds: Optional[Dict[int, float]] = None,
         fault_plan: Optional[FaultPlan] = None,
         respawn_budget: Optional[int] = None,
@@ -567,9 +559,6 @@ class FleetWorkerPool:
         self.workers = workers
         self.start_method = start_method
         self.backend = backend
-        self.table_cache_dir = (
-            os.fspath(table_cache_dir) if table_cache_dir is not None else None
-        )
         self.respawn_budget = (
             workers if respawn_budget is None else respawn_budget
         )
@@ -598,7 +587,7 @@ class FleetWorkerPool:
             # workers build, so single-process comparison runs and the
             # merge path start equally hot.
             started = time.perf_counter()
-            warm_worker(self._host_names, backend, self.table_cache_dir)
+            warm_worker(self._host_names, backend)
             self.warmup_seconds = time.perf_counter() - started
 
     def _spawn_worker(self, index: int, initial: bool) -> None:
@@ -619,7 +608,7 @@ class FleetWorkerPool:
         process = self._context.Process(
             target=_unit_worker_main,
             args=(index, self._host_names, self.backend,
-                  self.table_cache_dir, self._tasks, sender, stall, faults),
+                  self._tasks, sender, stall, faults),
             daemon=True,
             name="fleet-worker-%d" % index,
         )
@@ -863,7 +852,6 @@ class FleetWorkerPool:
             "backend": self.backend or (
                 workers[0].get("backend") if workers else None
             ),
-            "table_cache_dir": self.table_cache_dir,
         }
 
     # -- lifecycle --------------------------------------------------------------

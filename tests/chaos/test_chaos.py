@@ -17,14 +17,12 @@ from repro.chaos import (
     FAULT_KINDS,
     LETHAL_FAULT_KINDS,
     SLOW_FRAME,
-    TABLE_CACHE_CORRUPTION,
     WORKER_CRASH,
     WORKER_FAULT_KINDS,
     WORKER_STALL,
     Fault,
     FaultInjector,
     FaultPlan,
-    corrupt_table_cache,
 )
 from repro.exceptions import ConfigurationError
 
@@ -92,7 +90,7 @@ class TestFaultPlan:
 
     def test_generate_rejects_non_worker_kinds(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan.generate(7, workers=2, kinds=(TABLE_CACHE_CORRUPTION,))
+            FaultPlan.generate(7, workers=2, kinds=(BACKEND_SIGKILL,))
 
     def test_for_worker_partitions_the_plan(self):
         plan = FaultPlan(faults=(
@@ -125,34 +123,3 @@ class TestFaultInjector:
         assert injector.fault_for_unit(2) is crash
         assert injector.fault_for_unit(3) is None
 
-
-class TestTableCacheCorruption:
-    def test_every_entry_is_scribbled_deterministically(self, tmp_path):
-        for name in ("one.tbl", "two.tbl"):
-            (tmp_path / name).write_bytes(b"legitimate table data")
-        assert corrupt_table_cache(str(tmp_path), seed=3) == 2
-        first = {(p.name, p.read_bytes()) for p in tmp_path.iterdir()}
-        corrupt_table_cache(str(tmp_path), seed=3)
-        second = {(p.name, p.read_bytes()) for p in tmp_path.iterdir()}
-        assert first == second
-        for _, payload in first:
-            assert payload.startswith(b"\x00chaos\x00")
-
-    def test_missing_directory_corrupts_nothing(self, tmp_path):
-        assert corrupt_table_cache(str(tmp_path / "absent")) == 0
-
-    def test_cache_layer_recovers_from_corruption(self, tmp_path):
-        """The injury the fault exists to prove survivable: corrupted
-        entries read back as misses and a re-store round-trips."""
-        from repro.crypto.tablecache import TableCache
-
-        cache = TableCache(tmp_path)
-        key = TableCache.entry_key(2, 23, 4, 8, "test")
-        columns = [[1, 2, 3], [4, 5, 6]]
-        assert cache.store(key, columns)
-        assert cache.load(key) == columns
-        assert corrupt_table_cache(str(tmp_path)) >= 1
-        fresh = TableCache(tmp_path)
-        assert fresh.load(key) is None
-        assert fresh.store(key, columns)
-        assert fresh.load(key) == columns

@@ -9,8 +9,13 @@ formulas produce, and the caches must never leak into pickles.
 from __future__ import annotations
 
 import copy
+import hashlib
+import os
 import pickle
 import random
+import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -18,11 +23,19 @@ from repro.crypto.dsa import (
     FixedBaseTable,
     PARAMETERS_512,
     PARAMETERS_1024,
+    _message_digest,
     batch_verify,
     generate_keypair,
     generate_parameters,
 )
 from repro.crypto.keys import Identity
+
+_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__
+    )))),
+    "src",
+)
 
 
 TOY_PARAMETERS = generate_parameters(modulus_bits=96, subgroup_bits=48, seed=11)
@@ -160,3 +173,58 @@ class TestCacheHygiene:
         assert first.private_key.x == Identity.generate("memo-host").private_key.x
         other = Identity.generate("memo-host", parameters=PARAMETERS_1024)
         assert other is not first
+
+
+#: Run in a fresh process, so no table built earlier in this one can
+#: stand in for the one under test: verify a signature before and after
+#: ``precompute()`` builds the key's table.
+_FRESH_VERIFY = (
+    "import sys\n"
+    "from repro.crypto.dsa import DSASignature\n"
+    "from repro.crypto.keys import Identity\n"
+    "public = Identity.generate('host-001').public_key\n"
+    "signature = DSASignature(r=int(sys.argv[1]), s=int(sys.argv[2]))\n"
+    "before = public.verify(b'forged', signature)\n"
+    "public.precompute()\n"
+    "after = public.verify(b'forged', signature)\n"
+    "print(before, after)\n"
+)
+
+
+def _directory_snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestTablesComeOnlyFromTheKey:
+    def test_a_planted_table_file_cannot_make_a_forgery_verify(self, tmp_path):
+        # A signature made without the private key: with y^u2 taken as
+        # 1, r = (g^(H(m)/s) mod p) mod q passes the verify equation.
+        p, q, g = PARAMETERS_512.p, PARAMETERS_512.q, PARAMETERS_512.g
+        y = Identity.generate("host-001").public_key.y
+        s = 12345
+        u1 = _message_digest(b"forged", q, "sha256") * pow(s, -1, q) % q
+        r = pow(g, u1, p) % q
+        # An all-ones table for y, written where and how an on-disk
+        # table cache keyed by (base, modulus, window, windows, backend)
+        # and checked only against its own digest would look for it.
+        payload = b"\x01" * (32 * 32)
+        name = hashlib.sha256(
+            ("tbl1|%x|%x|5|32|python" % (y % p, p)).encode("ascii")
+        ).hexdigest() + ".tbl"
+        (tmp_path / name).write_bytes(
+            b"REPRO-TBL1\n" + struct.pack(">HHII", 0, 1, 32, 32)
+            + hashlib.sha256(payload).digest() + payload
+        )
+        planted = _directory_snapshot(tmp_path)
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_TABLE_CACHE"] = str(tmp_path)
+        env["REPRO_CRYPTO_BACKEND"] = "python"
+        result = subprocess.run(
+            [sys.executable, "-c", _FRESH_VERIFY, str(r), str(s)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+
+        assert result.stdout.split() == ["False", "False"]
+        assert _directory_snapshot(tmp_path) == planted

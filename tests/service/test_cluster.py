@@ -404,9 +404,11 @@ class TestConfiguration:
 
 
 class TestLocalCluster:
-    def test_spawned_cluster_survives_a_sigkill(self):
+    def test_spawned_cluster_survives_a_sigkill(self, tmp_path, monkeypatch):
         # The full deployment shape: real verifier subprocesses, a
-        # SIGKILL mid-traffic, and zero lost or wrong verdicts.
+        # SIGKILL mid-traffic, and zero lost or wrong verdicts.  The
+        # verifiers inherit HOME, and must write nothing under it.
+        monkeypatch.setenv("HOME", str(tmp_path))
         cluster = LocalCluster(verifiers=2, config=ClusterConfig(
             service=ServiceConfig(max_delay=0.001),
             gather_delay=0.001,
@@ -436,3 +438,4 @@ class TestLocalCluster:
                     await client.close()
 
             asyncio.run(run())
+        assert list(tmp_path.iterdir()) == []

@@ -460,7 +460,7 @@ class TestOps:
 
     def test_stats_op_names_the_crypto_backend(self):
         # Loadgen artifacts embed this block so every recorded number is
-        # attributable to the engine and cache state that produced it.
+        # attributable to the engine that produced it.
         import repro.crypto.backend as backend_mod
 
         config = ServiceConfig(fleet_hosts=4, max_batch=1, backend="python")
@@ -468,9 +468,7 @@ class TestOps:
         async def body(service, client):
             assert service.backend.name == "python"
             stats = await client.stats()
-            crypto = stats["crypto"]
-            assert crypto["backend"] == "python"
-            assert set(crypto["table_cache"]) >= {"enabled"}
+            assert stats["crypto"] == {"backend": "python"}
             assert stats["config"]["backend"] == "python"
 
         previous = backend_mod._active

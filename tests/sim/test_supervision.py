@@ -43,18 +43,13 @@ def _config(**overrides):
 
 @pytest.fixture(autouse=True)
 def _restore_crypto_globals():
-    """Coordinator-side warmup pins the process-wide backend and table
-    cache; keep those selections from leaking across tests."""
+    """Coordinator-side warmup pins the process-wide backend; keep that
+    selection from leaking across tests."""
     import repro.crypto.backend as backend_mod
-    import repro.crypto.tablecache as tablecache_mod
 
     previous_backend = backend_mod._active
-    previous_cache = tablecache_mod._cache
-    previous_configured = tablecache_mod._configured
     yield
     backend_mod._active = previous_backend
-    tablecache_mod._cache = previous_cache
-    tablecache_mod._configured = previous_configured
 
 
 @pytest.fixture(scope="class")

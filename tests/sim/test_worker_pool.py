@@ -23,18 +23,13 @@ CONFIG = FleetConfig(
 
 @pytest.fixture(autouse=True)
 def _restore_crypto_globals():
-    """Coordinator-side warmup pins the process-wide backend and table
-    cache; keep those selections from leaking across tests."""
+    """Coordinator-side warmup pins the process-wide backend; keep that
+    selection from leaking across tests."""
     import repro.crypto.backend as backend_mod
-    import repro.crypto.tablecache as tablecache_mod
 
     previous_backend = backend_mod._active
-    previous_cache = tablecache_mod._cache
-    previous_configured = tablecache_mod._configured
     yield
     backend_mod._active = previous_backend
-    tablecache_mod._cache = previous_cache
-    tablecache_mod._configured = previous_configured
 
 
 def test_fleet_host_names_matches_topology():
@@ -53,29 +48,21 @@ def test_warm_worker_builds_identities_and_tables():
         assert "_y_table" in identity.public_key.__dict__
 
 
-def test_warm_worker_pins_backend_and_table_cache(tmp_path):
+def test_warm_worker_pins_backend():
     import repro.crypto.backend as backend_mod
-    import repro.crypto.tablecache as tablecache_mod
     from repro.sim.shard import _WARM_STATE
 
-    warm_worker(fleet_host_names(CONFIG), backend="python",
-                table_cache_dir=str(tmp_path))
+    warm_worker(fleet_host_names(CONFIG), "python")
     assert backend_mod.get_backend().name == "python"
-    cache = tablecache_mod.get_table_cache()
-    assert cache is not None and cache.directory == str(tmp_path)
     assert _WARM_STATE["backend"] == "python"
     assert _WARM_STATE["hosts_warmed"] == CONFIG.num_hosts + 1
     assert _WARM_STATE["warmup_seconds"] > 0
-    assert _WARM_STATE["table_cache"]["enabled"]
-    assert _WARM_STATE["table_cache"]["path"] == str(tmp_path)
 
 
-def test_warmup_report_is_a_census_of_every_worker(tmp_path):
-    with FleetWorkerPool(2, warm_config=CONFIG, backend="python",
-                         table_cache_dir=tmp_path) as pool:
+def test_warmup_report_is_a_census_of_every_worker():
+    with FleetWorkerPool(2, warm_config=CONFIG, backend="python") as pool:
         report = pool.warmup_report()
     assert report["backend"] == "python"
-    assert report["table_cache_dir"] == str(tmp_path)
     assert report["coordinator_warmup_seconds"] > 0
     # Every worker reports exactly once (its warm state is the first
     # frame on its dedicated channel) — a census, not a probe sample.
@@ -88,12 +75,6 @@ def test_warmup_report_is_a_census_of_every_worker(tmp_path):
         assert worker["backend"] == "python"
         assert worker["hosts_warmed"] == CONFIG.num_hosts + 1
         assert worker["warmup_seconds"] > 0
-        assert worker["table_cache"]["enabled"]
-    # The coordinator plus two workers all built the same tables: the
-    # shared directory must have been stored to and then hit.
-    stats_list = [w["table_cache"] for w in report["workers"]]
-    assert any(stats["hits"] > 0 or stats["stores"] > 0
-               for stats in stats_list)
 
 
 def test_zero_workers_is_rejected():
