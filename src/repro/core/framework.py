@@ -75,7 +75,7 @@ class CheckingFramework(ProtectionMechanism):
         Names of hosts the owner trusts; sessions on these hosts are not
         checked when the policy says to skip trusted hosts.  Trust comes
         only from this configuration: when ``None``, no host is trusted
-        (the unsigned ``trusted`` flag a host records is never read).
+        (a ``trusted`` key planted in the unsigned payload is ignored).
     """
 
     def __init__(
@@ -221,7 +221,6 @@ class CheckingFramework(ProtectionMechanism):
         entry: Dict[str, Any] = {
             "host": host.name,
             "hop_index": record.hop_index,
-            "trusted": host.trusted,
             "reference": reference.to_canonical(),
         }
         if self.policy.attach_proofs and record.execution_log is not None:

@@ -103,9 +103,9 @@ class ReferenceStateProtocol(ProtectionMechanism):
     trusted_hosts:
         Names of hosts the owner trusts.  Sessions executed on these
         hosts are not checked.  Trust comes only from this owner-side
-        configuration: when ``None``, no host is trusted.  The
-        ``trusted`` flag a host records in its unsigned session payload
-        is never read — a host could set it on its own session.
+        configuration: when ``None``, no host is trusted.  The session
+        payload carries no trust flag — a host could set one on its own
+        session, and a ``trusted`` key planted there is ignored.
     checker:
         The checking algorithm applied to untrusted sessions; defaults
         to :class:`~repro.core.checkers.reexecution.ReExecutionChecker`.
@@ -183,7 +183,6 @@ class ReferenceStateProtocol(ProtectionMechanism):
             "agent_id": record.agent_id,
             "code_name": record.code_name,
             "owner": record.owner,
-            "trusted": host.trusted,
             # Splice points: the state's memoized encoding and the
             # input's bytes are encoded into the transfer as they are.
             "initial_state": initial_state,
