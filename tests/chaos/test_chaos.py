@@ -44,6 +44,13 @@ class TestFaultValidation:
         with pytest.raises(ConfigurationError):
             Fault(kind=WORKER_STALL, worker=0, seconds=-0.1).validate()
 
+    def test_table_cache_corruption_is_not_a_fault_kind(self):
+        assert "table-cache-corruption" not in FAULT_KINDS
+        with pytest.raises(ConfigurationError):
+            FaultPlan(faults=(
+                Fault(kind="table-cache-corruption"),
+            )).validate()
+
     def test_lethality_classification(self):
         assert set(LETHAL_FAULT_KINDS) <= set(FAULT_KINDS)
         assert Fault(kind=WORKER_CRASH, worker=0).lethal

@@ -8,17 +8,23 @@ formulas produce, and the caches must never leak into pickles.
 
 from __future__ import annotations
 
+import builtins
 import copy
 import hashlib
+import importlib
+import io
 import os
 import pickle
 import random
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import repro.crypto
+from repro.crypto.backend import PythonBackend, available_backends, use_backend
 from repro.crypto.dsa import (
     FixedBaseTable,
     PARAMETERS_512,
@@ -195,6 +201,16 @@ def _directory_snapshot(directory):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
+def _reference_columns(base, modulus, exponent_bits, window):
+    """``base^(digit * 2^(window*i)) mod modulus`` by built-in ``pow``."""
+    windows = (exponent_bits + window - 1) // window
+    return [
+        [pow(base, digit << (window * index), modulus)
+         for digit in range(1 << window)]
+        for index in range(windows)
+    ]
+
+
 class TestTablesComeOnlyFromTheKey:
     def test_a_planted_table_file_cannot_make_a_forgery_verify(self, tmp_path):
         # A signature made without the private key: with y^u2 taken as
@@ -228,3 +244,117 @@ class TestTablesComeOnlyFromTheKey:
 
         assert result.stdout.split() == ["False", "False"]
         assert _directory_snapshot(tmp_path) == planted
+
+    @pytest.mark.parametrize("setting", ("off", "on", "1", "directory"))
+    def test_the_retired_cache_variable_changes_nothing(
+        self, setting, tmp_path, monkeypatch
+    ):
+        # Any value the variable used to accept, including "on" (which
+        # resolved to a directory under HOME) and a directory path.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv(
+            "REPRO_TABLE_CACHE",
+            str(tmp_path) if setting == "directory" else setting,
+        )
+        p, q, g = TOY_PARAMETERS.p, TOY_PARAMETERS.q, TOY_PARAMETERS.g
+        table = FixedBaseTable(g, p, q.bit_length(), backend=PythonBackend())
+        assert table._columns == _reference_columns(g, p, q.bit_length(), 5)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("window", (1, 3, 5, 8))
+    def test_columns_are_powers_of_the_base_alone(self, window):
+        p, q = TOY_PARAMETERS.p, TOY_PARAMETERS.q
+        _private, public = generate_keypair(TOY_PARAMETERS, seed=window)
+        table = FixedBaseTable(
+            public.y, p, q.bit_length(), window=window,
+            backend=PythonBackend(),
+        )
+        assert table._columns == _reference_columns(
+            public.y, p, q.bit_length(), window
+        )
+
+    @pytest.mark.parametrize("parameters", ALL_PARAMETERS,
+                             ids=("512", "1024", "toy"))
+    def test_rebuilding_from_the_same_key_gives_identical_columns(
+        self, parameters
+    ):
+        _private, public = generate_keypair(parameters, seed=17)
+        bits = parameters.q.bit_length()
+        first = FixedBaseTable(public.y, parameters.p, bits,
+                               backend=PythonBackend())
+        second = FixedBaseTable(public.y, parameters.p, bits,
+                                backend=PythonBackend())
+        assert first._columns == second._columns
+        assert first._columns is not second._columns
+        assert public.precompute()._columns == first._columns
+
+    @pytest.mark.parametrize("source", ("generator", "public-key"))
+    def test_building_a_table_opens_no_file(self, source, monkeypatch):
+        _private, public = generate_keypair(TOY_PARAMETERS, seed=23)
+        parameters = copy.deepcopy(TOY_PARAMETERS)
+        assert "_g_table" not in parameters.__dict__
+        assert "_y_table" not in public.__dict__
+        opened = []
+
+        def refuse(*args, **kwargs):
+            opened.append(args[:1])
+            raise AssertionError("a table build opened %r" % (args[:1],))
+
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(io, "open", refuse)
+        monkeypatch.setattr(os, "open", refuse)
+        if source == "generator":
+            base, table = parameters.g, parameters.generator_table()
+        else:
+            base, table = public.y, public.precompute()
+        monkeypatch.undo()
+
+        assert opened == []
+        exponent = parameters.q - 2
+        assert table.pow(exponent) == pow(base, exponent, parameters.p)
+
+    def test_concurrent_builds_of_one_key_agree(self):
+        p, q = PARAMETERS_512.p, PARAMETERS_512.q
+        _private, public = generate_keypair(PARAMETERS_512, seed=31)
+        tables = [None] * 4
+
+        def build(index):
+            tables[index] = FixedBaseTable(
+                public.y, p, q.bit_length(), backend=PythonBackend()
+            )
+
+        threads = [threading.Thread(target=build, args=(index,))
+                   for index in range(len(tables))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        reference = _reference_columns(public.y, p, q.bit_length(), 5)
+        assert all(table._columns == reference for table in tables)
+
+    def test_a_cache_argument_is_refused(self, tmp_path):
+        p, q, g = TOY_PARAMETERS.p, TOY_PARAMETERS.q, TOY_PARAMETERS.g
+        with pytest.raises(TypeError):
+            FixedBaseTable(g, p, q.bit_length(), cache=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_table_cache_module_and_its_exports_are_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.crypto.tablecache")
+        for name in ("TABLE_CACHE_ENV_VAR", "TableCache",
+                     "default_cache_dir", "enable_table_cache",
+                     "get_table_cache", "set_table_cache",
+                     "table_cache_info"):
+            assert not hasattr(repro.crypto, name), name
+            assert name not in repro.crypto.__all__, name
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_backends_neither_import_nor_export_columns(self, backend_name):
+        p, q, g = TOY_PARAMETERS.p, TOY_PARAMETERS.q, TOY_PARAMETERS.g
+        with use_backend(backend_name) as engine:
+            assert not hasattr(engine, "prepare_columns")
+            assert not hasattr(engine, "export_columns")
+            table = FixedBaseTable(g, p, q.bit_length())
+        assert [[int(entry) for entry in column]
+                for column in table._columns] == _reference_columns(
+                    g, p, q.bit_length(), 5)

@@ -9,7 +9,14 @@ import pytest
 from repro.crypto.keys import Identity
 from repro.exceptions import ConfigurationError
 from repro.service.api import connect
-from repro.service.cluster import ClusterConfig, ClusterGateway, LocalCluster
+from repro.service import cluster as cluster_module
+from repro.service.__main__ import _build_parser
+from repro.service.cluster import (
+    ClusterConfig,
+    ClusterGateway,
+    LocalCluster,
+    spawn_verifier,
+)
 from repro.service.server import ServiceConfig, VerificationService
 
 _IDENTITY = Identity.generate("host-001")
@@ -401,6 +408,42 @@ class TestConfiguration:
     def test_local_cluster_requires_a_verifier(self):
         with pytest.raises(ConfigurationError):
             LocalCluster(verifiers=0)
+
+
+class TestNoTableCacheKnobs:
+    """Fixed-base tables are built in-process from the key alone, so no
+    command or constructor takes a table-cache location any more."""
+
+    @pytest.mark.parametrize("command", ("serve", "spawn-cluster"))
+    def test_the_table_cache_option_is_rejected(self, command, capsys):
+        parser = _build_parser()
+        assert parser.parse_args([command]).command == command
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([command, "--table-cache", "off"])
+        assert excinfo.value.code == 2
+        assert "--table-cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factory", (spawn_verifier, LocalCluster),
+                             ids=("spawn_verifier", "LocalCluster"))
+    def test_constructors_take_no_table_cache(self, factory):
+        with pytest.raises(TypeError):
+            factory(table_cache="off")
+
+    def test_spawned_verifier_command_names_no_table_cache(self,
+                                                           monkeypatch):
+        launched = []
+
+        def capture(command, **kwargs):
+            launched.append(command)
+            raise OSError("not launched")
+
+        monkeypatch.setattr(cluster_module.subprocess, "Popen", capture)
+        with pytest.raises(OSError):
+            spawn_verifier(ServiceConfig(fleet_hosts=4, backend="python"))
+        (command,) = launched
+        assert command[1:4] == ["-m", "repro.service", "serve"]
+        assert command[-2:] == ["--backend", "python"]
+        assert not any("table-cache" in part for part in command)
 
 
 class TestLocalCluster:

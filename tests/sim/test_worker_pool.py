@@ -59,6 +59,27 @@ def test_warm_worker_pins_backend():
     assert _WARM_STATE["warmup_seconds"] > 0
 
 
+def test_warm_state_records_only_the_in_process_warmup():
+    from repro.sim.shard import _WARM_STATE
+
+    warm_worker(fleet_host_names(CONFIG), "python")
+    assert set(_WARM_STATE) == {
+        "pid", "backend", "hosts_warmed", "warmup_seconds",
+    }
+
+
+@pytest.mark.parametrize("call", ("warm_worker", "FleetWorkerPool"))
+def test_table_cache_directories_are_not_accepted(call, tmp_path):
+    with pytest.raises(TypeError):
+        if call == "warm_worker":
+            warm_worker(fleet_host_names(CONFIG), "python",
+                        table_cache_dir=str(tmp_path))
+        else:
+            FleetWorkerPool(1, warm_config=CONFIG,
+                            table_cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_warmup_report_is_a_census_of_every_worker():
     with FleetWorkerPool(2, warm_config=CONFIG, backend="python") as pool:
         report = pool.warmup_report()
