@@ -92,7 +92,6 @@ class ProofVerificationMechanism(ProtectionMechanism):
             "code_name": record.code_name,
             "owner": record.owner,
             "agent_id": record.agent_id,
-            "trusted": host.trusted,
             "proof": proof.to_canonical(),
             "execution_log": record.execution_log.to_canonical(),
             "initial_state": record.initial_state.to_canonical(),

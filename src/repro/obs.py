@@ -125,7 +125,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time float (queue depth, hit rate, breaker state)."""
+    """A point-in-time float (queue depth, hit rate, backends up)."""
 
     __slots__ = ("value",)
 

@@ -19,15 +19,15 @@ load.  This package is that serving layer:
   thread host, and the verifier role on top of them: bounded-queue
   backpressure and structured metrics;
 * :mod:`repro.service.cluster` — the gateway role: consistent-hash
-  routing (:mod:`repro.service.ring`), health checking
-  (:mod:`repro.service.health`), idempotent failover, and the local
-  multi-process launcher;
+  routing (:mod:`repro.service.ring`), idempotent failover, and the
+  local multi-process launcher;
+* :mod:`repro.service.health` — the one per-backend state machine the
+  gateway routes by: probes mark a backend down or up, a streak of
+  request-path failures holds a flapping one out of routing, and a
+  changed instance id reports a restart;
 * :mod:`repro.service.retry` — the typed :class:`RetryPolicy`
   (deadline + jittered exponential backoff) that governs dialing and
   idempotent request retry everywhere;
-* :mod:`repro.service.breaker` — the per-backend
-  :class:`CircuitBreaker` the gateway uses to shed flapping verifiers
-  from the request path;
 * :mod:`repro.service.client` — the pooled, pipelined wire client
   underneath :func:`connect`;
 * :mod:`repro.service.loadgen` — multi-process replay of fleet journey
@@ -48,7 +48,6 @@ The one way to talk to any of it::
 from repro.exceptions import RetryExhausted
 from repro.service.api import Verifier, connect, resolve_endpoint
 from repro.service.batching import MicroBatcher, Settled
-from repro.service.breaker import CircuitBreaker
 from repro.service.cache import VerdictCache
 from repro.service.cluster import (
     ClusterConfig,
@@ -106,11 +105,10 @@ __all__ = [
     "MicroBatcher",
     "Settled",
     "VerdictCache",
-    # Robustness: typed retry and per-backend circuit breaking.
+    # Robustness: typed retry.
     "RetryPolicy",
     "RetryExhausted",
     "DEFAULT_RETRYABLE",
-    "CircuitBreaker",
     # Load generation.
     "LoadgenReport",
     "build_loadgen_stream",

@@ -57,16 +57,11 @@ def _add_gateway_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--health-interval", type=float, default=0.25,
                         help="seconds between backend health probes")
     parser.add_argument("--failure-threshold", type=int, default=3,
-                        help="consecutive probe failures before mark-down")
+                        help="consecutive probe failures before a backend "
+                             "is marked down, and consecutive request "
+                             "failures before it is held out of routing")
     parser.add_argument("--max-attempts", type=int, default=4,
                         help="routing attempts per request across failovers")
-    parser.add_argument("--breaker-threshold", type=int, default=3,
-                        help="consecutive request failures before a "
-                             "backend's circuit breaker sheds it from "
-                             "routing (0 disables breakers)")
-    parser.add_argument("--breaker-cooldown", type=float, default=1.0,
-                        help="seconds a tripped breaker sheds its backend "
-                             "(doubles while the backend keeps flapping)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,8 +203,6 @@ def _gateway_config(args: argparse.Namespace,
         health_interval=args.health_interval,
         failure_threshold=args.failure_threshold,
         max_attempts=args.max_attempts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
     )
 
 

@@ -34,17 +34,14 @@ Design points, in the order a request meets them:
   in-flight table keyed by content key deduplicates concurrent
   requests for the same verification, so re-issue can never produce a
   duplicated (or lost) verdict: one key, one future, one answer.
-* **health** — a :class:`repro.service.health.HealthMonitor` pings
-  every backend; K consecutive failures (or one request-path
-  connection failure) mark it down, a succeeding probe marks it back
-  up and the ring-avoidance set shrinks again — rejoin is rebalancing.
-* **circuit breaking** — a per-backend
-  :class:`repro.service.breaker.CircuitBreaker` fed only by the
-  request path.  A *flapping* verifier (alive for probes, dead for
-  requests) keeps passing health checks; its breaker trips after K
-  consecutive request failures and sheds it from routing for an
-  escalating cooldown, so flaps cost idle time instead of failover
-  round trips on live traffic.
+* **backend health** — one :class:`repro.service.health.HealthMonitor`
+  decides where requests may go.  It pings every backend: K consecutive
+  probe failures (or one request-path connection failure) mark it down,
+  and a succeeding probe marks it back up — rejoin is rebalancing.  A
+  *flapping* verifier (alive for probes, dead for requests) keeps
+  passing probes, so K consecutive request-path failures hold it out of
+  routing for a hold that doubles while the flapping continues: flaps
+  cost idle time instead of failover round trips on live traffic.
 
 :func:`spawn_verifier` / :class:`LocalCluster` launch real verifier
 subprocesses plus an in-process gateway — the cluster tests and speed
@@ -71,7 +68,6 @@ from repro.exceptions import (
     ServiceUnavailable,
 )
 from repro.service.batching import MicroBatcher
-from repro.service.breaker import CircuitBreaker
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.health import BackendState, HealthMonitor
@@ -120,24 +116,15 @@ class ClusterConfig:
     gather_delay: float = 0.001
     connections_per_backend: int = 1
     health_interval: float = 0.25
+    #: Consecutive probe failures before a backend is marked down, and
+    #: consecutive request-path failures before it is held out of
+    #: routing (:mod:`repro.service.health`).
     failure_threshold: int = 3
     #: Routing attempts per request before giving up (each failed
     #: attempt marks its backend down, so attempts never repeat a peer).
     max_attempts: int = 4
     ring_replicas: int = DEFAULT_REPLICAS
     max_frame: int = MAX_FRAME_BYTES
-    #: Per-backend circuit breaker: consecutive *request-path* failures
-    #: before the backend is shed from routing (``0`` disables the
-    #: breaker tier).  A flapping verifier passes health probes yet
-    #: fails real requests; the breaker keeps it off the request path
-    #: for ``breaker_cooldown`` seconds, doubling (up to
-    #: ``breaker_max_cooldown``) while flaps recur within
-    #: ``breaker_flap_window`` of each other.
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 1.0
-    breaker_max_cooldown: float = 30.0
-    breaker_flap_window: float = 10.0
-    breaker_half_open_probes: int = 1
 
 
 @dataclass
@@ -147,8 +134,8 @@ class _GatewayCounters(FrameCounters):
     dedup_hits: int = 0
     failovers: int = 0
     reissues: int = 0
-    breaker_trips: int = 0
-    breaker_shed: int = 0
+    holds: int = 0
+    held_shed: int = 0
     no_backend: int = 0
     restarts_detected: int = 0
     invalidated_verdicts: int = 0
@@ -188,23 +175,6 @@ class ClusterGateway(FrameServer):
         )
         for name in self._addresses:
             self.monitor.add(name)
-        #: Request-path breakers, one per backend.  The health monitor
-        #: sees probe results; a *flapping* backend passes probes yet
-        #: fails real requests, so the breakers are fed exclusively by
-        #: the routing loop — never by :meth:`_probe`.
-        self._breakers: Dict[str, CircuitBreaker] = (
-            {
-                name: CircuitBreaker(
-                    failure_threshold=config.breaker_threshold,
-                    cooldown=config.breaker_cooldown,
-                    max_cooldown=config.breaker_max_cooldown,
-                    flap_window=config.breaker_flap_window,
-                    half_open_probes=config.breaker_half_open_probes,
-                )
-                for name in self._addresses
-            }
-            if config.breaker_threshold > 0 else {}
-        )
         self._backend_metrics = {
             name: {
                 "routed": self.metrics.counter(
@@ -299,42 +269,6 @@ class ClusterGateway(FrameServer):
         if self.cache is not None:
             dropped = self.cache.invalidate(state.name)
             self.counters.invalidated_verdicts += dropped
-
-    def _down_names(self) -> Tuple[str, ...]:
-        return tuple(
-            state.name for state in self.monitor.backends if not state.up
-        )
-
-    def _avoid_names(self) -> Tuple[str, ...]:
-        """Backends routing must skip: monitor-down plus breaker-shed.
-
-        Shedding only applies while it leaves at least one routable
-        backend — with every breaker open the gateway degrades to
-        monitor health alone instead of refusing requests that the
-        backends might still answer.
-        """
-        avoid = set(self._down_names())
-        shed = [
-            name for name, breaker in self._breakers.items()
-            if name not in avoid and breaker.blocked()
-        ]
-        if shed and len(avoid) + len(shed) < len(self._addresses):
-            self.counters.breaker_shed += len(shed)
-            avoid.update(shed)
-        return tuple(avoid)
-
-    def _note_backend_result(self, backend: str, ok: bool) -> None:
-        """Feed one request-path outcome to ``backend``'s breaker."""
-        breaker = self._breakers.get(backend)
-        if breaker is None:
-            return
-        if ok:
-            breaker.record_success()
-            return
-        before = breaker.trips
-        breaker.record_failure()
-        if breaker.trips > before:
-            self.counters.breaker_trips += 1
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -467,20 +401,20 @@ class ClusterGateway(FrameServer):
         attempts = max(1, self.config.max_attempts)
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
-            backend = self.ring.route_avoiding(key, self._avoid_names())
+            avoid, shed = self.monitor.avoid()
+            self.counters.held_shed += shed
+            backend = self.ring.route_avoiding(key, avoid)
             if backend is None:
                 raise NoBackendAvailable(
                     "all %d verifier backends are down" % len(self.ring)
                 )
-            breaker = self._breakers.get(backend)
-            if breaker is not None:
-                breaker.begin_attempt()
             try:
                 result = await send(backend)
             except (ServiceError, ConnectionError, OSError,
                     asyncio.IncompleteReadError) as exc:
-                # The backend died under a real request: mark it down on
-                # the spot and re-route.  Verification and session
+                # The backend died under a real request: the monitor
+                # marks it down on the spot (and may hold it), and the
+                # request re-routes.  Verification and session
                 # re-execution are pure, so the re-issue is idempotent
                 # by construction.
                 last_error = exc
@@ -489,24 +423,19 @@ class ClusterGateway(FrameServer):
                 if attempt + 1 < attempts:
                     self.counters.reissues += 1
                     self._backend_metrics[backend]["reissues"].inc()
-                self._note_backend_result(backend, ok=False)
-                self.monitor.record_failure(backend, immediate=True)
+                if self.monitor.record_request_failure(backend):
+                    self.counters.holds += 1
                 await self._drop_client(backend)
                 continue
-            self._note_backend_result(backend, ok=True)
+            self.monitor.record_request_success(backend)
             self._backend_metrics[backend]["routed"].inc()
             return result, backend
         assert last_error is not None
         raise last_error
 
     def _role_stats(self) -> Dict[str, Any]:
-        """Cache, health, ring, aggregation, breakers and config."""
+        """Cache, health, ring, aggregation and config."""
         if self.metrics.enabled:
-            state_codes = {"closed": 0, "half-open": 1, "open": 2}
-            for name, breaker in self._breakers.items():
-                self.metrics.gauge(
-                    "gateway.breaker.%s.state" % name
-                ).set(state_codes.get(breaker.state, -1))
             self.metrics.gauge("gateway.backends.up").set(
                 len(tuple(self.monitor.up_backends()))
             )
@@ -526,10 +455,6 @@ class ClusterGateway(FrameServer):
                 name: batcher.stats()
                 for name, batcher in self._batchers.items()
             },
-            "breakers": {
-                name: breaker.stats()
-                for name, breaker in self._breakers.items()
-            },
             "config": {
                 "backends": [list(address)
                              for address in self.config.backends],
@@ -539,8 +464,6 @@ class ClusterGateway(FrameServer):
                 "health_interval": self.config.health_interval,
                 "failure_threshold": self.config.failure_threshold,
                 "max_attempts": self.config.max_attempts,
-                "breaker_threshold": self.config.breaker_threshold,
-                "breaker_cooldown": self.config.breaker_cooldown,
             },
         }
 

@@ -24,7 +24,6 @@ from repro.sim.campaign import (
     ScenarioStats,
     analyze_campaign,
     campaign_config,
-    detection_report_from_trace,
     run_campaign,
 )
 from repro.sim.fleet import (
@@ -88,7 +87,6 @@ __all__ = [
     "attack_events",
     "campaign_config",
     "derive_substream",
-    "detection_report_from_trace",
     "execute_unit",
     "execution_log_at",
     "fleet_event_key",

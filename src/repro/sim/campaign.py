@@ -17,7 +17,8 @@ single-process ones), and the outcomes aggregate into a
 * a detectability **matrix** bucketing outcomes by Figure-2 area and by
   expected :class:`~repro.attacks.model.Detectability` class;
 * a :class:`~repro.attacks.detection.DetectionReport` built from the
-  per-journey ground truth, which :func:`detection_report_from_trace`
+  per-journey ground truth, which
+  ``repro.trace.campaign_result_from_trace(events).detection_report()``
   reconstructs from the JSONL trace alone — the trace carries both the
   ground truth (``attack`` events) and the verdicts (``complete``
   events), so post-hoc analysis never needs the live run.
@@ -40,14 +41,13 @@ be attributed to the campaign scenario):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.detection import DetectionOutcome, DetectionReport
 from repro.attacks.model import AttackArea, Detectability, areas_by_detectability
 from repro.attacks.scenarios import catalogue_names, scenario_by_name
 from repro.sim.fleet import FleetConfig, FleetResult, JourneyOutcome
 from repro.sim.shard import run_fleet
-from repro.sim.trace import attack_events
 
 __all__ = [
     "DEFAULT_CAMPAIGN_SCENARIOS",
@@ -56,7 +56,6 @@ __all__ = [
     "campaign_config",
     "analyze_campaign",
     "run_campaign",
-    "detection_report_from_trace",
 ]
 
 #: Every scenario of the standard catalogue — the default draw set.
@@ -449,60 +448,3 @@ def run_campaign(
         kwargs["pool"] = pool
     result = run_fleet(config, workers=workers, unit_size=unit_size, **kwargs)
     return analyze_campaign(result)
-
-
-def detection_report_from_trace(
-    events: Iterable[Dict[str, Any]],
-) -> DetectionReport:
-    """Rebuild the campaign :class:`DetectionReport` from a JSONL trace.
-
-    Uses only what the trace records: ``attack`` events carry the
-    ground truth (scenario, strike hop, target host, expectation),
-    ``complete`` events carry the verdicts.  The result equals
-    :meth:`CampaignResult.detection_report` of the live run — the
-    round-trip the trace tests pin down.  Journeys attacked by resident
-    malicious hosts (``malicious_visited`` on their ``complete`` event)
-    are omitted, mirroring the live analysis.
-    """
-    ordered = list(events)
-    protected = True
-    for event in ordered:
-        if event.get("event") == "fleet":
-            protected = bool(
-                event.get("config", {}).get("protected", True)
-            )
-            break
-    mechanism = _PROTECTED_MECHANISM if protected else _UNPROTECTED_MECHANISM
-    attacks = attack_events(ordered)
-    report = DetectionReport()
-    for event in ordered:
-        if event.get("event") != "complete":
-            continue
-        if event.get("malicious_visited"):
-            # Resident-host attacks (mixed ones included) are outside
-            # campaign ground truth — mirror the live analysis.
-            continue
-        journey = event.get("journey")
-        detected = bool(event.get("detected"))
-        blamed = tuple(event.get("blamed", ()))
-        attack = attacks.get(journey)
-        if attack is not None:
-            descriptor = scenario_by_name(attack["scenario"]).describe(
-                attack["target"]
-            )
-            report.add(DetectionOutcome(
-                mechanism=mechanism,
-                attack=descriptor,
-                detected=detected,
-                blamed_hosts=blamed,
-                expected_detection=bool(attack.get("expected")),
-            ))
-        else:
-            report.add(DetectionOutcome(
-                mechanism=mechanism,
-                attack=None,
-                detected=detected,
-                blamed_hosts=blamed,
-                expected_detection=False,
-            ))
-    return report

@@ -29,6 +29,14 @@ class TestProofCollection:
         packages = result.final_protocol_data["proof_packages"]
         assert all(p["envelope"]["signer"] == p["host"] for p in packages)
 
+    def test_packages_carry_no_trust_flag(self):
+        # Trust comes from the verifier's own configuration; a flag the
+        # session host writes into its package is unsigned and unread.
+        scenario, _, result = _run(num_shops=2)
+        packages = result.final_protocol_data["proof_packages"]
+        assert any(scenario.host(p["host"]).trusted for p in packages)
+        assert all("trusted" not in p for p in packages)
+
 
 class TestVerification:
     def test_honest_journey_verifies_clean(self):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
+import importlib
 
 import pytest
 
+from repro import service as service_package
 from repro.crypto.keys import Identity
 from repro.exceptions import ConfigurationError
 from repro.service.api import connect
@@ -17,6 +21,7 @@ from repro.service.cluster import (
     LocalCluster,
     spawn_verifier,
 )
+from repro.service.health import HealthMonitor
 from repro.service.server import ServiceConfig, VerificationService
 
 _IDENTITY = Identity.generate("host-001")
@@ -298,15 +303,25 @@ class TestFailover:
         asyncio.run(run())
 
 
-class TestCircuitBreaking:
-    def test_flapping_backend_is_shed_not_reprobed(self):
+def _freeze_hold_clock(monkeypatch):
+    """Stop the clock the gateway's monitor times holds with, so a hold
+    never runs out while a test still relies on it."""
+    monkeypatch.setattr(cluster_module, "HealthMonitor", functools.partial(
+        HealthMonitor, clock=lambda: 1000.0
+    ))
+
+
+class TestBackendHolds:
+    def test_flapping_backend_is_shed_not_reprobed(self, monkeypatch):
         """A verifier that passes health probes but fails real requests
-        must be shed by its breaker: traffic keeps flowing through the
+        must be held out of routing: traffic keeps flowing through the
         survivor with zero lost or wrong verdicts and zero failover
-        round trips, even while the monitor swears the flapper is up."""
+        round trips, even while its probes say the flapper is up."""
+        _freeze_hold_clock(monkeypatch)
+
         async def run():
             backends, gateway, client = await _start_cluster(
-                2, breaker_threshold=1, breaker_cooldown=30.0
+                2, failure_threshold=1
             )
             try:
                 await backends[0].stop()  # fails requests from now on
@@ -315,16 +330,20 @@ class TestCircuitBreaking:
                     for message, signature in _signed(20, prefix=b"flap1")
                 ))
                 assert [r["verdict"] for r in first] == [True] * 20
-                assert gateway.counters.breaker_trips >= 1
+                # One window failed as a whole; its first failure started
+                # the hold, and the rest of the window could not stack.
+                assert gateway.counters.holds == 1
                 (flapper,) = (set(gateway.ring.nodes)
                               - set(gateway.monitor.up_backends()))
+                (survivor,) = set(gateway.ring.nodes) - {flapper}
                 # The flap: a probe sneaks through and the monitor
                 # marks the backend up again — requests would fail.
                 gateway.monitor.record_success(flapper, {})
                 assert flapper in gateway.monitor.up_backends()
-                assert gateway._breakers[flapper].blocked()
+                assert gateway.monitor.avoid() == ([flapper], 1)
 
                 failovers_before = gateway.counters.failovers
+                shed_before = gateway.counters.held_shed
                 second = await asyncio.gather(*(
                     client.verify("host-001", message, signature)
                     for message, signature in _signed(20, prefix=b"flap2")
@@ -333,34 +352,52 @@ class TestCircuitBreaking:
                 # verdict per request, all from the survivor, and not a
                 # single failover burned on re-probing the flapper.
                 assert [r["verdict"] for r in second] == [True] * 20
-                assert {r["backend"] for r in second} == {
-                    name for name in gateway.ring.nodes if name != flapper
-                }
+                assert {r["backend"] for r in second} == {survivor}
                 assert gateway.counters.failovers == failovers_before
-                assert gateway.counters.breaker_shed > 0
+                assert gateway.counters.held_shed >= shed_before + 20
+                assert flapper in gateway.monitor.up_backends()
 
                 stats = await client.stats()
-                assert stats["breakers"][flapper]["state"] == "open"
-                assert stats["breakers"][flapper]["trips"] >= 1
+                held = stats["health"]["backends"][flapper]
+                assert held["up"] is True and held["held"] is True
+                assert held["holds"] == 1
+                assert stats["counters"]["holds"] == 1
+                assert stats["health"]["backends"][survivor]["held"] is False
+                assert "breakers" not in stats
             finally:
                 await _teardown(backends, gateway, client)
 
         asyncio.run(run())
 
-    def test_threshold_zero_disables_the_breakers(self):
+    def test_with_every_backend_held_requests_still_route(self,
+                                                          monkeypatch):
+        """Holds never shed the last routable backend: with every
+        backend held, routing falls back to probe health."""
+        _freeze_hold_clock(monkeypatch)
+
         async def run():
             backends, gateway, client = await _start_cluster(
-                2, breaker_threshold=0
+                2, failure_threshold=1
             )
             try:
-                assert gateway._breakers == {}
-                message, signature = _signed(1, prefix=b"nb")[0]
-                response = await client.verify(
-                    "host-001", message, signature
+                for name in gateway.ring.nodes:
+                    assert gateway.monitor.record_request_failure(name)
+                    gateway.monitor.record_success(name, {})
+                assert gateway.monitor.avoid() == ([], 0)
+
+                responses = await asyncio.gather(*(
+                    client.verify("host-001", message, signature)
+                    for message, signature in _signed(20, prefix=b"held")
+                ))
+                assert [r["verdict"] for r in responses] == [True] * 20
+                assert {r["backend"] for r in responses} == set(
+                    gateway.ring.nodes
                 )
-                assert response["verdict"] is True
+                assert gateway.counters.no_backend == 0
+                assert gateway.counters.held_shed == 0
                 stats = await client.stats()
-                assert stats["breakers"] == {}
+                assert all(state["held"] for state
+                           in stats["health"]["backends"].values())
             finally:
                 await _teardown(backends, gateway, client)
 
@@ -444,6 +481,39 @@ class TestNoTableCacheKnobs:
         assert command[1:4] == ["-m", "repro.service", "serve"]
         assert command[-2:] == ["--backend", "python"]
         assert not any("table-cache" in part for part in command)
+
+
+class TestNoBreakerKnobs:
+    """The health monitor is the one routing state machine: the circuit
+    breaker and its tuning knobs are gone."""
+
+    @pytest.mark.parametrize("command", (
+        ["cluster", "--backends", "127.0.0.1:7753"], ["spawn-cluster"],
+    ), ids=("cluster", "spawn-cluster"))
+    @pytest.mark.parametrize("flag", (
+        "--breaker-threshold", "--breaker-cooldown",
+    ))
+    def test_the_breaker_options_are_rejected(self, command, flag, capsys):
+        parser = _build_parser()
+        assert parser.parse_args(command).command == command[0]
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(command + [flag, "3"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_the_cluster_config_has_no_breaker_fields(self):
+        names = [f.name for f in dataclasses.fields(ClusterConfig)]
+        assert len(names) == 13
+        assert not any(name.startswith("breaker") for name in names)
+        with pytest.raises(TypeError):
+            ClusterConfig(breaker_threshold=3)
+
+    def test_the_breaker_module_and_exports_are_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.service.breaker")
+        for name in ("CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"):
+            assert not hasattr(service_package, name)
+            assert name not in service_package.__all__
 
 
 class TestLocalCluster:

@@ -428,8 +428,8 @@ class TestCounterNames:
     def test_gateway_counter_names(self):
         gateway = ClusterGateway(ClusterConfig(backends=(("127.0.0.1", 9),)))
         assert set(gateway.stats()["counters"]) == self.SHARED | {
-            "dedup_hits", "failovers", "reissues", "breaker_trips",
-            "breaker_shed", "no_backend", "restarts_detected",
+            "dedup_hits", "failovers", "reissues", "holds",
+            "held_shed", "no_backend", "restarts_detected",
             "invalidated_verdicts",
         }
 

@@ -10,8 +10,9 @@ The contracts under test:
    recall 1.0, conceded scenarios never alarm, benign journeys never
    produce false positives;
 3. the JSONL trace carries the full ground truth: after a sharded run
-   and trace merge, :func:`detection_report_from_trace` rebuilds the
-   exact :class:`DetectionReport` of the live analysis.
+   and trace merge, ``campaign_result_from_trace(events)
+   .detection_report()`` rebuilds the exact :class:`DetectionReport`
+   of the live analysis.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from repro.sim import (
     analyze_campaign,
     attack_events,
     campaign_config,
-    detection_report_from_trace,
     plan_journey_attack,
     read_trace,
     run_campaign,
 )
+from repro.trace import campaign_result_from_trace
 
 
 def _config(**overrides):
@@ -216,7 +217,7 @@ class TestTraceRoundTrip:
     def test_replayed_report_equals_the_live_report(self, merged_trace):
         campaign, events = merged_trace
         live = campaign.detection_report()
-        replayed = detection_report_from_trace(events)
+        replayed = campaign_result_from_trace(events).detection_report()
         assert replayed.outcomes == live.outcomes
         assert replayed.summary() == live.summary()
 
@@ -239,7 +240,9 @@ class TestTraceRoundTrip:
         run_campaign(_config(
             protected=False, num_agents=12, trace_path=path,
         ))
-        replayed = detection_report_from_trace(read_trace(path))
+        replayed = campaign_result_from_trace(
+            read_trace(path)
+        ).detection_report()
         assert replayed.attack_runs > 0
         assert all(
             o.mechanism == "unprotected" for o in replayed.outcomes
