@@ -11,6 +11,11 @@ loopback TCP:
 3. a gateway over 3 verifier subprocesses beats the same gateway over
    one verifier by at least 1.6x.
 
+A fourth leg is a report with no gate: the verifier's settle step
+(:func:`~repro.crypto.batch.verify_window`) against one-by-one
+``verify_recoverable`` on windows of 12, with none and with 10% of the
+signatures forged — the mix the ``gateway-mixed`` benchmark sends.
+
 Every timed replay must also match the in-process verdicts with zero
 drops.  Verdict parity, the SIGKILL failover drill and the session
 checks have their own tests in ``tests/service``.
@@ -20,16 +25,24 @@ from __future__ import annotations
 
 import asyncio
 import os
+import statistics
 import time
+from random import Random
 
 import pytest
 
 from benchmarks.reportutil import write_report
+from repro.crypto.batch import verify_window
+from repro.crypto.dsa import RecoverableSignature
 from repro.service.cluster import ClusterConfig, LocalCluster
 from repro.service.loadgen import replay_requests
-from repro.service.server import ServiceConfig, VerificationService
+from repro.service.server import (
+    ServiceConfig,
+    VerificationService,
+    build_service_keystore,
+)
 from repro.sim import FleetConfig
-from repro.sim.requests import journey_request_stream
+from repro.sim.requests import corrupt_requests, journey_request_stream
 from repro.sim.shard import run_fleet
 
 #: Batched service throughput over batch-size-1 throughput.
@@ -44,7 +57,6 @@ CLUSTER_GATE_VERIFIERS = 3
 MIN_CLUSTER_SCALING = 1.6
 
 SERVICE_BATCH = 256
-SERVICE_DELAY = 0.010
 CLUSTER_BATCH = 64
 CONNECTIONS = 2
 MAX_INFLIGHT = 256
@@ -87,7 +99,7 @@ def _best_service_rps(requests, max_batch: int) -> float:
     async def one_pass() -> float:
         service = VerificationService(ServiceConfig(
             fleet_hosts=CONFIG.num_hosts, max_batch=max_batch,
-            max_delay=SERVICE_DELAY, cache_entries=0,
+            cache_entries=0,
         ))
         await service.start()
         try:
@@ -154,11 +166,10 @@ def test_cluster_scales_across_verifiers(verify_requests):
     template = ClusterConfig(
         service=ServiceConfig(
             fleet_hosts=CONFIG.num_hosts, max_batch=CLUSTER_BATCH,
-            max_delay=0.002, cache_entries=0,
+            cache_entries=0,
         ),
         cache_entries=0,
         gather_batch=CLUSTER_BATCH,
-        gather_delay=0.001,
     )
 
     def cluster_rps(verifiers: int) -> float:
@@ -187,3 +198,74 @@ def test_cluster_scales_across_verifiers(verify_requests):
         "%d-verifier cluster only %.2fx the single verifier"
         % (CLUSTER_GATE_VERIFIERS, scaling)
     )
+
+
+#: Settle-step report: window size, forged fractions, timed rounds.
+SETTLE_WINDOW = 12
+SETTLE_FORGED = (0.0, 0.1)
+SETTLE_ROUNDS = 5
+
+
+def _settle_windows(requests, fraction):
+    """The stream as windows of ``(key, message, signature)`` items,
+    with each item's expected verdict."""
+    keystore = build_service_keystore(CONFIG.num_hosts)
+    mixed, _ = corrupt_requests(requests, fraction, seed=11)
+    items = [
+        (keystore.get(request.payload["signer"]),
+         request.payload["message"],
+         RecoverableSignature.from_canonical(request.payload["signature"]))
+        for request in mixed
+    ]
+    expected = [request.expected for request in mixed]
+    return [
+        (items[start:start + SETTLE_WINDOW],
+         expected[start:start + SETTLE_WINDOW])
+        for start in range(0, len(items), SETTLE_WINDOW)
+    ]
+
+
+def test_verifier_settle_step_report(verify_requests):
+    """Report only, no gate: batch equation against one-by-one."""
+
+    def batch_equation(window):
+        return verify_window(window, rng=Random(1))
+
+    def one_by_one(window):
+        return [key.verify_recoverable(message, signature)
+                for key, message, signature in window]
+
+    legs = (("verify_window", batch_equation),
+            ("one-by-one", one_by_one))
+    rows = []
+    for fraction in SETTLE_FORGED:
+        windows = _settle_windows(verify_requests, fraction)
+        forged = sum(verdict is False
+                     for _, expected in windows for verdict in expected)
+        seconds = {name: [] for name, _ in legs}
+        # Alternate the legs round by round so drift hits both alike.
+        for _ in range(SETTLE_ROUNDS):
+            for name, settle in legs:
+                started = time.process_time()
+                verdicts = [settle(window) for window, _ in windows]
+                seconds[name].append(time.process_time() - started)
+                assert verdicts == [expected for _, expected in windows], (
+                    "%s settled a verdict wrongly" % name
+                )
+        batch = statistics.median(seconds["verify_window"])
+        single = statistics.median(seconds["one-by-one"])
+        rows.append("| %d%% (%d of %d) | %.3f | %.3f | %.2fx |" % (
+            round(100 * fraction), forged,
+            sum(len(window) for window, _ in windows),
+            batch, single, single / batch,
+        ))
+
+    write_report("settle_step.md", "\n".join([
+        "# Verifier settle step: batch equation against one-by-one",
+        "",
+        "windows of %d, CPU seconds, median of %d alternating rounds; "
+        "report only, no gate" % (SETTLE_WINDOW, SETTLE_ROUNDS),
+        "",
+        "| forged | verify_window s | one-by-one s | window speed-up |",
+        "|---|---|---|---|",
+    ] + rows + [""]))

@@ -85,7 +85,6 @@ def main() -> int:
         service = VerificationService(ServiceConfig(
             fleet_hosts=config.num_hosts,
             max_batch=args.batch,
-            max_delay=0.005,
         ))
         host, port = await service.start()
         print("server listening on %s:%d (window %d)" % (

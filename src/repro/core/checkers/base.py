@@ -91,13 +91,6 @@ class Checker:
             checker=self.name, status=VerdictStatus.INCONCLUSIVE, details=details
         )
 
-    def _skipped(self, reason: str) -> CheckResult:
-        return CheckResult(
-            checker=self.name,
-            status=VerdictStatus.SKIPPED,
-            details={"reason": reason},
-        )
-
 
 class CheckerRegistry:
     """Optional name → checker factory registry.

@@ -184,11 +184,6 @@ class InjectedHostView:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._host, name)
 
-    @property
-    def injected_host(self) -> Host:
-        """The honest host this view decorates."""
-        return self._host
-
     def execute_agent(
         self,
         agent: MobileAgent,

@@ -509,11 +509,6 @@ class AgentSystem:
         self.record_route = record_route
         self._engine = MigrationEngine(self.code_registry)
 
-    @property
-    def migration_engine(self) -> MigrationEngine:
-        """The migration engine used to pack and unpack agents."""
-        return self._engine
-
     def launch(
         self,
         agent: MobileAgent,

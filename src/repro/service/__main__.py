@@ -52,8 +52,6 @@ def _add_gateway_arguments(parser: argparse.ArgumentParser) -> None:
                         help="gateway verdict-cache capacity (0 disables)")
     parser.add_argument("--gather-batch", type=int, default=64,
                         help="gateway→backend aggregation window size")
-    parser.add_argument("--gather-delay-ms", type=float, default=1.0,
-                        help="gateway→backend aggregation latency bound")
     parser.add_argument("--health-interval", type=float, default=0.25,
                         help="seconds between backend health probes")
     parser.add_argument("--failure-threshold", type=int, default=3,
@@ -80,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "address is announced on stdout)")
     serve.add_argument("--max-batch", type=int, default=256,
                        help="micro-batch window size (1 disables batching)")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch window latency bound")
     serve.add_argument("--cache-entries", type=int, default=65536,
                        help="LRU verdict-cache capacity (0 disables)")
     serve.add_argument("--max-queue", type=int, default=8192,
@@ -116,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gateway listen port (0 = pick a free port)")
     spawn.add_argument("--max-batch", type=int, default=256,
                        help="per-verifier micro-batch window size")
-    spawn.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="per-verifier micro-batch latency bound")
     spawn.add_argument("--fleet-hosts", type=int, default=40,
                        help="fleet-shaped PKI size of every verifier")
     spawn.add_argument("--backend", default=None,
@@ -176,7 +170,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
         cache_entries=args.cache_entries,
         max_queue=args.max_queue,
         fleet_hosts=args.fleet_hosts,
@@ -199,7 +192,6 @@ def _gateway_config(args: argparse.Namespace,
         service=service or ServiceConfig(),
         cache_entries=args.cache_entries,
         gather_batch=args.gather_batch,
-        gather_delay=args.gather_delay_ms / 1e3,
         health_interval=args.health_interval,
         failure_threshold=args.failure_threshold,
         max_attempts=args.max_attempts,
@@ -257,7 +249,6 @@ def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     service = ServiceConfig(
         max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
         fleet_hosts=args.fleet_hosts,
         backend=args.backend,
     )

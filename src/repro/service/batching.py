@@ -1,16 +1,20 @@
-"""Time- and size-bounded batch windows, one mechanism for both tiers.
+"""Batch windows that close at the end of the event-loop tick.
 
 Both service tiers coalesce concurrent work into windows: the verifier
 settles signature verifications with one randomized batch equation
 (:func:`repro.crypto.dsa.batch_verify`), and the cluster gateway ships
 verify items to a backend as one ``verify-batch`` frame.  A
 :class:`MicroBatcher` is the window both use.  A window closes when it
-reaches ``max_batch`` items **or** when ``max_delay`` seconds have
-passed since its first item — whichever comes first — so throughput
-never buys unbounded latency.  What closing a window *does* is the
-caller's **settle step**: a function from the window's items to one
-result per item, either returned directly (settled inline) or awaited
-(a shipment).  A settle step that raises fails every waiter's future.
+reaches ``max_batch`` items, inside the ``submit`` that filled it, or
+at the end of the event-loop iteration in which its first item
+arrived: the first ``submit`` schedules one ``loop.call_soon`` flush.
+No timer holds a window open, so a lone request never waits, while
+every item that becomes ready in the same tick (all items of one
+``verify-batch`` frame, all frames read in one socket read) still
+shares a window.  What closing a window *does* is the caller's
+**settle step**: a function from the window's items to one result per
+item, either returned directly (settled inline) or awaited (a
+shipment).  A settle step that raises fails every waiter's future.
 
 :func:`~repro.crypto.batch.verify_window` is the verifier's settle
 step; it lives in :mod:`repro.crypto.batch` because the fleet's
@@ -20,10 +24,9 @@ against: a window of one item takes the plain
 :meth:`verify_recoverable` path, not a degenerate batch equation.
 
 Inline settlement runs on the event loop.  That is a deliberate choice
-for a CPU-bound single-process service: a window of 256 signatures
-settles in ~15 ms, during which the loop's readers simply let the
-kernel socket buffers absorb arrivals — the next window is already
-forming the moment settlement returns.
+for a CPU-bound single-process service: while a window settles, the
+kernel socket buffers absorb arrivals, and everything read in the next
+tick forms the next window.
 """
 
 from __future__ import annotations
@@ -71,23 +74,21 @@ class MicroBatcher:
         The settle step (see the module docstring).
     max_batch:
         Window size that triggers an immediate flush; ``1`` disables
-        coalescing entirely (every submit flushes at once).
-    max_delay:
-        Seconds after the window's *first* item at which the window is
-        flushed regardless of fill — the latency bound.
+        coalescing entirely (every submit flushes at once).  A window
+        that stays smaller closes at the end of the loop iteration in
+        which its first item arrived.
     """
 
     def __init__(
         self,
         settle: SettleStep,
         max_batch: int = 256,
-        max_delay: float = 0.002,
     ) -> None:
         self.settle = settle
         self.max_batch = max(1, int(max_batch))
-        self.max_delay = max(0.0, float(max_delay))
         self._waiting: List[_Waiting] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: The end-of-tick flush of the forming window, once scheduled.
+        self._closing: Optional[asyncio.Handle] = None
         #: Awaited settle steps still running (the loop holds tasks
         #: only weakly).
         self._settling: Set["asyncio.Future[None]"] = set()
@@ -111,8 +112,8 @@ class MicroBatcher:
         self._waiting.append(_Waiting(item, future, loop.time()))
         if len(self._waiting) >= self.max_batch:
             self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay, self.flush)
+        elif self._closing is None:
+            self._closing = loop.call_soon(self.flush)
         return future
 
     def flush(self) -> int:
@@ -121,9 +122,9 @@ class MicroBatcher:
         An inline settle step has resolved every future by the time
         this returns; an awaitable one resolves them when it completes.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._closing is not None:
+            self._closing.cancel()
+            self._closing = None
         if not self._waiting:
             return 0
         window, self._waiting = self._waiting, []
@@ -187,7 +188,6 @@ class MicroBatcher:
             "items": self.items,
             "pending": self.pending,
             "max_batch": self.max_batch,
-            "max_delay": self.max_delay,
             "mean_batch_size": (
                 self.items / self.batches if self.batches else 0.0
             ),

@@ -3,8 +3,10 @@
 A :class:`ServiceClient` owns a small pool of TCP connections.  Every
 request carries a client-assigned id and is written immediately —
 callers never wait for earlier responses before later requests hit the
-wire, so a burst of ``asyncio.gather``-ed calls pipelines naturally and
-the server's micro-batcher sees real concurrency from a single client.
+wire, so a burst of ``asyncio.gather``-ed calls pipelines naturally.
+The server reads the frames that arrive together in one event-loop
+tick, so its micro-batcher puts them in one window; a request that
+arrives alone is settled at the end of its tick, without waiting.
 A per-connection reader task matches responses back to futures by id
 (the server may answer out of order once batching and caching skew
 settlement times).
@@ -17,7 +19,6 @@ import itertools
 from typing import Any, Dict, List, Optional, Union
 
 from repro.crypto.dsa import RecoverableSignature
-from repro.crypto.signing import RecoverableEnvelope
 from repro.exceptions import ServiceError, ServiceUnavailable
 from repro.service.retry import RetryPolicy
 from repro.service.wire import (
@@ -255,14 +256,6 @@ class ServiceClient:
             "message": message,
             "signature": signature,
         })
-
-    async def verify_envelope(
-        self, envelope: RecoverableEnvelope
-    ) -> Dict[str, Any]:
-        """Verify a commitment-carrying envelope (encodes its message)."""
-        return await self.verify(
-            envelope.signer, envelope.message(), envelope.signature
-        )
 
     async def verify_batch(
         self, items: List[Dict[str, Any]]

@@ -22,8 +22,9 @@ Design points, in the order a request meets them:
   ``instance`` id changed), every verdict attributed to the old process
   is explicitly invalidated in one sweep.
 * **aggregation** — one :class:`~repro.service.batching.MicroBatcher`
-  per backend coalesces concurrent singles into one window, the same
-  window mechanism the verifier settles inline; the gateway's settle
+  per backend coalesces the singles that become ready in one event-loop
+  tick into one window (no timer holds it open), the same window
+  mechanism the verifier settles inline; the gateway's settle
   step ships it as one ``verify-batch`` frame, so the gateway⇄verifier
   hop costs one round trip per window, and the backend's own batcher
   still sees the full window at once.  A failed shipment fails every
@@ -111,9 +112,9 @@ class ClusterConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Gateway-tier verdict-cache capacity; ``0`` disables the tier.
     cache_entries: int = 65536
-    #: Gateway→backend aggregation window (items / seconds).
+    #: Gateway→backend aggregation window size bound; a smaller
+    #: window ships at the end of the event-loop tick it opened in.
     gather_batch: int = 64
-    gather_delay: float = 0.001
     connections_per_backend: int = 1
     health_interval: float = 0.25
     #: Consecutive probe failures before a backend is marked down, and
@@ -190,8 +191,7 @@ class ClusterGateway(FrameServer):
         self._client_locks: Dict[str, asyncio.Lock] = {}
         self._batchers: Dict[str, MicroBatcher] = {
             name: MicroBatcher(
-                functools.partial(self._ship, name),
-                config.gather_batch, config.gather_delay,
+                functools.partial(self._ship, name), config.gather_batch,
             )
             for name in self._addresses
         }
@@ -459,7 +459,6 @@ class ClusterGateway(FrameServer):
                 "backends": [list(address)
                              for address in self.config.backends],
                 "gather_batch": self.config.gather_batch,
-                "gather_delay": self.config.gather_delay,
                 "cache_entries": self.config.cache_entries,
                 "health_interval": self.config.health_interval,
                 "failure_threshold": self.config.failure_threshold,
@@ -544,7 +543,6 @@ def spawn_verifier(
         "--host", config.host,
         "--port", str(config.port),
         "--max-batch", str(config.max_batch),
-        "--max-delay-ms", str(config.max_delay * 1e3),
         "--cache-entries", str(config.cache_entries),
         "--max-queue", str(config.max_queue),
         "--fleet-hosts", str(config.fleet_hosts),

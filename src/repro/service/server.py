@@ -13,8 +13,8 @@ The verifier, :class:`VerificationService`, answers two kinds of
 verification:
 
 * ``verify`` — a raw DSA verification (signer name, message bytes,
-  recoverable signature).  Concurrent requests are coalesced into
-  time- and size-bounded micro-batches
+  recoverable signature).  Requests that arrive in the same event-loop
+  tick are coalesced into one micro-batch
   (:class:`repro.service.batching.MicroBatcher`) settled with one batch
   equation, fronted by an LRU verdict cache
   (:class:`repro.service.cache.VerdictCache`) keyed on digest+signature.
@@ -109,8 +109,9 @@ class ServiceConfig:
     host / port:
         Listen address; port ``0`` asks the kernel for a free port
         (the bound port is reported by :meth:`VerificationService.start`).
-    max_batch / max_delay:
-        Micro-batching window bounds (items / seconds).  ``max_batch=1``
+    max_batch:
+        Micro-batching window size bound; a smaller window closes at
+        the end of the event-loop tick it opened in.  ``max_batch=1``
         disables coalescing — the benchmark's no-batching baseline.
     cache_entries:
         LRU verdict-cache capacity; ``0`` disables the cache.
@@ -137,7 +138,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 256
-    max_delay: float = 0.002
     cache_entries: int = 65536
     max_queue: int = 8192
     max_frame: int = MAX_FRAME_BYTES
@@ -286,16 +286,18 @@ class FrameServer:
         """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         # Closing the server-side transports EOFs every connection
         # handler, so they wind down on their own instead of being
-        # cancelled mid-read.
+        # cancelled mid-read.  It must come before ``wait_closed``,
+        # which from Python 3.12.1 waits for every connection to drop.
         for writer in list(self._client_writers):
             try:
                 writer.close()
             except (ConnectionError, OSError):
                 pass
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         await asyncio.sleep(0)
 
     # -- connection handling -----------------------------------------------------
@@ -578,9 +580,7 @@ class VerificationService(FrameServer):
         )
         self.code_registry = code_registry
         self.batcher = MicroBatcher(
-            verify_window,
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay,
+            verify_window, max_batch=self.config.max_batch,
         )
         self.cache: Optional[VerdictCache] = (
             VerdictCache(self.config.cache_entries)
@@ -740,7 +740,6 @@ class VerificationService(FrameServer):
             "crypto": {"backend": self.backend.name},
             "config": {
                 "max_batch": self.config.max_batch,
-                "max_delay": self.config.max_delay,
                 "max_queue": self.config.max_queue,
                 "max_frame": self.config.max_frame,
                 "cache_entries": self.config.cache_entries,

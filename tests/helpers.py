@@ -1,4 +1,4 @@
-"""Shared test helpers: small agents and scenario shortcuts.
+"""Shared test helpers: small agents, scenario shortcuts, a settle hold.
 
 The agent classes defined here are registered in the process-wide code
 registry exactly once (this module is imported by ``tests/conftest.py``),
@@ -8,7 +8,8 @@ them without re-registering.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import asyncio
+from typing import Any, Dict, Optional, Tuple
 
 from repro.agents.agent import MobileAgent, register_agent
 from repro.agents.context import ExecutionContext
@@ -111,3 +112,24 @@ def make_number_service(value: int = 1):
     from repro.platform.resources import StaticDataService
 
     return StaticDataService("numbers", {"increment": value})
+
+
+def hold_settle(service: Any) -> Tuple[asyncio.Event, asyncio.Event]:
+    """Hold a verifier's settle step until released, so the requests of
+    its windows stay in flight for as long as a test needs.
+
+    Returns ``(entered, release)``: ``entered`` is set once the first
+    window is held; setting ``release`` lets every held window settle.
+    Call it on the running event loop.
+    """
+    entered = asyncio.Event()
+    release = asyncio.Event()
+    settle = service.batcher.settle
+
+    async def held(items):
+        entered.set()
+        await release.wait()
+        return settle(items)
+
+    service.batcher.settle = held
+    return entered, release

@@ -90,7 +90,7 @@ async def _fake_server(ping_response_extra):
 class TestConnect:
     def test_connect_to_a_service_thread_endpoint(self):
         async def run():
-            with ServiceThread(ServiceConfig(max_delay=0.001)) as thread:
+            with ServiceThread(ServiceConfig()) as thread:
                 verifier = await connect(thread)
                 try:
                     identity = Identity.generate("host-001")
@@ -208,12 +208,11 @@ class TestStatsEnvelopeParity:
 
         async def run():
             service = VerificationService(
-                ServiceConfig(max_delay=0.001, fleet_hosts=4)
+                ServiceConfig(fleet_hosts=4)
             )
             address = await service.start()
             gateway = ClusterGateway(ClusterConfig(
-                backends=(address,), gather_delay=0.001,
-                health_interval=30.0,
+                backends=(address,), health_interval=30.0,
             ))
             await gateway.start()
             client = await connect(gateway)
@@ -240,7 +239,7 @@ class TestStatsEnvelopeParity:
         asyncio.run(run())
 
     def test_service_thread_exposes_the_hosted_envelope(self):
-        with ServiceThread(ServiceConfig(max_delay=0.001)) as thread:
+        with ServiceThread(ServiceConfig()) as thread:
             stats = thread.stats()
         self._assert_envelope(stats, "verifier")
 

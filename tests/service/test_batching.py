@@ -4,6 +4,10 @@ One :class:`MicroBatcher` serves both tiers; these tests drive it with
 both settle steps — the verifier's inline batch equation
 (:func:`~repro.crypto.batch.verify_window`) and the gateway's awaited ``verify-batch``
 shipment — and check that the window mechanics are the same for each.
+
+A window closes on its size bound or at the end of the event-loop tick
+its first item arrived in.  The tests pin that structure by counting
+loop iterations (``await asyncio.sleep(0)``), never the wall clock.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import asyncio
 import functools
 from random import Random
 
+import pytest
 
 from repro.crypto.batch import verify_window
 from repro.crypto.dsa import RecoverableSignature, generate_keypair
@@ -37,11 +42,19 @@ def _corrupt(item):
     return (public, message, forged)
 
 
-def _verifier_batcher(max_batch, max_delay=60.0):
+def _verifier_batcher(max_batch):
     return MicroBatcher(
-        functools.partial(verify_window, rng=Random(1)),
-        max_batch=max_batch, max_delay=max_delay,
+        functools.partial(verify_window, rng=Random(1)), max_batch=max_batch,
     )
+
+
+def _no_timers(loop):
+    """Make ``loop.call_later`` raise: a window must never arm a timer."""
+
+    def call_later(*args, **kwargs):
+        raise AssertionError("a batch window armed a timer")
+
+    loop.call_later = call_later
 
 
 class _Shipment:
@@ -67,7 +80,7 @@ class TestWindows:
             batcher = _verifier_batcher(max_batch=4)
             futures = [batcher.submit(item) for item in _items(4)]
             # The fourth submit crossed the bound: everything settled
-            # without the (here effectively infinite) timer.
+            # inside that submit, before the loop ran again.
             assert all(future.done() for future in futures)
             settled = [await future for future in futures]
             assert [entry.value for entry in settled] == [True] * 4
@@ -76,15 +89,61 @@ class TestWindows:
 
         asyncio.run(run())
 
-    def test_time_bound_flushes_a_partial_window(self):
+    def test_items_submitted_in_one_tick_share_one_window(self):
         async def run():
-            batcher = _verifier_batcher(max_batch=1000, max_delay=0.01)
+            _no_timers(asyncio.get_running_loop())
+            batcher = _verifier_batcher(max_batch=1000)
             futures = [batcher.submit(item) for item in _items(3)]
-            settled = await asyncio.wait_for(
-                asyncio.gather(*futures), timeout=5.0
-            )
+            assert not any(future.done() for future in futures)
+            await asyncio.sleep(0)
+            assert all(future.done() for future in futures)
+            settled = [future.result() for future in futures]
             assert [entry.value for entry in settled] == [True] * 3
             assert {entry.batch_size for entry in settled} == {3}
+            assert batcher.batch_histogram == {3: 1}
+
+        asyncio.run(run())
+
+    def test_a_lone_item_settles_after_one_loop_iteration(self):
+        async def run():
+            _no_timers(asyncio.get_running_loop())
+            batcher = _verifier_batcher(max_batch=1000)
+            future = batcher.submit(_items(1)[0])
+            assert not future.done()
+            await asyncio.sleep(0)
+            assert future.done()
+            assert future.result().value is True
+            assert future.result().batch_size == 1
+
+        asyncio.run(run())
+
+    def test_a_later_tick_opens_a_new_window(self):
+        async def run():
+            batcher = _verifier_batcher(max_batch=1000)
+            items = _items(3)
+            first = [batcher.submit(item) for item in items[:2]]
+            await asyncio.sleep(0)
+            assert all(future.done() for future in first)
+            last = batcher.submit(items[2])
+            assert batcher.pending == 1
+            await asyncio.sleep(0)
+            assert last.done()
+            assert batcher.batch_histogram == {2: 1, 1: 1}
+
+        asyncio.run(run())
+
+    def test_a_size_bound_flush_leaves_the_tick_end_to_the_next_window(self):
+        async def run():
+            batcher = _verifier_batcher(max_batch=2)
+            futures = [batcher.submit(item) for item in _items(3)]
+            # Items 1-2 settled inside the second submit; item 3 opened
+            # a fresh window that closes at the end of this tick.
+            assert [future.done() for future in futures] == [
+                True, True, False,
+            ]
+            await asyncio.sleep(0)
+            assert futures[2].done()
+            assert batcher.batch_histogram == {2: 1, 1: 1}
 
         asyncio.run(run())
 
@@ -102,7 +161,7 @@ class TestWindows:
     def test_shipment_size_bound_ships_one_window(self):
         async def run():
             ship = _Shipment()
-            batcher = MicroBatcher(ship, max_batch=3, max_delay=60.0)
+            batcher = MicroBatcher(ship, max_batch=3)
             futures = [batcher.submit({"n": index}) for index in range(3)]
             settled = await asyncio.wait_for(
                 asyncio.gather(*futures), timeout=5.0
@@ -115,16 +174,19 @@ class TestWindows:
 
         asyncio.run(run())
 
-    def test_shipment_delay_bound_ships_a_partial_window(self):
+    def test_one_tick_of_items_ships_as_one_window(self):
         async def run():
+            _no_timers(asyncio.get_running_loop())
             ship = _Shipment()
-            batcher = MicroBatcher(ship, max_batch=64, max_delay=0.01)
+            batcher = MicroBatcher(ship, max_batch=64)
             futures = [batcher.submit({"n": index}) for index in range(2)]
             assert not ship.windows
-            settled = await asyncio.wait_for(
-                asyncio.gather(*futures), timeout=5.0
-            )
-            assert len(ship.windows) == 1
+            await asyncio.sleep(0)
+            # The window closed at the end of the tick; its shipment
+            # task starts one iteration later.
+            await asyncio.sleep(0)
+            assert ship.windows == [[{"n": 0}, {"n": 1}]]
+            settled = await asyncio.gather(*futures)
             assert {entry.batch_size for entry in settled} == {2}
 
         asyncio.run(run())
@@ -134,7 +196,7 @@ class TestFailures:
     def test_failed_shipment_fails_every_waiter(self):
         async def run():
             ship = _Shipment(fail=ConnectionResetError("backend died"))
-            batcher = MicroBatcher(ship, max_batch=3, max_delay=60.0)
+            batcher = MicroBatcher(ship, max_batch=3)
             futures = [batcher.submit({"n": index}) for index in range(3)]
             outcomes = await asyncio.gather(*futures, return_exceptions=True)
             assert all(isinstance(outcome, ConnectionResetError)
@@ -147,7 +209,7 @@ class TestFailures:
             def settle(items):
                 raise RuntimeError("settle step broke")
 
-            batcher = MicroBatcher(settle, max_batch=2, max_delay=60.0)
+            batcher = MicroBatcher(settle, max_batch=2)
             futures = [batcher.submit(index) for index in range(2)]
             outcomes = await asyncio.gather(*futures, return_exceptions=True)
             assert all(isinstance(outcome, RuntimeError)
@@ -157,8 +219,7 @@ class TestFailures:
 
     def test_short_answer_fails_the_window_instead_of_hanging(self):
         async def run():
-            batcher = MicroBatcher(_Shipment(short=True), max_batch=2,
-                                   max_delay=60.0)
+            batcher = MicroBatcher(_Shipment(short=True), max_batch=2)
             futures = [batcher.submit(index) for index in range(2)]
             outcomes = await asyncio.wait_for(
                 asyncio.gather(*futures, return_exceptions=True),
@@ -184,17 +245,25 @@ class TestVerdicts:
 
         asyncio.run(run())
 
-    def test_queue_wait_is_reported(self):
+    def test_queue_wait_is_reported_on_the_loop_clock(self):
         async def run():
+            # A stand-in loop clock: queue wait is the time from submit
+            # to settlement as the loop tells it, not a wall reading.
+            loop = asyncio.get_running_loop()
+            clock = [100.0]
+            loop.time = lambda: clock[0]
             batcher = _verifier_batcher(max_batch=2)
-            first = batcher.submit(_items(1)[0])
-            await asyncio.sleep(0.01)
-            second = batcher.submit(_items(2)[1])
+            items = _items(2)
+            first = batcher.submit(items[0])
+            clock[0] += 0.25
+            second = batcher.submit(items[1])
             settled = await asyncio.gather(first, second)
-            # The first item waited at least the sleep; the second
-            # triggered the flush immediately.
-            assert settled[0].queue_wait >= 0.009
-            assert settled[1].queue_wait <= settled[0].queue_wait
+            # The first item waited for the second; the second filled
+            # the window and settled inside its own submit.
+            assert settled[0].queue_wait == pytest.approx(0.25)
+            assert settled[1].queue_wait == 0.0
+            assert batcher.queue_wait_total == pytest.approx(0.25)
+            assert batcher.queue_wait_max == pytest.approx(0.25)
 
         asyncio.run(run())
 
@@ -227,7 +296,7 @@ class TestOneStatsShape:
     def test_both_settle_steps_report_the_same_fields(self):
         async def run():
             inline = _verifier_batcher(max_batch=2)
-            shipped = MicroBatcher(_Shipment(), max_batch=2, max_delay=60.0)
+            shipped = MicroBatcher(_Shipment(), max_batch=2)
             await asyncio.gather(*(inline.submit(item)
                                    for item in _items(4)))
             await asyncio.gather(*(shipped.submit(index)
@@ -236,6 +305,7 @@ class TestOneStatsShape:
 
         inline, shipped = asyncio.run(run())
         assert set(inline) == set(shipped)
+        assert "max_delay" not in inline
         for stats in (inline, shipped):
             assert stats["batches"] == 2
             assert stats["items"] == 4
@@ -254,13 +324,10 @@ class TestGatewayShipment:
         identity = Identity.generate("host-001")
 
         async def run():
-            backend = VerificationService(
-                ServiceConfig(max_delay=0.001, fleet_hosts=8)
-            )
+            backend = VerificationService(ServiceConfig(fleet_hosts=8))
             address = await backend.start()
             gateway = ClusterGateway(ClusterConfig(
-                backends=(address,), gather_batch=3, gather_delay=60.0,
-                health_interval=30.0,
+                backends=(address,), gather_batch=3, health_interval=30.0,
             ))
             await gateway.start()
             try:
@@ -281,12 +348,50 @@ class TestGatewayShipment:
                     *(batcher.submit(item) for item in items)
                 ), timeout=30.0)
                 return [entry.value["verdict"] for entry in settled], \
-                    gateway.stats()["aggregation"][name]
+                    gateway.stats()["aggregation"][name], \
+                    dict(backend.batcher.batch_histogram)
             finally:
                 await gateway.stop()
                 await backend.stop()
 
-        verdicts, stats = asyncio.run(run())
+        verdicts, stats, backend_windows = asyncio.run(run())
         assert verdicts == [True, False, True]
         assert stats["batches"] == 1 and stats["items"] == 3
         assert "flushes" not in stats
+        # The shipped frame's items entered the verifier in one tick.
+        assert backend_windows == {3: 1}
+
+
+class TestVerifyBatchFrame:
+    @pytest.mark.parametrize("count", (1, 12, 40))
+    def test_one_frame_is_one_verifier_window(self, count):
+        """Every item of one ``verify-batch`` frame joins one verifier
+        window: the handler's ``gather`` starts them all before the
+        end-of-tick flush runs."""
+        from repro.crypto.keys import Identity
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceConfig, VerificationService
+
+        identity = Identity.generate("host-001")
+        items = []
+        for index in range(count):
+            message = b"frame-window-%d" % index
+            items.append({
+                "signer": "host-001", "message": message,
+                "signature": identity.private_key.sign_recoverable(message),
+            })
+
+        async def run():
+            service = VerificationService(ServiceConfig(fleet_hosts=4))
+            client = await ServiceClient.connect(*await service.start())
+            try:
+                results = await client.verify_batch(items)
+                return results, dict(service.batcher.batch_histogram)
+            finally:
+                await client.close()
+                await service.stop()
+
+        results, histogram = asyncio.run(run())
+        assert histogram == {count: 1}
+        assert [result["verdict"] for result in results] == [True] * count
+        assert {result["batch_size"] for result in results} == {count}

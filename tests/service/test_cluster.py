@@ -15,6 +15,7 @@ from repro.exceptions import ConfigurationError
 from repro.service.api import connect
 from repro.service import cluster as cluster_module
 from repro.service.__main__ import _build_parser
+from repro.service.batching import MicroBatcher
 from repro.service.cluster import (
     ClusterConfig,
     ClusterGateway,
@@ -38,13 +39,12 @@ def _signed(count, prefix=b"m"):
 async def _start_cluster(num_backends=2, **overrides):
     """In-loop cluster: N real servers + a gateway, one event loop."""
     backends = [
-        VerificationService(ServiceConfig(max_delay=0.001, fleet_hosts=8))
+        VerificationService(ServiceConfig(fleet_hosts=8))
         for _ in range(num_backends)
     ]
     addresses = [await backend.start() for backend in backends]
     settings = {
         "backends": tuple(addresses),
-        "gather_delay": 0.001,
         # Long probe interval: these tests drive health transitions
         # deterministically through the request path, not timers.
         "health_interval": 30.0,
@@ -181,20 +181,28 @@ class TestFailover:
 
     def test_mid_flight_death_loses_nothing(self):
         async def run():
-            backends, gateway, client = await _start_cluster(
-                2, gather_delay=0.005
-            )
+            backends, gateway, client = await _start_cluster(2)
             try:
-                async def kill_soon():
-                    await asyncio.sleep(0.002)
-                    await backends[0].stop()
+                # Backend 0 stops while the first window is in flight:
+                # the shipment has left the gateway's window, and no
+                # answer has come back yet.
+                ship = gateway._ship
+                stopped = []
 
-                killer = asyncio.ensure_future(kill_soon())
+                async def ship_then_stop(name, items):
+                    shipment = asyncio.ensure_future(ship(name, items))
+                    if not stopped:
+                        stopped.append(name)
+                        await backends[0].stop()
+                    return await shipment
+
+                for name, batcher in gateway._batchers.items():
+                    batcher.settle = functools.partial(ship_then_stop, name)
                 responses = await asyncio.gather(*(
                     client.verify("host-001", message, signature)
                     for message, signature in _signed(40, prefix=b"mid")
                 ))
-                await killer
+                assert stopped
                 assert [r["verdict"] for r in responses] == [True] * 40
             finally:
                 await _teardown(backends, gateway, client)
@@ -447,6 +455,21 @@ class TestConfiguration:
             LocalCluster(verifiers=0)
 
 
+def _spawned_command(monkeypatch, config):
+    """The argv ``spawn_verifier(config)`` would launch, not launched."""
+    launched = []
+
+    def capture(command, **kwargs):
+        launched.append(command)
+        raise OSError("not launched")
+
+    monkeypatch.setattr(cluster_module.subprocess, "Popen", capture)
+    with pytest.raises(OSError):
+        spawn_verifier(config)
+    (command,) = launched
+    return command
+
+
 class TestNoTableCacheKnobs:
     """Fixed-base tables are built in-process from the key alone, so no
     command or constructor takes a table-cache location any more."""
@@ -468,16 +491,9 @@ class TestNoTableCacheKnobs:
 
     def test_spawned_verifier_command_names_no_table_cache(self,
                                                            monkeypatch):
-        launched = []
-
-        def capture(command, **kwargs):
-            launched.append(command)
-            raise OSError("not launched")
-
-        monkeypatch.setattr(cluster_module.subprocess, "Popen", capture)
-        with pytest.raises(OSError):
-            spawn_verifier(ServiceConfig(fleet_hosts=4, backend="python"))
-        (command,) = launched
+        command = _spawned_command(
+            monkeypatch, ServiceConfig(fleet_hosts=4, backend="python")
+        )
         assert command[1:4] == ["-m", "repro.service", "serve"]
         assert command[-2:] == ["--backend", "python"]
         assert not any("table-cache" in part for part in command)
@@ -503,7 +519,7 @@ class TestNoBreakerKnobs:
 
     def test_the_cluster_config_has_no_breaker_fields(self):
         names = [f.name for f in dataclasses.fields(ClusterConfig)]
-        assert len(names) == 13
+        assert len(names) == 12
         assert not any(name.startswith("breaker") for name in names)
         with pytest.raises(TypeError):
             ClusterConfig(breaker_threshold=3)
@@ -516,6 +532,47 @@ class TestNoBreakerKnobs:
             assert name not in service_package.__all__
 
 
+class TestNoDelayKnobs:
+    """Batch windows close at the end of the event-loop tick, so no
+    command, config or batcher takes a window delay any more."""
+
+    @pytest.mark.parametrize("command, flag", (
+        (["serve"], "--max-delay-ms"),
+        (["spawn-cluster"], "--max-delay-ms"),
+        (["cluster", "--backends", "127.0.0.1:7753"], "--gather-delay-ms"),
+        (["spawn-cluster"], "--gather-delay-ms"),
+    ), ids=("serve-max", "spawn-max", "cluster-gather", "spawn-gather"))
+    def test_the_delay_options_are_rejected(self, command, flag, capsys):
+        parser = _build_parser()
+        assert parser.parse_args(command).command == command[0]
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(command + [flag, "2"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_the_configs_have_no_delay_fields(self):
+        assert len(dataclasses.fields(ServiceConfig)) == 9
+        with pytest.raises(TypeError):
+            ServiceConfig(max_delay=0.002)
+        with pytest.raises(TypeError):
+            ClusterConfig(gather_delay=0.001)
+        with pytest.raises(TypeError):
+            MicroBatcher(list, max_batch=4, max_delay=0.002)
+
+    def test_no_stats_block_reports_a_delay(self):
+        verifier = VerificationService(ServiceConfig(fleet_hosts=4))
+        gateway = ClusterGateway(ClusterConfig(backends=(("127.0.0.1", 1),)))
+        for stats in (verifier.stats(), gateway.stats()):
+            assert not any("delay" in key for key in stats["config"])
+        assert "max_delay" not in verifier.stats()["batching"]
+        for aggregation in gateway.stats()["aggregation"].values():
+            assert "max_delay" not in aggregation
+
+    def test_spawned_verifier_command_names_no_delay(self, monkeypatch):
+        command = _spawned_command(monkeypatch, ServiceConfig(fleet_hosts=4))
+        assert not any("delay" in part for part in command)
+
+
 class TestLocalCluster:
     def test_spawned_cluster_survives_a_sigkill(self, tmp_path, monkeypatch):
         # The full deployment shape: real verifier subprocesses, a
@@ -523,8 +580,7 @@ class TestLocalCluster:
         # verifiers inherit HOME, and must write nothing under it.
         monkeypatch.setenv("HOME", str(tmp_path))
         cluster = LocalCluster(verifiers=2, config=ClusterConfig(
-            service=ServiceConfig(max_delay=0.001),
-            gather_delay=0.001,
+            service=ServiceConfig(),
         ))
         with cluster:
             async def run():

@@ -15,6 +15,7 @@ from repro.service.loadgen import (
 )
 from repro.service.server import ServiceConfig, VerificationService
 from repro.sim.fleet import FleetConfig
+from tests.helpers import hold_settle
 
 _CONFIG = FleetConfig(
     num_agents=10, num_hosts=6, hops_per_journey=2, seed=23,
@@ -26,7 +27,7 @@ def _replay(requests, service_config=None, **kwargs):
     async def run():
         service = VerificationService(
             service_config or ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                            max_batch=16, max_delay=0.005)
+                                            max_batch=16)
         )
         host, port = await service.start()
         try:
@@ -79,7 +80,7 @@ class TestReplayParity:
 
         async def run():
             service = VerificationService(ServiceConfig(
-                fleet_hosts=_CONFIG.num_hosts, max_batch=8, max_delay=0.002,
+                fleet_hosts=_CONFIG.num_hosts, max_batch=8,
             ))
             host, port = await service.start()
             try:
@@ -130,7 +131,7 @@ class TestMultiProcess:
         from repro.service.server import ServiceThread
 
         with ServiceThread(ServiceConfig(
-            fleet_hosts=_CONFIG.num_hosts, max_batch=8, max_delay=0.002,
+            fleet_hosts=_CONFIG.num_hosts, max_batch=8,
         )) as thread:
             # A started thread is itself a connect() endpoint.
             report = run_loadgen(
@@ -186,16 +187,19 @@ class TestTransientRetry:
 
         async def run():
             config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                   max_batch=16, max_delay=0.005)
+                                   max_batch=16)
             service = VerificationService(config)
             host, port = await service.start()
+            entered, release = hold_settle(service)
 
             async def restart_soon():
-                await asyncio.sleep(0.05)
+                # The listener dies while a window is held in flight.
+                await entered.wait()
                 await service.stop()
+                release.set()
                 reborn = VerificationService(
                     ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                  max_batch=16, max_delay=0.005,
+                                  max_batch=16,
                                   host=host, port=port)
                 )
                 await reborn.start()
@@ -203,8 +207,8 @@ class TestTransientRetry:
 
             restarter = asyncio.ensure_future(restart_soon())
             try:
-                # rps pacing stretches the replay across the restart so
-                # some requests are in flight when the listener dies.
+                # rps pacing stretches the replay across the restart,
+                # so requests also arrive while the listener is down.
                 report = await replay_requests(
                     (host, port), stream, rps=300.0, connections=1,
                     max_inflight=4, retry_deadline=10.0,
@@ -234,16 +238,19 @@ class TestTransientRetry:
 
         async def run():
             config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                   max_batch=16, max_delay=0.005)
+                                   max_batch=16)
             service = VerificationService(config)
             host, port = await service.start()
+            entered, release = hold_settle(service)
 
             async def restart_soon():
-                await asyncio.sleep(0.05)
+                # The listener dies while a window is held in flight.
+                await entered.wait()
                 await service.stop()
+                release.set()
                 reborn = VerificationService(
                     ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                  max_batch=16, max_delay=0.005,
+                                  max_batch=16,
                                   host=host, port=port)
                 )
                 await reborn.start()

@@ -30,6 +30,7 @@ from repro.service.wire import (
     read_frame,
     split_frames,
 )
+from tests.helpers import hold_settle
 
 
 def _sign(name: str, message: bytes):
@@ -98,7 +99,7 @@ class TestVerify:
         _run_with_service(config, body)
 
     def test_batched_requests_get_individual_verdicts(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=8, max_delay=0.01)
+        config = ServiceConfig(fleet_hosts=4, max_batch=8)
 
         async def body(service, client):
             good = b"good-message"
@@ -165,54 +166,49 @@ class TestCache:
 
 class TestBackpressure:
     def test_queue_full_yields_typed_busy_and_never_hangs(self):
-        # A tiny in-flight bound with a huge window and a slow timer:
-        # the overflow requests must come back as typed busy responses
-        # immediately, and the queued ones must settle when the timer
-        # fires — nothing may hang.
-        config = ServiceConfig(
-            fleet_hosts=4, max_batch=1000, max_delay=0.2, max_queue=2,
-        )
+        # One verify-batch frame of 12 items against an in-flight bound
+        # of 2: the frame's items enter in one tick, so exactly the
+        # first two are queued and the other ten come back as typed
+        # busy results at once; the queued two settle — nothing hangs.
+        config = ServiceConfig(fleet_hosts=4, max_batch=1000, max_queue=2)
 
         async def body(service, client):
             message = b"pressured"
             signature = _sign("host-001", message)
-            responses = await asyncio.wait_for(
-                asyncio.gather(*(
-                    client.request({
-                        "op": "verify", "signer": "host-001",
-                        "message": message,
-                        "signature": signature.to_canonical(),
-                    })
+            results = await asyncio.wait_for(
+                client.verify_batch([
+                    {"signer": "host-001", "message": message,
+                     "signature": signature}
                     for _ in range(12)
-                )),
+                ]),
                 timeout=10.0,
             )
-            statuses = [r["status"] for r in responses]
-            busy = [r for r in responses if r["status"] == "busy"]
-            ok = [r for r in responses if r["status"] == "ok"]
-            assert len(busy) + len(ok) == 12
-            assert busy, "the queue bound never triggered: %r" % statuses
-            assert all("reason" in r for r in busy)
-            assert all(r["verdict"] is True for r in ok)
-            assert service.counters.busy == len(busy)
+            statuses = [r["status"] for r in results]
+            assert statuses == ["ok"] * 2 + ["busy"] * 10
+            assert all("reason" in r for r in results[2:])
+            assert all(r["verdict"] is True for r in results[:2])
+            assert service.counters.busy == 10
+            assert service.batcher.batch_histogram == {2: 1}
 
         _run_with_service(config, body)
 
     def test_typed_busy_raises_through_the_checked_client(self):
-        config = ServiceConfig(
-            fleet_hosts=4, max_batch=1000, max_delay=0.5, max_queue=1,
-        )
+        config = ServiceConfig(fleet_hosts=4, max_batch=1000, max_queue=1)
 
         async def body(service, client):
+            # The first request occupies the queue until released.
+            entered, release = hold_settle(service)
             message = b"pressured"
             signature = _sign("host-001", message)
             first = asyncio.ensure_future(
                 client.verify("host-001", message, signature)
             )
-            await asyncio.sleep(0.05)  # first request now occupies the queue
+            await asyncio.wait_for(entered.wait(), timeout=10.0)
             with pytest.raises(ServiceUnavailable):
                 await client.verify("host-001", b"another",
                                     _sign("host-001", b"another"))
+            assert not first.done()
+            release.set()
             assert (await first)["verdict"] is True
 
         _run_with_service(config, body)
@@ -233,10 +229,9 @@ async def _verifier_endpoint(max_frame=MAX_FRAME_BYTES):
 @asynccontextmanager
 async def _gateway_endpoint(max_frame=MAX_FRAME_BYTES):
     """A started gateway in front of one verifier, on this loop."""
-    backend = VerificationService(ServiceConfig(fleet_hosts=4,
-                                                max_delay=0.001))
+    backend = VerificationService(ServiceConfig(fleet_hosts=4))
     gateway = ClusterGateway(ClusterConfig(
-        backends=(await backend.start(),), gather_delay=0.001,
+        backends=(await backend.start(),),
         health_interval=30.0, max_frame=max_frame,
     ))
     await gateway.start()

@@ -76,11 +76,9 @@ async def _verifier():
 
 @asynccontextmanager
 async def _gateway():
-    verifier = VerificationService(ServiceConfig(fleet_hosts=4,
-                                                 max_delay=0.001))
+    verifier = VerificationService(ServiceConfig(fleet_hosts=4))
     gateway = ClusterGateway(ClusterConfig(
-        backends=(await verifier.start(),), gather_delay=0.001,
-        health_interval=30.0,
+        backends=(await verifier.start(),), health_interval=30.0,
     ))
     await gateway.start()
     try:
