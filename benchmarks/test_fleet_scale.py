@@ -12,7 +12,8 @@ Three claims are measured here:
 
 The crypto comparison is run at the primitive level (identical inputs,
 repeated, best-of-N) so it stays robust on loaded CI machines; the
-fleet-level batched run is additionally checked for semantic parity.
+fleet's batched settling is additionally checked for semantic parity
+against an engine that settles every transfer check on enqueue.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.crypto.dsa import batch_verify, generate_keypair
 from repro.sim import FleetConfig, FleetEngine
 from repro.sim.shard import DEFAULT_UNITS_PER_WORKER, FleetWorkerPool, run_fleet
 from repro.bench.fleet import fleet_detection_report, fleet_summary_markdown
+from tests.helpers import EagerFleetEngine
 
 #: Batched DSA verification must beat one-by-one verification by more
 #: than this factor on a fleet-shaped stream.
@@ -115,7 +117,6 @@ def test_warm_worker_pool_scales_the_fleet():
         hops_per_journey=3,
         malicious_host_fraction=0.2,
         seed=2026,
-        batched_verification=True,
     )
     walls = {}
     signatures = {}
@@ -158,7 +159,6 @@ def fleet_1000():
         hops_per_journey=4,
         malicious_host_fraction=0.2,
         seed=2026,
-        batched_verification=True,
     )
     engine = FleetEngine(config)
     return engine, engine.run()
@@ -212,23 +212,29 @@ def test_fleet_run_is_seed_deterministic_at_scale(fleet_1000):
         hops_per_journey=4,
         malicious_host_fraction=0.2,
         seed=2026,
-        batched_verification=True,
     )
     again = FleetEngine(smaller).run()
     assert again.deterministic_signature() == result.deterministic_signature()
 
 
-def test_batched_fleet_matches_eager_fleet_semantics():
-    base = dict(
+def test_batched_fleet_matches_eager_settling():
+    config = FleetConfig(
         num_agents=120,
         num_hosts=16,
         hops_per_journey=3,
         malicious_host_fraction=0.25,
         seed=9,
     )
-    eager = FleetEngine(FleetConfig(batched_verification=False, **base)).run()
-    batched = FleetEngine(FleetConfig(batched_verification=True, **base)).run()
+    eager = EagerFleetEngine(config).run()
+    batched = FleetEngine(config).run()
     assert ([o.to_canonical() for o in eager.outcomes]
             == [o.to_canonical() for o in batched.outcomes])
+    assert eager.deterministic_signature() == batched.deterministic_signature()
+    assert eager.verifier_stats["failed"] == 0
     assert batched.verifier_stats["failed"] == 0
-    assert batched.verifier_stats["batches"] >= 1
+    assert batched.verifier_stats["verified"] == (
+        eager.verifier_stats["verified"]
+    )
+    assert 1 <= batched.verifier_stats["batches"] < (
+        eager.verifier_stats["batches"]
+    )

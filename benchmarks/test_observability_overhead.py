@@ -43,7 +43,6 @@ def test_telemetry_overhead_stays_within_budget():
         hops_per_journey=3,
         malicious_host_fraction=0.2,
         seed=2026,
-        batched_verification=True,
     )
 
     def one_run(enabled: bool) -> float:

@@ -81,7 +81,6 @@ def main() -> int:
         attack_fraction=args.attack_fraction,
         scenarios=tuple(args.scenarios) if args.scenarios else catalogue_names(),
         seed=args.seed,
-        batched_verification=True,
         trace_path=args.trace,
     )
     try:

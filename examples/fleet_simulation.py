@@ -62,9 +62,6 @@ def main() -> int:
                         help="master seed (default: 0)")
     parser.add_argument("--unprotected", action="store_true",
                         help="run plain agents instead of the protocol")
-    parser.add_argument("--eager-verification", action="store_true",
-                        help="verify each transfer signature eagerly "
-                             "instead of in batches")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes pulling units off the "
                              "shared work-stealing queue (default: 1)")
@@ -95,7 +92,6 @@ def main() -> int:
         malicious_host_fraction=args.malicious,
         seed=args.seed,
         protected=not args.unprotected,
-        batched_verification=not args.eager_verification,
         trace_path=args.trace,
     )
     if args.workers < 1:

@@ -67,7 +67,6 @@ def main() -> int:
         hops_per_journey=args.hops,
         seed=args.seed,
         protected=True,
-        batched_verification=True,
     )
     print("capturing verification traffic from a %d-journey fleet..."
           % config.num_agents)

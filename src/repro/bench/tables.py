@@ -237,7 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             hops_per_journey=3,
             attack_fraction=0.35,
             seed=options.seed,
-            batched_verification=True,
         ))
         print(format_detectability_table(campaign))
         return 0

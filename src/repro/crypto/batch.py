@@ -8,12 +8,13 @@ to :func:`~repro.crypto.dsa.find_invalid` only to name the bad ones.
 
 :func:`verify_window` is that settle step.  The verification service
 settles its micro-batch windows with it, and
-:class:`BatchedTransferVerifier` settles the fleet's deferred transfer
-checks with it, behind the ``verify_transfer`` hook of
-:class:`~repro.platform.registry.JourneyRunner`.  Transfer signature
-failures are deferred to flush time — the right trade for a
-discrete-event fleet, where a bad transfer signature surfaces as a
-reported failure rather than an exception on the hot path.
+:class:`BatchedTransferVerifier`, the fleet's one transfer-check path,
+settles with it behind the ``verify_transfer`` hook of
+:class:`~repro.platform.registry.JourneyRunner`.  Fleet transfer
+signatures are always valid, the case batching wins (Bellare, Garay
+and Rabin, Eurocrypt '98).  Failures are deferred to flush time — the
+right trade for a discrete-event fleet, where a bad transfer signature
+surfaces as a reported failure rather than an exception on the hot path.
 """
 
 from __future__ import annotations

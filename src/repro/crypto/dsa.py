@@ -112,6 +112,12 @@ def is_probable_prime(candidate: int, rounds: int = 40,
 # ---------------------------------------------------------------------------
 
 
+# Windows of each per-key ``y`` table (a fleet builds one per host) and
+# of the one process-wide ``g`` table, which serves ``g^k`` and ``g^u1``.
+KEY_WINDOW = 5
+GENERATOR_WINDOW = 8
+
+
 class FixedBaseTable:
     """Windowed precomputation for modular powers of one fixed base.
 
@@ -124,7 +130,7 @@ class FixedBaseTable:
     ``n``-bit exponent costs at most ``ceil(n / w)`` modular
     multiplications and **no squarings** (Brickell et al., Eurocrypt
     '92), versus roughly ``n`` squarings plus ``n/2`` multiplications
-    for a cold ``pow()``.
+    for a cold ``pow()``.  ``w`` defaults to :data:`KEY_WINDOW`.
 
     Tables are sized for exponents up to ``exponent_bits`` (the bit
     length of the subgroup order ``q`` for DSA); larger or negative
@@ -142,7 +148,8 @@ class FixedBaseTable:
                  "_columns", "_backend")
 
     def __init__(self, base: int, modulus: int, exponent_bits: int,
-                 window: int = 5, backend: Optional[ModArith] = None) -> None:
+                 window: int = KEY_WINDOW,
+                 backend: Optional[ModArith] = None) -> None:
         if modulus <= 1:
             raise CryptoError("fixed-base table needs a modulus > 1")
         if window < 1:
@@ -216,11 +223,13 @@ class DSAParameters:
 
         The table is shared by every signer and verifier using this
         parameter set (the generator is public, common knowledge), so
-        process-wide its construction cost amortizes to nothing.
+        process-wide its construction cost amortizes to nothing: it
+        alone affords the wide :data:`GENERATOR_WINDOW`.
         """
         table = self.__dict__.get("_g_table")
         if table is None:
-            table = FixedBaseTable(self.g, self.p, self.q.bit_length())
+            table = FixedBaseTable(self.g, self.p, self.q.bit_length(),
+                                   window=GENERATOR_WINDOW)
             object.__setattr__(self, "_g_table", table)
         return table
 

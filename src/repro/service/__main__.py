@@ -278,7 +278,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         hops_per_journey=args.hops,
         seed=args.seed,
         protected=True,
-        batched_verification=True,
     )
     stream, corrupted = build_loadgen_stream(
         config,

@@ -494,20 +494,21 @@ class SpawnedVerifier:
     def alive(self) -> bool:
         return self.process.poll() is None
 
+    # Leaving ``with self.process`` closes its stdout pipe and reaps it.
     def kill(self) -> None:
         """SIGKILL — the failover drill's mid-batch death."""
-        if self.alive():
-            self.process.kill()
-        self.process.wait()
+        with self.process:
+            if self.alive():
+                self.process.kill()
 
     def terminate(self, timeout: float = 5.0) -> None:
-        if self.alive():
-            self.process.terminate()
-            try:
-                self.process.wait(timeout)
-            except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait()
+        with self.process:
+            if self.alive():
+                self.process.terminate()
+                try:
+                    self.process.wait(timeout)
+                except subprocess.TimeoutExpired:
+                    self.process.kill()
 
 
 def _subprocess_env() -> Dict[str, str]:

@@ -201,9 +201,6 @@ class FleetConfig:
         Migration latency model (virtual seconds).
     session_service_time:
         Fixed virtual service time charged per hop.
-    batched_verification:
-        Verify whole-transfer signatures through the deferred batch
-        path instead of eagerly at each migration.
     trace_path:
         Optional file the JSONL trace is written to after the run.
     attack_fraction:
@@ -238,7 +235,6 @@ class FleetConfig:
     base_latency: float = 0.005
     latency_per_byte: float = 1e-7
     session_service_time: float = 0.002
-    batched_verification: bool = False
     trace_path: Optional[str] = None
     attack_fraction: float = 0.0
     journey_scenarios: Tuple[str, ...] = ()
@@ -291,7 +287,6 @@ class FleetConfig:
             "base_latency": self.base_latency,
             "latency_per_byte": self.latency_per_byte,
             "session_service_time": self.session_service_time,
-            "batched_verification": self.batched_verification,
             "attack_fraction": self.attack_fraction,
             "journey_scenarios": list(self.journey_scenarios),
         }
@@ -553,6 +548,10 @@ class _Journey:
 class FleetEngine:
     """Runs one fleet simulation described by a :class:`FleetConfig`.
 
+    Every transfer check is queued on one
+    :class:`~repro.crypto.batch.BatchedTransferVerifier` and settled in
+    batches, the last one when the run ends.
+
     Parameters
     ----------
     config:
@@ -600,7 +599,7 @@ class FleetEngine:
             seconds_per_byte=config.latency_per_byte,
         )
         self._protocol = None
-        self._transfer_verifier: Optional[BatchedTransferVerifier] = None
+        self._transfer_verifier = self._build_transfer_verifier()
         self._outcomes: List[JourneyOutcome] = []
         self._malicious: Dict[str, str] = {}
         self._host_names: List[str] = []
@@ -627,8 +626,6 @@ class FleetEngine:
         system = AgentSystem(self._registry, sign_transfers=True)
         if self.config.protected:
             self._protocol = self._build_protocol(system)
-        if self.config.batched_verification:
-            self._transfer_verifier = self._build_transfer_verifier()
 
         if self.record_trace:
             self.trace.emit("fleet", config=self.config.to_canonical())
@@ -636,12 +633,8 @@ class FleetEngine:
         self._schedule_launches(journeys)
         self._simulator.run()
 
-        deferred: List[Dict[str, Any]] = []
-        verifier_stats: Optional[Dict[str, Any]] = None
-        if self._transfer_verifier is not None:
-            self._transfer_verifier.flush()
-            deferred = list(self._transfer_verifier.deferred_failures)
-            verifier_stats = self._transfer_verifier.stats()
+        verifier = self._transfer_verifier
+        verifier.flush()
 
         # Canonical outcome order: completion time, journey id.  Heap
         # tie-breaking between different journeys depends on global
@@ -656,8 +649,8 @@ class FleetEngine:
             virtual_makespan=self._simulator.clock.now(),
             events_processed=self._simulator.processed,
             wall_seconds=time.perf_counter() - started,
-            verifier_stats=verifier_stats,
-            deferred_signature_failures=deferred,
+            verifier_stats=verifier.stats(),
+            deferred_signature_failures=list(verifier.deferred_failures),
         )
         if self.config.trace_path:
             self.trace.write(self.config.trace_path, canonical_order=True)
@@ -884,8 +877,7 @@ class FleetEngine:
             )
 
     def _hop(self, journey: _Journey) -> None:
-        if self._transfer_verifier is not None:
-            self._transfer_verifier.bind(journey.journey_id)
+        self._transfer_verifier.bind(journey.journey_id)
         outcome = journey.runner.step()
         journey.check_seconds += outcome.check_seconds
         journey.session_seconds += outcome.session_seconds

@@ -170,12 +170,11 @@ def journey_request_stream(
 ) -> RequestStream:
     """Run ``config`` in process and capture its service request stream.
 
-    The configuration is normalized to the capture requirements
-    (protection on, batched verification on — the observer hook lives
-    on the batched path); everything else, including the seed, is
-    honoured, so the stream is reproducible.
+    Protection is switched on (session checks are part of the stream);
+    everything else, including the seed, is honoured, so the stream is
+    reproducible.
     """
-    config = replace(config, protected=True, batched_verification=True)
+    config = replace(config, protected=True)
     engine = RecordingFleetEngine(config)
     result = engine.run()
     sessions = engine.captured_sessions

@@ -928,12 +928,10 @@ def _per_worker_report(
 
 def _merge_verifier_stats(
     stats: Sequence[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    if not stats:
-        return None
+) -> Dict[str, Any]:
     counters = ("verified", "failed", "batches", "deferred_failures")
     merged: Dict[str, Any] = {
-        key: sum(entry.get(key, 0) for entry in stats) for key in counters
+        key: sum(entry[key] for entry in stats) for key in counters
     }
     merged["shards"] = len(stats)
     return merged
@@ -995,7 +993,7 @@ def merge_shard_results(
         events_processed=sum(r.events_processed for r in ordered),
         wall_seconds=wall_seconds,
         verifier_stats=_merge_verifier_stats(
-            [r.verifier_stats for r in ordered if r.verifier_stats]
+            [r.verifier_stats for r in ordered]
         ),
         deferred_signature_failures=deferred,
         shards=[

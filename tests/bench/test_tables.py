@@ -26,7 +26,6 @@ def campaign():
         hops_per_journey=2,
         attack_fraction=0.5,
         seed=3,
-        batched_verification=True,
     ))
 
 

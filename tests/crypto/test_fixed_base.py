@@ -22,10 +22,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.crypto
 from repro.crypto.backend import PythonBackend, available_backends, use_backend
 from repro.crypto.dsa import (
+    GENERATOR_WINDOW,
+    KEY_WINDOW,
     FixedBaseTable,
     PARAMETERS_512,
     PARAMETERS_1024,
@@ -86,6 +89,100 @@ class TestFixedBaseTable:
                 assert table.pow(exponent) == pow(
                     base, exponent, PARAMETERS_512.p
                 )
+
+
+class _CountingBackend(PythonBackend):
+    """The Python backend, counting which power path each call took."""
+
+    def __init__(self):
+        self.calls = {"modexp": 0, "table_pow": 0}
+
+    def modexp(self, base, exponent, modulus):
+        self.calls["modexp"] += 1
+        return super().modexp(base, exponent, modulus)
+
+    def table_pow(self, columns, window, exponent, modulus):
+        self.calls["table_pow"] += 1
+        return super().table_pow(columns, window, exponent, modulus)
+
+
+#: ``(r, s, commitment)`` of ``generate_keypair(seed=2026)`` signing
+#: ``b"reference-state"``, as computed before the generator table was
+#: widened: the window changes how ``g^k`` is computed, never its value.
+PINNED_SIGNATURE = (
+    0x65dfa003874f45d1340b48b404e0ec4f5fdb1cf2,
+    0x7815b0c92bc9516eb12350224176f4a7b606a2ec,
+    int("305b239e12a40d470225ac2729609397db0bcfea340cb2189971ad1230b571b2"
+        "63df993a77d5d00b78d808c18729220366e9ce613ee418ef7ecb22c7ddc0d5a",
+        16),
+)
+
+
+class TestWideGeneratorTable:
+    """Only the shared ``g`` table is wide; per-key tables stay narrow."""
+
+    @pytest.mark.parametrize("parameters", ALL_PARAMETERS,
+                             ids=("512", "1024", "toy"))
+    def test_the_generator_table_is_wide_and_key_tables_are_not(
+        self, parameters
+    ):
+        assert (GENERATOR_WINDOW, KEY_WINDOW) == (8, 5)
+        table = parameters.generator_table()
+        assert table.window == GENERATOR_WINDOW
+        bits = parameters.q.bit_length()
+        assert table.capacity_bits == -(-bits // 8) * 8
+        _private, public = generate_keypair(parameters, seed=41)
+        assert public.precompute().window == KEY_WINDOW
+        assert FixedBaseTable(public.y, parameters.p, bits).window == 5
+
+    def test_the_wide_columns_are_powers_of_the_generator(self):
+        parameters = copy.deepcopy(TOY_PARAMETERS)
+        with use_backend("python"):
+            table = parameters.generator_table()
+        assert table._columns == _reference_columns(
+            parameters.g, parameters.p, parameters.q.bit_length(), 8
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 160 - 1))
+    @example(0)
+    @example(1)
+    @example(PARAMETERS_512.q - 1)
+    @example(2 ** 160 - 1)
+    def test_powg_equals_builtin_pow_below_capacity(self, exponent):
+        parameters = PARAMETERS_512
+        assert parameters.generator_table().capacity_bits == 160
+        assert parameters.powg(exponent) == pow(
+            parameters.g, exponent, parameters.p
+        )
+
+    @pytest.mark.parametrize("exponent", (
+        2 ** 160, 2 ** 160 + 1, PARAMETERS_512.q ** 3, -1, -5,
+        -(PARAMETERS_512.q - 1),
+    ), ids=("capacity", "capacity+1", "q^3", "-1", "-5", "-(q-1)"))
+    def test_out_of_range_exponents_fall_back_to_modexp(self, exponent):
+        p, q, g = PARAMETERS_512.p, PARAMETERS_512.q, PARAMETERS_512.g
+        assert PARAMETERS_512.powg(exponent) == pow(g, exponent, p)
+        backend = _CountingBackend()
+        table = FixedBaseTable(g, p, q.bit_length(),
+                               window=GENERATOR_WINDOW, backend=backend)
+        assert table.pow(exponent) == pow(g, exponent, p)
+        assert backend.calls == {"modexp": 1, "table_pow": 0}
+        assert table.pow(q - 1) == pow(g, q - 1, p)
+        assert backend.calls == {"modexp": 1, "table_pow": 1}
+
+    def test_signatures_are_pinned_across_the_window_change(self):
+        private, public = generate_keypair(seed=2026)
+        message = b"reference-state"
+        r, s, commitment = PINNED_SIGNATURE
+        recoverable = private.sign_recoverable(message)
+        assert (recoverable.r, recoverable.s, recoverable.commitment) == (
+            PINNED_SIGNATURE
+        )
+        plain = private.sign(message)
+        assert (plain.r, plain.s) == (r, s)
+        assert public.verify_recoverable(message, recoverable)
+        assert public.verify(message, plain)
 
 
 class TestDSAWiring:

@@ -1,4 +1,5 @@
-"""Shared test helpers: small agents, scenario shortcuts, a settle hold.
+"""Shared test helpers: small agents, scenario shortcuts, a settle hold,
+and an eagerly settling fleet engine.
 
 The agent classes defined here are registered in the process-wide code
 registry exactly once (this module is imported by ``tests/conftest.py``),
@@ -19,6 +20,8 @@ from repro.core.requesters import (
     InputRequester,
     ResultingStateRequester,
 )
+from repro.crypto.batch import BatchedTransferVerifier
+from repro.sim import FleetEngine
 
 
 @register_agent
@@ -133,3 +136,28 @@ def hold_settle(service: Any) -> Tuple[asyncio.Event, asyncio.Event]:
 
     service.batcher.settle = held
     return entered, release
+
+
+class EagerTransferVerifier(BatchedTransferVerifier):
+    """Settles each transfer as it is queued and returns its verdict.
+
+    Every check is a window of one, which
+    :func:`~repro.crypto.batch.verify_window` settles through
+    ``verify_recoverable`` before the hop goes on, as the eager
+    sign-and-verify pair of
+    :class:`~repro.platform.registry.JourneyRunner` does.
+    """
+
+    def verify_transfer(self, *args: Any, **kwargs: Any) -> bool:
+        failed = self.failed
+        super().verify_transfer(*args, **kwargs)
+        self.flush()
+        return self.failed == failed
+
+
+class EagerFleetEngine(FleetEngine):
+    """The fleet engine with :class:`EagerTransferVerifier`, the oracle
+    that batched settling changes cost and never outcomes."""
+
+    def _build_transfer_verifier(self) -> EagerTransferVerifier:
+        return EagerTransferVerifier(self._keystore)

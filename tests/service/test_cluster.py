@@ -583,6 +583,8 @@ class TestLocalCluster:
             service=ServiceConfig(),
         ))
         with cluster:
+            spawned = list(cluster.verifiers)
+
             async def run():
                 client = await connect(cluster.address)
                 try:
@@ -608,3 +610,7 @@ class TestLocalCluster:
 
             asyncio.run(run())
         assert list(tmp_path.iterdir()) == []
+        # stop() closed each verifier's announcement pipe, the killed
+        # one's included, instead of leaving it to the GC.
+        assert [v.alive() for v in spawned] == [False, False]
+        assert [v.process.stdout.closed for v in spawned] == [True, True]

@@ -19,7 +19,7 @@ from tests.helpers import hold_settle
 
 _CONFIG = FleetConfig(
     num_agents=10, num_hosts=6, hops_per_journey=2, seed=23,
-    protected=True, batched_verification=True,
+    protected=True,
 )
 
 

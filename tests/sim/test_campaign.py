@@ -43,7 +43,6 @@ def _config(**overrides):
         hops_per_journey=3,
         attack_fraction=0.35,
         seed=9,
-        batched_verification=True,
     )
     defaults.update(overrides)
     return campaign_config(**defaults)

@@ -7,11 +7,14 @@ The fleet keeps three promises:
 2. detection behaviour at fleet scale matches the single-journey
    coverage suite (detectable scenarios are always caught, conceded
    scenarios never produce verdicts, honest journeys never alarm),
-3. the deferred batched-verification path changes cost, not semantics.
+3. settling transfer checks in batches changes cost, not semantics:
+   an engine that settles each check on enqueue gives the same run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,6 +23,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sim import FleetConfig, FleetEngine
+from tests.helpers import EagerFleetEngine
 
 
 def _config(**overrides):
@@ -98,13 +102,24 @@ class TestDeterminism:
         assert (other.deterministic_signature()
                 != baseline_result.deterministic_signature())
 
-    def test_batched_verification_does_not_change_outcomes(self, baseline_result):
-        batched = FleetEngine(_config(batched_verification=True)).run()
-        assert ([o.to_canonical() for o in batched.outcomes]
+    def test_eager_settling_does_not_change_outcomes(self, baseline_result):
+        eager = EagerFleetEngine(_config()).run()
+        assert ([o.to_canonical() for o in eager.outcomes]
                 == [o.to_canonical() for o in baseline_result.outcomes])
-        assert batched.verifier_stats is not None
-        assert batched.verifier_stats["failed"] == 0
-        assert not batched.deferred_signature_failures
+        assert (eager.deterministic_signature()
+                == baseline_result.deterministic_signature())
+        for result in (eager, baseline_result):
+            assert result.verifier_stats["failed"] == 0
+            assert not result.deferred_signature_failures
+        # One window per transfer against a handful of full windows.
+        assert eager.verifier_stats["batches"] == (
+            eager.verifier_stats["verified"]
+        )
+        assert baseline_result.verifier_stats["verified"] == (
+            eager.verifier_stats["verified"]
+        )
+        assert (baseline_result.verifier_stats["batches"]
+                < eager.verifier_stats["batches"])
 
 
 class TestDetectionAtScale:
@@ -181,3 +196,50 @@ class TestConfigValidation:
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(KeyError):
             _config(attack_scenarios=("no-such-attack",)).validate()
+
+
+_FLEET_EXAMPLE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__
+    )))),
+    "examples", "fleet_simulation.py",
+)
+
+
+class TestNoBatchedVerificationKnob:
+    """Batched settling is the fleet's one transfer-check path, so no
+    config field or example flag chooses between two any more."""
+
+    @pytest.mark.parametrize("value", (True, False))
+    def test_the_config_field_is_rejected(self, value):
+        with pytest.raises(TypeError):
+            FleetConfig(batched_verification=value)
+        assert "batched_verification" not in {
+            field.name for field in dataclasses.fields(FleetConfig)
+        }
+
+    def test_the_canonical_config_has_no_such_key(self):
+        canonical = FleetConfig().to_canonical()
+        assert not any("batch" in key or "eager" in key for key in canonical)
+
+    def test_the_example_rejects_the_eager_flag(self, monkeypatch, capsys):
+        # The example puts src/ on sys.path when loaded; undo that after.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(
+            "fleet_simulation_example", _FLEET_EXAMPLE
+        )
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+
+        monkeypatch.setattr(sys, "argv", ["fleet_simulation.py", "--help"])
+        with pytest.raises(SystemExit) as excinfo:
+            example.main()
+        assert excinfo.value.code == 0
+        assert "eager" not in capsys.readouterr().out
+
+        monkeypatch.setattr(sys, "argv",
+                            ["fleet_simulation.py", "--eager-verification"])
+        with pytest.raises(SystemExit) as excinfo:
+            example.main()
+        assert excinfo.value.code == 2
+        assert "--eager-verification" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from repro.sim.requests import (
 
 _CONFIG = FleetConfig(
     num_agents=12, num_hosts=6, hops_per_journey=2, seed=17,
-    malicious_host_fraction=0.2, protected=True, batched_verification=True,
+    malicious_host_fraction=0.2, protected=True,
 )
 
 

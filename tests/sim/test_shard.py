@@ -35,7 +35,6 @@ def _config(**overrides):
         hops_per_journey=3,
         malicious_host_fraction=0.25,
         seed=11,
-        batched_verification=True,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

@@ -43,7 +43,6 @@ def recorded(tmp_path_factory):
         hops_per_journey=3,
         attack_fraction=0.3,
         seed=5,
-        batched_verification=True,
         trace_path=path,
     )
     result = run_campaign(config, workers=2, unit_size=15)
@@ -180,6 +179,23 @@ class TestReplay:
         diff = replayed.outcome_diff["detected"]
         assert diff["recorded"] is True
         assert diff["replayed"] is False
+
+    @pytest.mark.parametrize("batched", (True, False))
+    def test_a_header_with_the_retired_batched_flag_still_replays(
+        self, recorded, batched
+    ):
+        # Traces written while FleetConfig still had a
+        # batched_verification field carry it in the header's config.
+        result, events, _ = recorded
+        old = [dict(event) for event in events]
+        (header,) = [event for event in old if event.get("event") == "fleet"]
+        header["config"] = dict(header["config"],
+                                batched_verification=batched)
+        assert trace_config(old) == trace_config(events)
+        for outcome in (_detected_journey(result), _benign_journey(result)):
+            replayed = replay_journey(old, outcome.journey_id)
+            assert replayed.identical, outcome.journey_id
+            assert not replayed.verdicts_changed
 
     def test_replay_rejects_unknown_journeys_and_checkers(self, recorded):
         _, events, _ = recorded

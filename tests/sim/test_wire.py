@@ -27,7 +27,6 @@ def _config(**overrides):
         hops_per_journey=2,
         malicious_host_fraction=0.3,
         seed=23,
-        batched_verification=True,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

@@ -17,7 +17,6 @@ CONFIG = FleetConfig(
     hops_per_journey=2,
     malicious_host_fraction=0.34,
     seed=77,
-    batched_verification=True,
 )
 
 
