@@ -1,22 +1,25 @@
 """Service and cluster speed gates, measured on one fleet request stream.
 
-Three claims are measured here, all on the verify traffic of one
+Two claims are gated here, both on the verify traffic of one
 150-journey protected fleet (:mod:`repro.sim.requests`) replayed over
 loopback TCP:
 
-1. micro-batching beats batch-size-1 by at least 1.3x on the same
-   stream (cache-less, so the ratio measures batching alone), in CPU
-   time, as the median of alternating rounds;
-2. the batched service reaches at least half the signature-verification
-   rate of the same fleet run in process, single worker, per CPU
-   second;
-3. a gateway over 3 verifier subprocesses beats the same gateway over
+1. the service, settling each signature inline, reaches at least half
+   the signature-verification rate of the same fleet run in process,
+   single worker, per CPU second (cache-less, the median of rounds);
+2. a gateway over 3 verifier subprocesses beats the same gateway over
    one verifier by at least 1.6x.
 
-A fourth leg is a report with no gate: the verifier's settle step
-(:func:`~repro.crypto.batch.verify_window`) against one-by-one
-``verify_recoverable`` on windows of 12, with none and with 10% of the
-signatures forged — the mix the ``gateway-mixed`` benchmark sends.
+Two legs measure the verifier's real path on the mix it sees, with no
+speed gate:
+
+* a report: one-by-one ``verify_recoverable``, the verifier's settle
+  step, against the batch equation
+  (:func:`~repro.crypto.batch.verify_window`) on windows of 12, with
+  none and with 10% of the signatures forged — the mix the
+  ``gateway-mixed`` benchmark sends;
+* a count: replaying a stream's session checks twice re-executes each
+  distinct session exactly once.
 
 Every timed replay must also match the in-process verdicts with zero
 drops.  Verdict parity, the SIGKILL failover drill and the session
@@ -33,8 +36,10 @@ from random import Random
 
 import pytest
 
+import repro.service.server as server_module
 from benchmarks.reportutil import write_report
 from repro.crypto.batch import verify_window
+from repro.crypto.canonical import canonical_encode
 from repro.crypto.dsa import RecoverableSignature
 from repro.service.cluster import ClusterConfig, LocalCluster
 from repro.service.loadgen import replay_requests
@@ -47,23 +52,18 @@ from repro.sim import FleetConfig
 from repro.sim.requests import corrupt_requests, journey_request_stream
 from repro.sim.shard import run_fleet
 
-#: Batched service throughput over batch-size-1 throughput, per CPU
-#: second: the median over :data:`BATCHING_ROUNDS` alternating rounds
-#: per leg, each replaying the stream for at least
-#: :data:`MIN_ROUND_CPU_SECONDS`.
-MIN_BATCHING_GAIN = 1.3
-BATCHING_ROUNDS = 9
-MIN_ROUND_CPU_SECONDS = 0.5
-
-#: Batched service throughput over the in-process fleet's
-#: signature-verification rate.
+#: Service throughput over the in-process fleet's
+#: signature-verification rate, per CPU second: the service rate is
+#: the median over :data:`SERVICE_ROUNDS` rounds, each replaying the
+#: stream for at least :data:`MIN_ROUND_CPU_SECONDS`.
 MIN_SERVICE_FLEET_RATIO = 0.5
+SERVICE_ROUNDS = 3
+MIN_ROUND_CPU_SECONDS = 0.5
 
 #: 3-verifier cluster throughput over 1-verifier cluster throughput.
 CLUSTER_GATE_VERIFIERS = 3
 MIN_CLUSTER_SCALING = 1.6
 
-SERVICE_BATCH = 256
 CLUSTER_BATCH = 64
 CONNECTIONS = 2
 MAX_INFLIGHT = 256
@@ -96,7 +96,7 @@ async def _replay(endpoint, requests):
     return report
 
 
-def _service_cpu_rate(requests, max_batch: int) -> float:
+def _service_cpu_rate(requests) -> float:
     """Requests per CPU second of one cache-less round on a fresh
     in-process server: the stream is replayed until the round has
     spent :data:`MIN_ROUND_CPU_SECONDS`.
@@ -107,8 +107,7 @@ def _service_cpu_rate(requests, max_batch: int) -> float:
     """
     async def one_round() -> float:
         service = VerificationService(ServiceConfig(
-            fleet_hosts=CONFIG.num_hosts, max_batch=max_batch,
-            cache_entries=0,
+            fleet_hosts=CONFIG.num_hosts, cache_entries=0,
         ))
         await service.start()
         try:
@@ -126,26 +125,18 @@ def _service_cpu_rate(requests, max_batch: int) -> float:
     return asyncio.run(one_round())
 
 
-def test_service_batching_and_fleet_ratio(verify_requests):
+def test_service_fleet_ratio(verify_requests):
     # In-process reference first: it also warms this process's keys and
-    # fixed-base tables, so no service leg pays for them.
+    # fixed-base tables, so no service round pays for them.
     started = time.process_time()
     fleet = run_fleet(CONFIG, workers=1)
     fleet_rate = (fleet.verifier_stats["verified"]
                   / (time.process_time() - started))
 
-    # Alternate the legs round by round so drift hits both alike, and
-    # gate on the median of the per-round gains.
-    rates = {SERVICE_BATCH: [], 1: []}
-    for _ in range(BATCHING_ROUNDS):
-        for max_batch, leg in rates.items():
-            leg.append(_service_cpu_rate(verify_requests, max_batch))
-    gains = sorted(batched / unbatched for batched, unbatched
-                   in zip(rates[SERVICE_BATCH], rates[1]))
-    batching_gain = statistics.median(gains)
-    batched_rps = statistics.median(rates[SERVICE_BATCH])
-    unbatched_rps = statistics.median(rates[1])
-    fleet_ratio = batched_rps / fleet_rate
+    rates = sorted(_service_cpu_rate(verify_requests)
+                   for _ in range(SERVICE_ROUNDS))
+    service_rps = statistics.median(rates)
+    fleet_ratio = service_rps / fleet_rate
 
     write_report("service_scaling.md", "\n".join([
         "# Verification service throughput",
@@ -154,28 +145,23 @@ def test_service_batching_and_fleet_ratio(verify_requests):
             len(verify_requests), CONFIG.num_agents,
         ),
         "",
-        "per CPU second; service legs are the median of %d alternating "
+        "per CPU second; the service leg is the median of %d cache-less "
         "rounds of at least %.1f s" % (
-            BATCHING_ROUNDS, MIN_ROUND_CPU_SECONDS,
+            SERVICE_ROUNDS, MIN_ROUND_CPU_SECONDS,
         ),
         "",
         "| leg | per CPU second |",
         "|---|---|",
-        "| batched (window %d) | %.1f |" % (SERVICE_BATCH, batched_rps),
-        "| batch size 1 | %.1f |" % unbatched_rps,
+        "| service, settled one by one | %.1f (%.1f-%.1f) |" % (
+            service_rps, rates[0], rates[-1],
+        ),
         "| in-process fleet verifications | %.1f |" % fleet_rate,
         "",
-        "batching gain: %.2fx median, %.2f-%.2fx over rounds (gate %.1fx)"
-        % (batching_gain, gains[0], gains[-1], MIN_BATCHING_GAIN),
         "service / fleet: %.2fx (gate %.1fx)" % (
             fleet_ratio, MIN_SERVICE_FLEET_RATIO,
         ),
         "",
     ]))
-    assert batching_gain >= MIN_BATCHING_GAIN, (
-        "batching gain %.2fx below %.1fx"
-        % (batching_gain, MIN_BATCHING_GAIN)
-    )
     assert fleet_ratio >= MIN_SERVICE_FLEET_RATIO, (
         "service reaches %.2fx of the fleet verification rate, below %.1fx"
         % (fleet_ratio, MIN_SERVICE_FLEET_RATIO)
@@ -193,8 +179,7 @@ def test_cluster_scales_across_verifiers(verify_requests):
     # verification, not replay memoization.
     template = ClusterConfig(
         service=ServiceConfig(
-            fleet_hosts=CONFIG.num_hosts, max_batch=CLUSTER_BATCH,
-            cache_entries=0,
+            fleet_hosts=CONFIG.num_hosts, cache_entries=0,
         ),
         cache_entries=0,
         gather_batch=CLUSTER_BATCH,
@@ -254,7 +239,8 @@ def _settle_windows(requests, fraction):
 
 
 def test_verifier_settle_step_report(verify_requests):
-    """Report only, no gate: batch equation against one-by-one."""
+    """Report only, no gate: the verifier's one-by-one settling against
+    the batch equation it no longer runs."""
 
     def batch_equation(window):
         return verify_window(window, rng=Random(1))
@@ -289,7 +275,7 @@ def test_verifier_settle_step_report(verify_requests):
         ))
 
     write_report("settle_step.md", "\n".join([
-        "# Verifier settle step: batch equation against one-by-one",
+        "# Verifier settle step: one-by-one against the batch equation",
         "",
         "windows of %d, CPU seconds, median of %d alternating rounds; "
         "report only, no gate" % (SETTLE_WINDOW, SETTLE_ROUNDS),
@@ -297,3 +283,39 @@ def test_verifier_settle_step_report(verify_requests):
         "| forged | verify_window s | one-by-one s | window speed-up |",
         "|---|---|---|---|",
     ] + rows + [""]))
+
+
+#: Journeys whose session checks the replay-count leg captures.
+SESSION_REPLAY_JOURNEYS = 40
+
+
+def test_replayed_sessions_re_execute_once(monkeypatch):
+    """Count, not time: two passes of a session stream over TCP
+    re-execute each distinct session once, and answer every check with
+    its in-process verdict."""
+    stream = journey_request_stream(FleetConfig(
+        num_agents=SESSION_REPLAY_JOURNEYS, seed=CONFIG.seed,
+    )).session_requests
+    distinct = {canonical_encode(request.payload) for request in stream}
+    executions = []
+    original = server_module.check_session_payload
+
+    def counting(*args, **kwargs):
+        executions.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "check_session_payload", counting)
+
+    async def replay_twice():
+        service = VerificationService(ServiceConfig())
+        await service.start()
+        try:
+            for _ in range(2):
+                await _replay(service.address, stream)
+            return service.counters.cache_hits
+        finally:
+            await service.stop()
+
+    hits = asyncio.run(replay_twice())
+    assert len(executions) == len(distinct)
+    assert hits == 2 * len(stream) - len(distinct)

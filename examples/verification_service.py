@@ -7,11 +7,11 @@ Runs the full serving stack inside one process:
    whole-transfer signature and every ReferenceStateProtocol v3
    session check, each paired with its in-process ground-truth verdict
    (:mod:`repro.sim.requests`),
-2. start the asyncio verification server (micro-batching, LRU verdict
-   cache, bounded-queue backpressure) on a loopback port,
+2. start the asyncio verification server (inline signature settling,
+   an LRU cache of verify and session verdicts) on a loopback port,
 3. replay the stream — optionally with an adversarial fraction of
    corrupted signatures — through the pooled, pipelined client,
-4. print throughput, latency percentiles, the batch-size histogram,
+4. print throughput, latency percentiles, the verdict-cache hits,
    and the parity line: every service verdict must equal the
    in-process verdict (corrupted signatures must come back invalid).
 
@@ -19,7 +19,7 @@ Invocation — run from the repository root with ``PYTHONPATH=src``::
 
     PYTHONPATH=src python examples/verification_service.py
     PYTHONPATH=src python examples/verification_service.py \\
-        --agents 100 --adversarial-fraction 0.3 --batch 128
+        --agents 100 --adversarial-fraction 0.3
 
 A standalone server / loadgen pair (separate processes, real
 deployments) is available as ``python -m repro.service serve`` and
@@ -55,8 +55,6 @@ def main() -> int:
     parser.add_argument("--adversarial-fraction", type=float, default=0.2,
                         help="fraction of verify requests corrupted "
                              "(default: 0.2)")
-    parser.add_argument("--batch", type=int, default=128,
-                        help="micro-batch window (default: 128)")
     parser.add_argument("--connections", type=int, default=2,
                         help="pooled client connections (default: 2)")
     args = parser.parse_args()
@@ -83,12 +81,9 @@ def main() -> int:
     async def serve_and_replay():
         service = VerificationService(ServiceConfig(
             fleet_hosts=config.num_hosts,
-            max_batch=args.batch,
         ))
         host, port = await service.start()
-        print("server listening on %s:%d (window %d)" % (
-            host, port, args.batch,
-        ))
+        print("server listening on %s:%d" % (host, port))
         try:
             # The one connection-construction path: replay_requests
             # builds its client via repro.service.connect().
@@ -112,9 +107,6 @@ def main() -> int:
     ))
     print("cache: %d hits (%.1f%% hit rate on this stream)" % (
         stats["cache"]["hits"], 100 * stats["cache"]["hit_rate"],
-    ))
-    print("batches: %d windows, mean size %.1f" % (
-        stats["batching"]["batches"], stats["batching"]["mean_batch_size"],
     ))
     print("verdicts: %d ok, %d invalid or attack-detected "
           "(%d corrupted signatures were injected; session checks of "

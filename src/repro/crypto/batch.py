@@ -1,4 +1,4 @@
-"""Batched signature verification: one settle step for every caller.
+"""Batched signature verification for the fleet's transfer checks.
 
 Fleet-scale simulation turns signature verification into the dominant
 cost: every migration is signed and verified as a whole.  Many
@@ -6,8 +6,7 @@ commitment-carrying signatures can be settled with one randomized
 batch equation (:func:`repro.crypto.dsa.batch_verify`), falling back
 to :func:`~repro.crypto.dsa.find_invalid` only to name the bad ones.
 
-:func:`verify_window` is that settle step.  The verification service
-settles its micro-batch windows with it, and
+:func:`verify_window` is that settle step.
 :class:`BatchedTransferVerifier`, the fleet's one transfer-check path,
 settles with it behind the ``verify_transfer`` hook of
 :class:`~repro.platform.registry.JourneyRunner`.  Fleet transfer
@@ -15,6 +14,11 @@ signatures are always valid, the case batching wins (Bellare, Garay
 and Rabin, Eurocrypt '98).  Failures are deferred to flush time — the
 right trade for a discrete-event fleet, where a bad transfer signature
 surfaces as a reported failure rather than an exception on the hot path.
+
+The verification service does not batch.  The traffic it serves
+carries forged signatures, so most of its windows would fail the
+equation and :func:`~repro.crypto.dsa.find_invalid` would verify every
+item again; it settles each signature one by one instead.
 """
 
 from __future__ import annotations

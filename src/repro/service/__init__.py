@@ -10,14 +10,12 @@ load.  This package is that serving layer:
 * :mod:`repro.service.wire` — length-prefixed canonical framing and
   ``wire/2`` version negotiation;
 * :mod:`repro.service.cache` — the LRU verdict cache with tagged
-  invalidation;
-* :mod:`repro.service.batching` — the time-/size-bounded batch window
-  both tiers use: the verifier settles it with
-  :func:`repro.crypto.dsa.batch_verify`, the gateway ships it as one
-  ``verify-batch`` frame;
+  invalidation, keyed for verifies and session checks alike;
+* :mod:`repro.service.batching` — the tick-bounded batch window the
+  gateway ships to a backend as one ``verify-batch`` frame;
 * :mod:`repro.service.server` — the one asyncio frame server and
-  thread host, and the verifier role on top of them: bounded-queue
-  backpressure and structured metrics;
+  thread host, and the verifier role on top of them: inline settling,
+  cached verify and session verdicts, and structured metrics;
 * :mod:`repro.service.cluster` — the gateway role: consistent-hash
   routing (:mod:`repro.service.ring`), idempotent failover, and the
   local multi-process launcher;

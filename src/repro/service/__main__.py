@@ -76,12 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (0 = pick a free port; the bound "
                             "address is announced on stdout)")
-    serve.add_argument("--max-batch", type=int, default=256,
-                       help="micro-batch window size (1 disables batching)")
     serve.add_argument("--cache-entries", type=int, default=65536,
-                       help="LRU verdict-cache capacity (0 disables)")
-    serve.add_argument("--max-queue", type=int, default=8192,
-                       help="in-flight bound before busy responses")
+                       help="LRU verdict-cache capacity, verify and "
+                            "session verdicts alike (0 disables)")
     serve.add_argument("--fleet-hosts", type=int, default=40,
                        help="fleet-shaped host population whose "
                             "deterministic keys the server registers")
@@ -110,8 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spawn.add_argument("--host", default="127.0.0.1")
     spawn.add_argument("--port", type=int, default=0,
                        help="gateway listen port (0 = pick a free port)")
-    spawn.add_argument("--max-batch", type=int, default=256,
-                       help="per-verifier micro-batch window size")
     spawn.add_argument("--fleet-hosts", type=int, default=40,
                        help="fleet-shaped PKI size of every verifier")
     spawn.add_argument("--backend", default=None,
@@ -169,9 +164,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
         cache_entries=args.cache_entries,
-        max_queue=args.max_queue,
         fleet_hosts=args.fleet_hosts,
         backend=args.backend,
     )
@@ -248,7 +241,6 @@ def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
     # verifier subprocess outlives the launcher.
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     service = ServiceConfig(
-        max_batch=args.max_batch,
         fleet_hosts=args.fleet_hosts,
         backend=args.backend,
     )

@@ -1,52 +1,38 @@
 """Batch windows that close at the end of the event-loop tick.
 
-Both service tiers coalesce concurrent work into windows: the verifier
-settles signature verifications with one randomized batch equation
-(:func:`repro.crypto.dsa.batch_verify`), and the cluster gateway ships
-verify items to a backend as one ``verify-batch`` frame.  A
-:class:`MicroBatcher` is the window both use.  A window closes when it
-reaches ``max_batch`` items, inside the ``submit`` that filled it, or
-at the end of the event-loop iteration in which its first item
-arrived: the first ``submit`` schedules one ``loop.call_soon`` flush.
-No timer holds a window open, so a lone request never waits, while
-every item that becomes ready in the same tick (all items of one
-``verify-batch`` frame, all frames read in one socket read) still
-shares a window.  What closing a window *does* is the caller's
-**settle step**: a function from the window's items to one result per
-item, either returned directly (settled inline) or awaited (a
-shipment).  A settle step that raises fails every waiter's future.
+The cluster gateway coalesces the verify items bound for one backend
+into windows and ships each window as one ``verify-batch`` frame, so
+the gateway⇄verifier hop costs one round trip per window.  A
+:class:`MicroBatcher` is that window.  A window closes when it reaches
+``max_batch`` items, inside the ``submit`` that filled it, or at the
+end of the event-loop iteration in which its first item arrived: the
+first ``submit`` schedules one ``loop.call_soon`` flush.  No timer
+holds a window open, so a lone request never waits, while every item
+that becomes ready in the same tick (all items of one frame, all
+frames read in one socket read) still shares a window.  What closing a
+window *does* is the caller's **settle step**: an awaitable function
+from the window's items to one result per item (a shipment).  A settle
+step that raises fails every waiter's future.
 
-:func:`~repro.crypto.batch.verify_window` is the verifier's settle
-step; it lives in :mod:`repro.crypto.batch` because the fleet's
-deferred transfer check settles through it too.  ``max_batch=1`` is
-the honest no-batching baseline the batching speed gate compares
-against: a window of one item takes the plain
-:meth:`verify_recoverable` path, not a degenerate batch equation.
-
-Inline settlement runs on the event loop.  That is a deliberate choice
-for a CPU-bound single-process service: while a window settles, the
-kernel socket buffers absorb arrivals, and everything read in the next
-tick forms the next window.
+The verifier itself settles every signature inline, one by one; the
+window amortizes the wire, not the arithmetic.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 from dataclasses import dataclass
 from typing import (
-    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set, Union,
+    Any, Awaitable, Callable, Dict, List, Optional, Sequence, Set,
 )
 
 from repro.exceptions import ServiceError
 
 __all__ = ["MicroBatcher", "Settled"]
 
-#: A settle step: the window's items in, one result per item out —
-#: returned directly or through an awaitable.
-SettleStep = Callable[
-    [List[Any]], Union[Sequence[Any], Awaitable[Sequence[Any]]]
-]
+#: A settle step: the window's items in, an awaitable of one result per
+#: item out.
+SettleStep = Callable[[List[Any]], Awaitable[Sequence[Any]]]
 
 
 @dataclass(frozen=True)
@@ -119,8 +105,7 @@ class MicroBatcher:
     def flush(self) -> int:
         """Close the forming window now; returns the window size.
 
-        An inline settle step has resolved every future by the time
-        this returns; an awaitable one resolves them when it completes.
+        The window's futures resolve when its settle step completes.
         """
         if self._closing is not None:
             self._closing.cancel()
@@ -132,23 +117,14 @@ class MicroBatcher:
         self.batches += 1
         self.items += size
         self.batch_histogram[size] = self.batch_histogram.get(size, 0) + 1
-        try:
-            results = self.settle([entry.item for entry in window])
-        except Exception as exc:  # noqa: BLE001 - handed to every waiter
-            self._fail(window, exc)
-            return size
-        if inspect.isawaitable(results):
-            task = asyncio.ensure_future(self._settle_later(window, results))
-            self._settling.add(task)
-            task.add_done_callback(self._settling.discard)
-        else:
-            self._resolve(window, results)
+        task = asyncio.ensure_future(self._settle(window))
+        self._settling.add(task)
+        task.add_done_callback(self._settling.discard)
         return size
 
-    async def _settle_later(self, window: List[_Waiting],
-                            pending: Awaitable[Sequence[Any]]) -> None:
+    async def _settle(self, window: List[_Waiting]) -> None:
         try:
-            results = await pending
+            results = await self.settle([entry.item for entry in window])
         except asyncio.CancelledError:
             for entry in window:
                 entry.future.cancel()

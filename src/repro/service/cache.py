@@ -8,6 +8,12 @@ of those five components occupy different entries, so a cached verdict
 can never be served across differing digests or signatures — the
 staleness property ``tests/service/test_cache.py`` pins down.
 
+A session check is a pure function too, of the checking host, the
+checked host and the exact bytes of its two spans.
+:meth:`VerdictCache.session_key` binds all four under an op tag; a
+session key is a pair and a verify key a 5-tuple, so the two kinds can
+share one cache and never one entry.
+
 The service sees *recurring* traffic — loadgen replays, retried
 requests, hot signers — so eviction is LRU: every hit refreshes the
 entry's position and the working set stays resident.
@@ -21,16 +27,21 @@ process never has stale verdicts attributed to it.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.crypto.dsa import RecoverableSignature
 from repro.crypto.hashing import hash_bytes
 
-__all__ = ["VerdictCache", "VerdictKey"]
+__all__ = ["SessionKey", "VerdictCache", "VerdictKey"]
 
 #: Content key of one verification: (signer, message digest, r, s, R).
 VerdictKey = Tuple[str, bytes, int, int, int]
+#: Content key of one session check: the op tag, then (checking host,
+#: checked host, sha256 of ``prev_session``, sha256 of
+#: ``observed_state``).
+SessionKey = Tuple[str, Tuple[str, Optional[str], bytes, bytes]]
 
 
 class VerdictCache:
@@ -54,6 +65,17 @@ class VerdictCache:
         digest = hash_bytes(message).digest
         return (signer, digest, signature.r, signature.s,
                 signature.commitment)
+
+    @staticmethod
+    def session_key(checking_host: str, checked_host: Optional[str],
+                    prev_session: bytes,
+                    observed_state: bytes) -> SessionKey:
+        """Content key of a session check over its exact span bytes."""
+        return ("check-session", (
+            checking_host, checked_host,
+            hashlib.sha256(prev_session).digest(),
+            hashlib.sha256(observed_state).digest(),
+        ))
 
     def get(self, key: Any) -> Optional[Any]:
         """Cached verdict for ``key`` (refreshing recency), else ``None``."""

@@ -4,12 +4,12 @@ A :class:`ServiceClient` owns a small pool of TCP connections.  Every
 request carries a client-assigned id and is written immediately —
 callers never wait for earlier responses before later requests hit the
 wire, so a burst of ``asyncio.gather``-ed calls pipelines naturally.
-The server reads the frames that arrive together in one event-loop
-tick, so its micro-batcher puts them in one window; a request that
-arrives alone is settled at the end of its tick, without waiting.
-A per-connection reader task matches responses back to futures by id
-(the server may answer out of order once batching and caching skew
-settlement times).
+A verifier settles each request as it reads it; a cluster gateway puts
+the frames that arrive together in one event-loop tick into one window
+per backend, and a request that arrives alone ships at the end of its
+tick, without waiting.  A per-connection reader task matches responses
+back to futures by id (the server may answer out of order once windows
+and caching skew settlement times).
 """
 
 from __future__ import annotations

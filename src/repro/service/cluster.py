@@ -14,8 +14,8 @@ Design points, in the order a request meets them:
   key (:meth:`repro.service.cache.VerdictCache.key`: signer, digest,
   signature) over a consistent-hash ring
   (:class:`repro.service.ring.HashRing`), so one reference state always
-  lands on the same backend and that backend's verdict cache and
-  micro-batches stay hot.  Membership changes move only ~1/N keys.
+  lands on the same backend and that backend's verdict cache stays
+  hot.  Membership changes move only ~1/N keys.
 * **gateway verdict cache** — a second :class:`VerdictCache` tier in
   the gateway, each entry *tagged* with the backend that produced it.
   When the health monitor detects a backend restart (its announced
@@ -23,12 +23,12 @@ Design points, in the order a request meets them:
   is explicitly invalidated in one sweep.
 * **aggregation** — one :class:`~repro.service.batching.MicroBatcher`
   per backend coalesces the singles that become ready in one event-loop
-  tick into one window (no timer holds it open), the same window
-  mechanism the verifier settles inline; the gateway's settle
+  tick into one window (no timer holds it open); the gateway's settle
   step ships it as one ``verify-batch`` frame, so the gateway⇄verifier
-  hop costs one round trip per window, and the backend's own batcher
-  still sees the full window at once.  A failed shipment fails every
-  item of the window, and the routing loop re-issues each one.
+  hop costs one round trip per window.  The window amortizes the wire,
+  not the arithmetic: the backend settles each item on its own.  A
+  failed shipment fails every item of the window, and the routing loop
+  re-issues each one.
 * **idempotent failover** — verification is a pure function of the
   content key, so when a backend dies mid-batch every in-flight item is
   simply re-routed to the next live ring owner and re-issued.  An
@@ -97,7 +97,7 @@ class ClusterConfig:
 
     The layering is deliberate: ``service`` is a plain
     :class:`~repro.service.server.ServiceConfig` describing each
-    *verifier* (batch window, cache size, fleet PKI, crypto backend) —
+    *verifier* (cache size, fleet PKI, crypto backend) —
     the launcher passes it to every spawned backend — while the fields
     here describe the *gateway tier* (listen address, backend
     addresses, routing, aggregation, health, failover).
@@ -536,16 +536,16 @@ def spawn_verifier(
 
     Blocks until the child announces ``listening on host:port`` on its
     stdout (the same line the CI smoke jobs grep for) and returns the
-    running process plus the bound address.
+    running process plus the bound address.  A child that fails to
+    start is killed and reaped, and its stdout pipe closed, before the
+    :class:`ServiceError` is raised.
     """
     config = config or ServiceConfig()
     command = [
         sys.executable, "-m", "repro.service", "serve",
         "--host", config.host,
         "--port", str(config.port),
-        "--max-batch", str(config.max_batch),
         "--cache-entries", str(config.cache_entries),
-        "--max-queue", str(config.max_queue),
         "--fleet-hosts", str(config.fleet_hosts),
     ]
     if config.backend is not None:
@@ -560,27 +560,29 @@ def spawn_verifier(
     deadline = time.monotonic() + startup_timeout
     assert process.stdout is not None
     while True:
-        if time.monotonic() > deadline:
-            process.kill()
-            process.wait()
+        if time.monotonic() >= deadline:
+            # Leaving ``with process`` closes its stdout pipe and reaps it.
+            with process:
+                process.kill()
             raise ServiceError(
                 "verifier subprocess did not announce its address within "
                 "%.0fs" % startup_timeout
             )
         line = process.stdout.readline()
         if not line:
-            process.wait()
+            with process:
+                code = process.wait()
             raise ServiceError(
                 "verifier subprocess exited with code %r before binding"
-                % process.returncode
+                % code
             )
         line = line.strip()
         if line.startswith("listening on "):
             target = line[len("listening on "):]
             host, _, port = target.rpartition(":")
             if not host or not port.isdigit():
-                process.kill()
-                process.wait()
+                with process:
+                    process.kill()
                 raise ServiceError(
                     "unparseable verifier announcement %r" % line
                 )

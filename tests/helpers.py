@@ -118,23 +118,23 @@ def make_number_service(value: int = 1):
 
 
 def hold_settle(service: Any) -> Tuple[asyncio.Event, asyncio.Event]:
-    """Hold a verifier's settle step until released, so the requests of
-    its windows stay in flight for as long as a test needs.
+    """Hold a verifier's verify items until released, so they stay in
+    flight for as long as a test needs.
 
     Returns ``(entered, release)``: ``entered`` is set once the first
-    window is held; setting ``release`` lets every held window settle.
+    item is held; setting ``release`` lets every held item settle.
     Call it on the running event loop.
     """
     entered = asyncio.Event()
     release = asyncio.Event()
-    settle = service.batcher.settle
+    verify_item = service._verify_item
 
-    async def held(items):
+    async def held(item):
         entered.set()
         await release.wait()
-        return settle(items)
+        return await verify_item(item)
 
-    service.batcher.settle = held
+    service._verify_item = held
     return entered, release
 
 

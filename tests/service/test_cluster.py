@@ -5,13 +5,14 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import gc
 import importlib
 
 import pytest
 
 from repro import service as service_package
 from repro.crypto.keys import Identity
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.service.api import connect
 from repro.service import cluster as cluster_module
 from repro.service.__main__ import _build_parser
@@ -551,7 +552,7 @@ class TestNoDelayKnobs:
         assert flag in capsys.readouterr().err
 
     def test_the_configs_have_no_delay_fields(self):
-        assert len(dataclasses.fields(ServiceConfig)) == 9
+        assert len(dataclasses.fields(ServiceConfig)) == 7
         with pytest.raises(TypeError):
             ServiceConfig(max_delay=0.002)
         with pytest.raises(TypeError):
@@ -571,6 +572,61 @@ class TestNoDelayKnobs:
     def test_spawned_verifier_command_names_no_delay(self, monkeypatch):
         command = _spawned_command(monkeypatch, ServiceConfig(fleet_hosts=4))
         assert not any("delay" in part for part in command)
+
+
+class TestNoVerifierBatchKnobs:
+    """The verifier settles every signature inline, one by one, so no
+    command or config takes a verifier batch window or queue bound."""
+
+    @pytest.mark.parametrize("command", ("serve", "spawn-cluster"))
+    @pytest.mark.parametrize("flag", ("--max-batch", "--max-queue"))
+    def test_the_batch_options_are_rejected(self, command, flag, capsys):
+        parser = _build_parser()
+        assert parser.parse_args([command]).command == command
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([command, flag, "8"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ("max_batch", "max_queue"))
+    def test_the_service_config_has_no_batch_fields(self, field):
+        assert field not in {f.name for f in dataclasses.fields(ServiceConfig)}
+        with pytest.raises(TypeError):
+            ServiceConfig(**{field: 8})
+
+    def test_the_verifier_reports_no_batch_knob_or_queue(self):
+        stats = VerificationService(ServiceConfig(fleet_hosts=4)).stats()
+        assert not {"max_batch", "max_queue"} & set(stats["config"])
+        assert "inflight" not in stats
+        assert not any("queue_wait" in name or "batch_size" in name
+                       for name in stats["telemetry"]["histograms"])
+
+    def test_spawned_verifier_command_names_no_batch_knob(self, monkeypatch):
+        command = _spawned_command(monkeypatch, ServiceConfig(fleet_hosts=4))
+        assert "--max-batch" not in command and "--max-queue" not in command
+
+    def test_the_gateway_keeps_its_shipment_windows(self):
+        gateway = ClusterGateway(ClusterConfig(
+            backends=(("127.0.0.1", 1),), gather_batch=16,
+        ))
+        (batcher,) = gateway._batchers.values()
+        assert isinstance(batcher, MicroBatcher)
+        assert batcher.max_batch == 16
+        assert gateway.stats()["config"]["gather_batch"] == 16
+
+
+class TestSpawnFailure:
+    def test_a_verifier_that_misses_its_startup_deadline_leaks_nothing(
+            self, recwarn):
+        # The child is killed and reaped, and its stdout pipe closed,
+        # before the error is raised: nothing is left for the garbage
+        # collector to warn about.
+        with pytest.raises(ServiceError, match="did not announce"):
+            spawn_verifier(ServiceConfig(), startup_timeout=0)
+        gc.collect()
+        leaks = [str(warning.message) for warning in recwarn.list
+                 if issubclass(warning.category, ResourceWarning)]
+        assert leaks == []
 
 
 class TestLocalCluster:

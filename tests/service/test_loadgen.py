@@ -26,8 +26,7 @@ _CONFIG = FleetConfig(
 def _replay(requests, service_config=None, **kwargs):
     async def run():
         service = VerificationService(
-            service_config or ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                            max_batch=16)
+            service_config or ServiceConfig(fleet_hosts=_CONFIG.num_hosts)
         )
         host, port = await service.start()
         try:
@@ -80,7 +79,7 @@ class TestReplayParity:
 
         async def run():
             service = VerificationService(ServiceConfig(
-                fleet_hosts=_CONFIG.num_hosts, max_batch=8,
+                fleet_hosts=_CONFIG.num_hosts,
             ))
             host, port = await service.start()
             try:
@@ -131,7 +130,7 @@ class TestMultiProcess:
         from repro.service.server import ServiceThread
 
         with ServiceThread(ServiceConfig(
-            fleet_hosts=_CONFIG.num_hosts, max_batch=8,
+            fleet_hosts=_CONFIG.num_hosts,
         )) as thread:
             # A started thread is itself a connect() endpoint.
             report = run_loadgen(
@@ -186,20 +185,18 @@ class TestTransientRetry:
         )
 
         async def run():
-            config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                   max_batch=16)
+            config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts)
             service = VerificationService(config)
             host, port = await service.start()
             entered, release = hold_settle(service)
 
             async def restart_soon():
-                # The listener dies while a window is held in flight.
+                # The listener dies while a verify item is held in flight.
                 await entered.wait()
                 await service.stop()
                 release.set()
                 reborn = VerificationService(
                     ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                  max_batch=16,
                                   host=host, port=port)
                 )
                 await reborn.start()
@@ -237,20 +234,18 @@ class TestTransientRetry:
         )
 
         async def run():
-            config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                   max_batch=16)
+            config = ServiceConfig(fleet_hosts=_CONFIG.num_hosts)
             service = VerificationService(config)
             host, port = await service.start()
             entered, release = hold_settle(service)
 
             async def restart_soon():
-                # The listener dies while a window is held in flight.
+                # The listener dies while a verify item is held in flight.
                 await entered.wait()
                 await service.stop()
                 release.set()
                 reborn = VerificationService(
                     ServiceConfig(fleet_hosts=_CONFIG.num_hosts,
-                                  max_batch=16,
                                   host=host, port=port)
                 )
                 await reborn.start()

@@ -30,7 +30,6 @@ from repro.service.wire import (
     read_frame,
     split_frames,
 )
-from tests.helpers import hold_settle
 
 
 def _sign(name: str, message: bytes):
@@ -60,7 +59,7 @@ def _run_with_service(config, body, connections=1):
 
 class TestVerify:
     def test_valid_signature_verifies(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"transfer-payload"
@@ -73,7 +72,7 @@ class TestVerify:
         _run_with_service(config, body)
 
     def test_corrupted_signature_fails(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"transfer-payload"
@@ -85,7 +84,7 @@ class TestVerify:
         _run_with_service(config, body)
 
     def test_unknown_signer_fails_closed(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"whatever"
@@ -99,7 +98,7 @@ class TestVerify:
         _run_with_service(config, body)
 
     def test_batched_requests_get_individual_verdicts(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=8)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             good = b"good-message"
@@ -120,7 +119,7 @@ class TestVerify:
 
 class TestCache:
     def test_repeat_verification_is_served_from_cache(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"cached-message"
@@ -134,7 +133,7 @@ class TestCache:
         _run_with_service(config, body)
 
     def test_cache_never_aliases_across_differing_digests(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"message-A"
@@ -151,7 +150,7 @@ class TestCache:
         _run_with_service(config, body)
 
     def test_cache_disabled_still_answers(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1, cache_entries=0)
+        config = ServiceConfig(fleet_hosts=4, cache_entries=0)
 
         async def body(service, client):
             message = b"m"
@@ -164,13 +163,32 @@ class TestCache:
         _run_with_service(config, body)
 
 
+async def _busy_endpoint(reason):
+    """A stand-in endpoint that sheds every request but ``ping`` with a
+    typed ``busy`` answer; returns the server and its address."""
+
+    async def handle(reader, writer):
+        while True:
+            body = await read_frame(reader)
+            if body is None:
+                break
+            request = decode_body(body)
+            response = {"id": request.get("id"), "status": "ok"}
+            if request.get("op") != "ping":
+                response.update(status="busy", reason=reason)
+            writer.write(encode_frame(response))
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[:2]
+
+
 class TestBackpressure:
-    def test_queue_full_yields_typed_busy_and_never_hangs(self):
-        # One verify-batch frame of 12 items against an in-flight bound
-        # of 2: the frame's items enter in one tick, so exactly the
-        # first two are queued and the other ten come back as typed
-        # busy results at once; the queued two settle — nothing hangs.
-        config = ServiceConfig(fleet_hosts=4, max_batch=1000, max_queue=2)
+    def test_a_full_frame_settles_every_item_and_never_sheds(self):
+        # The verifier settles each item of a frame inline as it is
+        # read, so there is no queue to fill: all 12 items of one
+        # verify-batch frame come back ok, and nothing is shed.
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"pressured"
@@ -183,35 +201,37 @@ class TestBackpressure:
                 ]),
                 timeout=10.0,
             )
-            statuses = [r["status"] for r in results]
-            assert statuses == ["ok"] * 2 + ["busy"] * 10
-            assert all("reason" in r for r in results[2:])
-            assert all(r["verdict"] is True for r in results[:2])
-            assert service.counters.busy == 10
-            assert service.batcher.batch_histogram == {2: 1}
+            assert [r["status"] for r in results] == ["ok"] * 12
+            assert all(r["verdict"] is True for r in results)
+            assert [r["cache_hit"] for r in results] == [False] + [True] * 11
+            assert service.counters.busy == 0
+            assert service.stats()["batching"]["items"] == 1
 
         _run_with_service(config, body)
 
     def test_typed_busy_raises_through_the_checked_client(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1000, max_queue=1)
-
-        async def body(service, client):
-            # The first request occupies the queue until released.
-            entered, release = hold_settle(service)
-            message = b"pressured"
-            signature = _sign("host-001", message)
-            first = asyncio.ensure_future(
-                client.verify("host-001", message, signature)
+        async def run():
+            server, address = await _busy_endpoint(
+                "verification queue is full (1 in flight)"
             )
-            await asyncio.wait_for(entered.wait(), timeout=10.0)
-            with pytest.raises(ServiceUnavailable):
-                await client.verify("host-001", b"another",
-                                    _sign("host-001", b"another"))
-            assert not first.done()
-            release.set()
-            assert (await first)["verdict"] is True
+            client = await ServiceClient.connect(*address)
+            try:
+                message = b"pressured"
+                with pytest.raises(ServiceUnavailable) as excinfo:
+                    await client.verify("host-001", message,
+                                        _sign("host-001", message))
+                assert "queue is full" in str(excinfo.value)
+                # The unchecked request hands the typed answer back,
+                # and the connection keeps serving after a shed.
+                response = await client.request({"op": "verify"})
+                assert response["status"] == "busy"
+                assert await client.ping()
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
 
-        _run_with_service(config, body)
+        asyncio.run(run())
 
 
 @asynccontextmanager
@@ -438,7 +458,7 @@ class TestOps:
         assert "owner" in keystore
 
     def test_stats_op_reports_counters_cache_and_batching(self):
-        config = ServiceConfig(fleet_hosts=4, max_batch=1)
+        config = ServiceConfig(fleet_hosts=4)
 
         async def body(service, client):
             message = b"m"
@@ -447,9 +467,12 @@ class TestOps:
             stats = await client.stats()
             assert stats["counters"]["verify_requests"] == 1
             assert stats["counters"]["verdicts_true"] == 1
-            assert stats["batching"]["items"] == 1
+            # Each settled signature is its own window, with no wait.
+            assert stats["batching"] == {
+                "items": 1, "batches": 1, "queue_wait_total": 0.0,
+            }
             assert stats["cache"]["entries"] == 1
-            assert stats["config"]["max_batch"] == 1
+            assert "max_batch" not in stats["config"]
 
         _run_with_service(config, body)
 
@@ -458,7 +481,7 @@ class TestOps:
         # attributable to the engine that produced it.
         import repro.crypto.backend as backend_mod
 
-        config = ServiceConfig(fleet_hosts=4, max_batch=1, backend="python")
+        config = ServiceConfig(fleet_hosts=4, backend="python")
 
         async def body(service, client):
             assert service.backend.name == "python"
@@ -473,7 +496,7 @@ class TestOps:
             backend_mod._active = previous
 
     def test_service_thread_runs_from_sync_code(self):
-        with ServiceThread(ServiceConfig(fleet_hosts=4, max_batch=1)) as thread:
+        with ServiceThread(ServiceConfig(fleet_hosts=4)) as thread:
             host, port = thread.service.address
 
             async def roundtrip():
