@@ -5,8 +5,10 @@ The library re-implements, in pure Python, the paper's checking
 framework for mobile-agent protection plus every substrate it depends
 on:
 
-* :mod:`repro.crypto` — canonical serialization, hashing, DSA, PKI;
-* :mod:`repro.net` — simulated network, clocks, agent transport;
+* :mod:`repro.crypto` — canonical serialization, hashing, DSA, key
+  stores, signed envelopes;
+* :mod:`repro.net` — virtual clock, event simulator, latency models,
+  the agent transfer payload;
 * :mod:`repro.agents` — mobile agents, states, inputs, traces, weak
   migration, re-execution;
 * :mod:`repro.platform` — hosts, execution sessions, the journey driver,
@@ -38,7 +40,6 @@ False
 
 from repro.exceptions import (
     AgentError,
-    AttackDetected,
     CheckingError,
     ConfigurationError,
     CryptoError,
@@ -82,7 +83,6 @@ __all__ = [
     "ServiceConfig",
     "ClusterConfig",
     "AgentError",
-    "AttackDetected",
     "CheckingError",
     "ConfigurationError",
     "CryptoError",

@@ -91,8 +91,7 @@ class MobileAgent:
 
         This is the framework's ``checkAfterSession`` callback.  The
         default implementation does nothing and returns ``None`` (no
-        verdict); protected agents override it or inherit an override
-        from :class:`repro.core.framework.ProtectedAgentMixin`.
+        verdict); protected agents override it.
         """
         return None
 

@@ -25,7 +25,6 @@ from repro.agents.input import (
     INPUT_KIND_MESSAGE,
     INPUT_KIND_SERVICE,
     INPUT_KIND_SYSTEM,
-    InputLog,
     InputSource,
 )
 
@@ -111,7 +110,6 @@ class ExecutionContext:
         self._execution_log = execution_log if execution_log is not None else ExecutionLog()
         self._output_handler = output_handler
         self._actions: List[OutwardAction] = []
-        self._notes: List[str] = []
 
     # -- input ---------------------------------------------------------------
 
@@ -135,10 +133,6 @@ class ExecutionContext:
         """Convenience wrapper for the ``random`` system call."""
         return self.system_call("random")
 
-    def current_time(self) -> float:
-        """Convenience wrapper for the ``time`` system call."""
-        return self.system_call("time")
-
     def _fetch(self, kind: str, source: str, key: str) -> Any:
         value = self._input_source.fetch(kind, source, key)
         # Every input-dependent assignment lands in the execution log so
@@ -161,22 +155,13 @@ class ExecutionContext:
             return self._output_handler(action)
         return None
 
-    # -- tracing & notes -------------------------------------------------------
+    # -- tracing -------------------------------------------------------------
 
     def trace(self, statement: Optional[str] = None, **assignments: Any) -> None:
         """Explicitly append a trace entry (manual instrumentation)."""
         self._execution_log.append(statement=statement, assignments=assignments)
 
-    def note(self, message: str) -> None:
-        """Record a free-form diagnostic note (not part of the state)."""
-        self._notes.append(message)
-
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def input_log(self) -> InputLog:
-        """Inputs consumed so far in this session."""
-        return self._input_source.log
 
     @property
     def execution_log(self) -> ExecutionLog:
@@ -187,13 +172,3 @@ class ExecutionContext:
     def actions(self) -> Tuple[OutwardAction, ...]:
         """Outward actions requested so far in this session."""
         return tuple(self._actions)
-
-    @property
-    def notes(self) -> Tuple[str, ...]:
-        """Diagnostic notes recorded so far."""
-        return tuple(self._notes)
-
-    @property
-    def is_replay(self) -> bool:
-        """Whether this context suppresses outward actions (re-execution)."""
-        return self._output_handler is None

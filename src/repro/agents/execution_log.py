@@ -96,11 +96,6 @@ class ExecutionLog:
         self._hasher.update(b":")
         self._hasher.update(encoded)
 
-    @property
-    def record_statements(self) -> bool:
-        """Whether statement identifiers are kept (Figure 3 style)."""
-        return self._record_statements
-
     def append(self, statement: Optional[str] = None,
                assignments: Optional[Dict[str, Any]] = None) -> TraceEntry:
         """Append a trace entry.

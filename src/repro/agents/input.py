@@ -129,10 +129,6 @@ class InputLog:
         """All records, in order."""
         return tuple(self._records)
 
-    def values_of_kind(self, kind: str) -> Tuple[Any, ...]:
-        """Values of all records of a given kind, in order."""
-        return tuple(r.value for r in self._records if r.kind == kind)
-
     def to_canonical(self) -> List[Dict[str, Any]]:
         return [record.to_canonical() for record in self._records]
 

@@ -67,12 +67,6 @@ class Itinerary:
             )
         return self.hosts[hop_index]
 
-    def next_host(self, hop_index: int) -> Optional[str]:
-        """Host following ``hop_index``, or ``None`` at the last hop."""
-        if hop_index + 1 < len(self.hosts):
-            return self.hosts[hop_index + 1]
-        return None
-
     def previous_host(self, hop_index: int) -> Optional[str]:
         """Host preceding ``hop_index``, or ``None`` at the first hop."""
         if hop_index > 0:

@@ -48,11 +48,6 @@ class PartnerMessage:
             "signature_envelope": self.signature_envelope,
         }
 
-    @property
-    def is_signed(self) -> bool:
-        """Whether the sender attached a signature."""
-        return self.signature_envelope is not None
-
 
 def verify_signed_message(message_canonical: Dict[str, Any],
                           keystore: KeyStore) -> bool:
@@ -150,11 +145,3 @@ class MessageBoard:
     def take(self, mailbox: str) -> PartnerMessage:
         """Take the next message from ``mailbox``."""
         return self.mailbox(mailbox).take()
-
-    def pending(self, mailbox: str) -> int:
-        """Number of undelivered messages in ``mailbox``."""
-        return len(self.mailbox(mailbox))
-
-    def mailbox_names(self) -> Tuple[str, ...]:
-        """Names of all mailboxes that exist on this board."""
-        return tuple(sorted(self._mailboxes))

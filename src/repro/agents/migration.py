@@ -3,9 +3,7 @@
 Migration in the weak model means: capture the agent's variable parts
 (data + manually encoded execution state), ship them together with the
 agent's code identity, and call the start procedure (``run``) on the
-next host.  The :class:`MigrationEngine` performs the pack/unpack steps;
-the actual network delivery is handled by
-:class:`repro.net.transport.AgentTransport`.
+next host.  The :class:`MigrationEngine` performs the pack/unpack steps.
 
 A packed transfer carries the captured :class:`AgentState` object
 itself, not its canonical dictionary.  Encoding splices the state's
@@ -120,17 +118,3 @@ class MigrationEngine:
             hop_index=transfer.hop_index,
             protocol_data=transfer.protocol_data,
         )
-
-    def round_trip_size(self, agent: MobileAgent, itinerary: Itinerary,
-                        hop_index: int = 0,
-                        protocol_data: Optional[Dict[str, Any]] = None) -> int:
-        """Return the wire size in bytes of packing ``agent``.
-
-        Useful for the overhead analysis: the paper notes the protected
-        agent additionally transports "one more agent state plus the
-        input at a host"; this helper quantifies that growth.
-        """
-        from repro.net.transport import TransferCodec
-
-        transfer = self.pack(agent, itinerary, hop_index, protocol_data)
-        return len(TransferCodec().encode(transfer))

@@ -243,8 +243,8 @@ class AgentState:
         capture, every tampering path builds a *new* state), so the
         encoding is computed once — in the shared
         :class:`~repro.crypto.hashing.HashCache` — and reused by
-        :meth:`digest`, :meth:`equals`, and :meth:`size_bytes`, the hot
-        comparisons of fleet-scale checking.
+        :meth:`digest` and :meth:`equals`, the hot comparisons of
+        fleet-scale checking.
 
         The method doubles as the ``__canonical_bytes__`` splice hook of
         :class:`~repro.crypto.canonical.CanonicalEncoder`: a state
@@ -269,10 +269,6 @@ class AgentState:
         if self is other:
             return True
         return self.canonical_bytes() == other.canonical_bytes()
-
-    def size_bytes(self) -> int:
-        """Size of the canonical encoding, for transfer accounting."""
-        return len(self.canonical_bytes())
 
 
 def state_diff(reference: AgentState, observed: AgentState) -> Dict[str, Any]:

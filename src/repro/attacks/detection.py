@@ -12,7 +12,7 @@ aggregates them into a confusion matrix plus per-attack-area coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.attacks.model import AttackArea, AttackDescriptor, Detectability
 
@@ -76,11 +76,6 @@ class DetectionReport:
     def add(self, outcome: DetectionOutcome) -> None:
         """Record one outcome."""
         self.outcomes.append(outcome)
-
-    def extend(self, outcomes: Iterable[DetectionOutcome]) -> None:
-        """Record several outcomes."""
-        for outcome in outcomes:
-            self.add(outcome)
 
     # -- confusion matrix -------------------------------------------------------
 
@@ -200,13 +195,6 @@ class DetectionReport:
             for key, value in counts.items():
                 bucket[key] += value
         return table
-
-    def by_mechanism(self) -> Dict[str, "DetectionReport"]:
-        """Split the report into one sub-report per mechanism."""
-        split: Dict[str, DetectionReport] = {}
-        for outcome in self.outcomes:
-            split.setdefault(outcome.mechanism, DetectionReport()).add(outcome)
-        return split
 
     def summary(self) -> Dict[str, float]:
         """Compact numeric summary used by benchmarks and reports."""

@@ -71,11 +71,6 @@ class AttackArea(Enum):
         """Expected detectability under the reference-states scheme."""
         return _DETECTABILITY[self]
 
-    @property
-    def in_blackbox_set(self) -> bool:
-        """Whether the area belongs to the reduced "blackbox set"."""
-        return self in BLACKBOX_SET
-
 
 _DESCRIPTIONS: Dict[AttackArea, str] = {
     AttackArea.SPYING_OUT_CODE: "spying out code",

@@ -81,11 +81,6 @@ class StageOutcome:
     records: List[SessionRecord] = field(default_factory=list)
     tie: bool = False
 
-    @property
-    def unanimous(self) -> bool:
-        """Whether every replica produced the same resulting state."""
-        return len(self.votes) == 1
-
 
 @dataclass
 class ReplicatedJourneyResult:

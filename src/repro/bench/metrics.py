@@ -57,22 +57,9 @@ class TimingCollector:
         """Accumulated seconds for ``category`` (0.0 if never charged)."""
         return self._totals.get(category, 0.0)
 
-    def total_ms(self, category: str) -> float:
-        """Accumulated milliseconds for ``category``."""
-        return self.total(category) * 1000.0
-
     def count(self, category: str) -> int:
         """How many intervals were charged to ``category``."""
         return self._counts.get(category, 0)
-
-    def categories(self) -> tuple:
-        """All categories that received charges, sorted."""
-        return tuple(sorted(self._totals))
-
-    def reset(self) -> None:
-        """Clear all accumulated totals."""
-        self._totals.clear()
-        self._counts.clear()
 
     def merge(self, other: "TimingCollector") -> None:
         """Add another collector's totals into this one."""

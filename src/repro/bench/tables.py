@@ -195,21 +195,6 @@ def format_detectability_table(
     return "\n".join(lines)
 
 
-def paper_reference_breakdowns(table: Dict[str, Dict[str, float]]
-                               ) -> List[TimingBreakdown]:
-    """The paper's reference numbers as breakdown rows (for reports)."""
-    rows = []
-    for label, columns in table.items():
-        rows.append(TimingBreakdown(
-            label=label,
-            sign_verify_ms=columns["sign_verify_ms"],
-            cycle_ms=columns["cycle_ms"],
-            remainder_ms=columns["remainder_ms"],
-            overall_ms=columns["overall_ms"],
-        ))
-    return rows
-
-
 def _breakdowns(results: Sequence[MeasurementResult]) -> List[TimingBreakdown]:
     return [result.breakdown for result in results]
 

@@ -31,7 +31,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -133,11 +133,6 @@ class Fault:
         if self.seconds < 0:
             raise ConfigurationError("seconds must be non-negative")
 
-    @property
-    def lethal(self) -> bool:
-        """Whether the injected worker process dies of this fault."""
-        return self.kind in LETHAL_FAULT_KINDS
-
     def describe(self) -> Dict[str, Any]:
         entry: Dict[str, Any] = {"kind": self.kind}
         if self.kind in WORKER_FAULT_KINDS:
@@ -220,26 +215,6 @@ class FaultPlan:
             if fault.kind in WORKER_FAULT_KINDS
             and fault.worker == worker_index
         )
-
-    def worker_faults(self) -> Tuple[Fault, ...]:
-        return tuple(
-            f for f in self.faults if f.kind in WORKER_FAULT_KINDS
-        )
-
-    def backend_faults(self) -> Tuple[Fault, ...]:
-        return tuple(
-            f for f in self.faults if f.kind == BACKEND_SIGKILL
-        )
-
-    def without_worker(self, worker_index: int) -> "FaultPlan":
-        """The plan minus one worker's faults (for respawned workers —
-        a replacement process must not re-suffer its predecessor's
-        injuries, or a crash-at-unit-k would loop forever)."""
-        return replace(self, faults=tuple(
-            fault for fault in self.faults
-            if not (fault.kind in WORKER_FAULT_KINDS
-                    and fault.worker == worker_index)
-        ))
 
     def describe(self) -> Dict[str, Any]:
         return {

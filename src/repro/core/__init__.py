@@ -27,7 +27,6 @@ from repro.core.checkers import (
     ArbitraryProgramChecker,
     CheckContext,
     Checker,
-    CheckerRegistry,
     ExecutionProof,
     ProofChecker,
     ReExecutionChecker,
@@ -36,12 +35,11 @@ from repro.core.checkers import (
     RuleSet,
     build_proof,
     build_rule_environment,
-    const,
     partner_confirmation_program,
     state_equality_program,
     var,
 )
-from repro.core.framework import CheckingFramework, ProtectedAgentMixin
+from repro.core.framework import CheckingFramework
 from repro.core.policy import (
     ProtectionPolicy,
     maximal_policy,
@@ -56,7 +54,6 @@ from repro.core.protocol import (
 from repro.core.reference_data import ReferenceDataSet
 from repro.core.requesters import (
     ExecutionLogRequester,
-    FullReferenceDataRequester,
     InitialStateRequester,
     InputRequester,
     ResourceRequester,
@@ -76,7 +73,6 @@ __all__ = [
     "ArbitraryProgramChecker",
     "CheckContext",
     "Checker",
-    "CheckerRegistry",
     "ExecutionProof",
     "ProofChecker",
     "ReExecutionChecker",
@@ -85,12 +81,10 @@ __all__ = [
     "RuleSet",
     "build_proof",
     "build_rule_environment",
-    "const",
     "partner_confirmation_program",
     "state_equality_program",
     "var",
     "CheckingFramework",
-    "ProtectedAgentMixin",
     "ProtectionPolicy",
     "maximal_policy",
     "minimal_policy",
@@ -100,7 +94,6 @@ __all__ = [
     "check_session_payload",
     "ReferenceDataSet",
     "ExecutionLogRequester",
-    "FullReferenceDataRequester",
     "InitialStateRequester",
     "InputRequester",
     "ResourceRequester",

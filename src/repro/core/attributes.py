@@ -52,28 +52,6 @@ class ReferenceDataKind(Enum):
     EXECUTION_LOG = "execution-log"
     RESOURCES = "resources"
 
-    @property
-    def requester_interface(self) -> str:
-        """Name of the agent-side requester interface (Fig. 4)."""
-        return {
-            ReferenceDataKind.INITIAL_STATE: "InitialStateRequester",
-            ReferenceDataKind.RESULTING_STATE: "ResultingStateRequester",
-            ReferenceDataKind.INPUT: "InputRequester",
-            ReferenceDataKind.EXECUTION_LOG: "ExecutionLogRequester",
-            ReferenceDataKind.RESOURCES: "ResourceRequester",
-        }[self]
-
-    @property
-    def host_accessor(self) -> str:
-        """Name of the host-side accessor method (Fig. 5)."""
-        return {
-            ReferenceDataKind.INITIAL_STATE: "getInitialState",
-            ReferenceDataKind.RESULTING_STATE: "getResultingState",
-            ReferenceDataKind.INPUT: "getInput",
-            ReferenceDataKind.EXECUTION_LOG: "getExecutionLog",
-            ReferenceDataKind.RESOURCES: "getResource",
-        }[self]
-
 
 #: Every reference data kind, in a stable order.
 ALL_REFERENCE_DATA: Tuple[ReferenceDataKind, ...] = (
@@ -89,7 +67,7 @@ ALL_REFERENCE_DATA: Tuple[ReferenceDataKind, ...] = (
 class CheckerKind(Enum):
     """Which checking algorithm a mechanism employs (Section 3.5).
 
-    The members are ordered by increasing power as discussed in the
+    The members are listed by increasing power as discussed in the
     paper: rules < proofs ≈ re-execution < arbitrary program (the
     arbitrary program subsumes all the others).
     """
@@ -98,16 +76,6 @@ class CheckerKind(Enum):
     PROOFS = "proofs"
     RE_EXECUTION = "re-execution"
     ARBITRARY_PROGRAM = "arbitrary-program"
-
-    @property
-    def power_rank(self) -> int:
-        """Relative power ordering used by the policy presets."""
-        return {
-            CheckerKind.RULES: 1,
-            CheckerKind.PROOFS: 2,
-            CheckerKind.RE_EXECUTION: 3,
-            CheckerKind.ARBITRARY_PROGRAM: 4,
-        }[self]
 
     @property
     def required_data(self) -> Tuple[ReferenceDataKind, ...]:

@@ -5,7 +5,7 @@ from repro.core.checkers.arbitrary import (
     partner_confirmation_program,
     state_equality_program,
 )
-from repro.core.checkers.base import Checker, CheckContext, CheckerRegistry
+from repro.core.checkers.base import Checker, CheckContext
 from repro.core.checkers.proofs import ExecutionProof, ProofChecker, build_proof
 from repro.core.checkers.reexecution import ReExecutionChecker
 from repro.core.checkers.rules import (
@@ -16,7 +16,6 @@ from repro.core.checkers.rules import (
     RuleSet,
     Var,
     build_rule_environment,
-    const,
     var,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "state_equality_program",
     "Checker",
     "CheckContext",
-    "CheckerRegistry",
     "ExecutionProof",
     "ProofChecker",
     "build_proof",
@@ -38,6 +36,5 @@ __all__ = [
     "RuleSet",
     "Var",
     "build_rule_environment",
-    "const",
     "var",
 ]

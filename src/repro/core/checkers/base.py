@@ -10,7 +10,7 @@ return a :class:`~repro.core.verdict.CheckResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.agents.agent import AgentCodeRegistry, default_registry
 from repro.agents.state import AgentState
@@ -19,7 +19,7 @@ from repro.core.reference_data import ReferenceDataSet
 from repro.core.verdict import CheckResult, VerdictStatus
 from repro.crypto.keys import KeyStore
 
-__all__ = ["CheckContext", "Checker", "CheckerRegistry"]
+__all__ = ["CheckContext", "Checker"]
 
 
 @dataclass
@@ -90,31 +90,3 @@ class Checker:
         return CheckResult(
             checker=self.name, status=VerdictStatus.INCONCLUSIVE, details=details
         )
-
-
-class CheckerRegistry:
-    """Optional name → checker factory registry.
-
-    Lets policies refer to checkers by name (useful for configuration
-    files and for the ablation benchmarks that sweep over checkers).
-    """
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, Any] = {}
-
-    def register(self, name: str, factory) -> None:
-        """Register a zero-argument checker factory under ``name``."""
-        self._factories[name] = factory
-
-    def create(self, name: str) -> Checker:
-        """Instantiate the checker registered under ``name``."""
-        if name not in self._factories:
-            raise KeyError("no checker registered under %r" % name)
-        return self._factories[name]()
-
-    def names(self) -> List[str]:
-        """All registered checker names, sorted."""
-        return sorted(self._factories)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories

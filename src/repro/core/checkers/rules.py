@@ -6,15 +6,15 @@ order logic (e.g. ``moneySpent + moneyRest = moneyInitial``)".
 
 The DSL below expresses exactly that class of conditions: constants,
 variable references into the agent state, arithmetic, comparisons,
-boolean connectives, and a handful of aggregates over list-valued
-variables.  There is deliberately no loop, recursion, or user function
-call — rules are data, not programs, which is what makes them cheap to
-transport, evaluate, and reason about (and also what limits the attacks
-they can detect, as the paper's state-appraisal analysis points out).
+and boolean connectives.  There is deliberately no loop, recursion, or
+user function call — rules are data, not programs, which is what makes
+them cheap to transport, evaluate, and reason about (and also what
+limits the attacks they can detect, as the paper's state-appraisal
+analysis points out).
 
 Example
 -------
->>> from repro.core.checkers.rules import var, const, Rule, RuleChecker
+>>> from repro.core.checkers.rules import var, Rule, RuleChecker
 >>> conservation = Rule(
 ...     "money-conservation",
 ...     var("money_spent") + var("money_left") == var("initial.money_left"),
@@ -36,7 +36,6 @@ __all__ = [
     "Var",
     "Const",
     "var",
-    "const",
     "Rule",
     "RuleSet",
     "RuleChecker",
@@ -101,28 +100,6 @@ class Expr:
     def __hash__(self) -> int:  # pragma: no cover - identity hashing
         return id(self)
 
-    # -- aggregates ------------------------------------------------------------------
-
-    def sum(self) -> "Expr":
-        """Sum of a list-valued expression."""
-        return Aggregate("sum", self)
-
-    def length(self) -> "Expr":
-        """Length of a list-valued expression."""
-        return Aggregate("len", self)
-
-    def minimum(self) -> "Expr":
-        """Minimum of a list-valued expression."""
-        return Aggregate("min", self)
-
-    def maximum(self) -> "Expr":
-        """Maximum of a list-valued expression."""
-        return Aggregate("max", self)
-
-    def contains(self, other: Any) -> "Expr":
-        """Membership test: ``other in self``."""
-        return BinaryOp("in", _wrap(other), self)
-
 
 class Var(Expr):
     """A reference to a state variable.
@@ -174,7 +151,6 @@ class BinaryOp(Expr):
         ">=": lambda a, b: a >= b,
         "and": lambda a, b: bool(a) and bool(b),
         "or": lambda a, b: bool(a) or bool(b),
-        "in": lambda a, b: a in b,
     }
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
@@ -215,27 +191,6 @@ class UnaryOp(Expr):
         return -value
 
 
-class Aggregate(Expr):
-    """An aggregate over a list-valued sub-expression."""
-
-    _FUNCTIONS = {"sum": sum, "len": len, "min": min, "max": max}
-
-    def __init__(self, func: str, operand: Expr) -> None:
-        if func not in self._FUNCTIONS:
-            raise CheckingError("unknown aggregate %r" % func)
-        self.func = func
-        self.operand = operand
-
-    def evaluate(self, environment: Dict[str, Any]) -> Any:
-        value = self.operand.evaluate(environment)
-        try:
-            return self._FUNCTIONS[self.func](value)
-        except (TypeError, ValueError) as exc:
-            raise CheckingError(
-                "aggregate %r failed on %r: %s" % (self.func, value, exc)
-            ) from exc
-
-
 def _wrap(value: Any) -> Expr:
     return value if isinstance(value, Expr) else Const(value)
 
@@ -243,11 +198,6 @@ def _wrap(value: Any) -> Expr:
 def var(name: str) -> Var:
     """Shorthand constructor for a variable reference."""
     return Var(name)
-
-
-def const(value: Any) -> Const:
-    """Shorthand constructor for a literal constant."""
-    return Const(value)
 
 
 @dataclass

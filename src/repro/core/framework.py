@@ -12,10 +12,9 @@ dual-committed initial states, Section 6) lives in
 :mod:`repro.core.protocol` and can be seen as a hand-tuned instance of
 what this class does from configuration.
 
-Use :class:`ProtectedAgentMixin` for agents that want the default
-framework behaviour without writing their own callbacks, or override
-``check_after_session`` / ``check_after_task`` on the agent for a fully
-custom ("arbitrary program") check.
+An agent contributes application-level rules by defining
+``protection_rules()``, or overrides ``check_after_session`` /
+``check_after_task`` for a fully custom ("arbitrary program") check.
 """
 
 from __future__ import annotations
@@ -39,26 +38,7 @@ from repro.platform.host import Host
 from repro.platform.registry import ProtectionMechanism
 from repro.platform.session import SessionRecord
 
-__all__ = ["ProtectedAgentMixin", "CheckingFramework"]
-
-
-class ProtectedAgentMixin:
-    """Mixin giving an agent framework-driven default callbacks.
-
-    The mixin's callbacks simply return ``None`` so that the policy's
-    fallback checkers run; its purpose is declarative — marking the
-    agent as one that opts into framework protection — plus a hook
-    (:meth:`protection_rules`) subclasses can override to contribute
-    application-level rules that the framework adds to its checkers.
-    """
-
-    def protection_rules(self):
-        """Application-specific rules to evaluate at every check moment.
-
-        Returns an iterable of :class:`repro.core.checkers.rules.Rule`;
-        the default is no extra rules.
-        """
-        return ()
+__all__ = ["CheckingFramework"]
 
 
 class CheckingFramework(ProtectionMechanism):

@@ -28,7 +28,6 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 from repro.core.attributes import (
     ALL_REFERENCE_DATA,
     CheckMoment,
-    CheckerKind,
     ReferenceDataKind,
 )
 from repro.core.checkers.base import Checker
@@ -103,11 +102,6 @@ class ProtectionPolicy:
     def checks_after_task(self) -> bool:
         """Whether the policy checks at the after-task moment."""
         return CheckMoment.AFTER_TASK in self.moments
-
-    def strongest_checker_kind(self) -> CheckerKind:
-        """The most powerful checking algorithm the policy employs."""
-        return max((checker.kind for checker in self.checkers),
-                   key=lambda kind: kind.power_rank)
 
     def describe(self) -> dict:
         """Summary dictionary used by reports and benchmarks."""

@@ -173,7 +173,7 @@ class ReferenceDataSet:
 
     def __setattr__(self, name: str, value: Any) -> None:
         # Assigning any field invalidates the canonical-encoding memo,
-        # so digest()/size_bytes() can never describe stale contents.
+        # so digest() and canonical_bytes() can never describe stale contents.
         if name != "_canonical_cache":
             self.__dict__.pop("_canonical_cache", None)
         object.__setattr__(self, name, value)
@@ -197,7 +197,3 @@ class ReferenceDataSet:
         from repro.crypto.hashing import hash_bytes
 
         return hash_bytes(self.canonical_bytes())
-
-    def size_bytes(self) -> int:
-        """Canonical size of the bundle (transport overhead accounting)."""
-        return len(self.canonical_bytes())

@@ -14,7 +14,7 @@ and transport.  :func:`requested_data_kinds` performs that inspection.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Union
+from typing import FrozenSet, Union
 
 from repro.core.attributes import ReferenceDataKind
 
@@ -24,7 +24,6 @@ __all__ = [
     "InputRequester",
     "ExecutionLogRequester",
     "ResourceRequester",
-    "FullReferenceDataRequester",
     "requested_data_kinds",
 ]
 
@@ -59,16 +58,6 @@ class ResourceRequester:
     _reference_data_kind = ReferenceDataKind.RESOURCES
 
 
-class FullReferenceDataRequester(
-    InitialStateRequester,
-    ResultingStateRequester,
-    InputRequester,
-    ExecutionLogRequester,
-    ResourceRequester,
-):
-    """Convenience marker requesting every kind of reference data."""
-
-
 _MARKERS = (
     InitialStateRequester,
     ResultingStateRequester,
@@ -92,10 +81,3 @@ def requested_data_kinds(agent_or_class: Union[object, type]) -> FrozenSet[Refer
             kinds.add(marker._reference_data_kind)
     return frozenset(kinds)
 
-
-def kinds_to_names(kinds: Iterable[ReferenceDataKind]) -> tuple:
-    """Stable, sorted tuple of kind values (for canonical payloads)."""
-    return tuple(sorted(kind.value for kind in kinds))
-
-
-__all__.append("kinds_to_names")

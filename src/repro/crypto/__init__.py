@@ -15,8 +15,10 @@ substrate for the reproduction, implemented from scratch:
 * :mod:`repro.crypto.batch` — the batch settle step shared by the
   fleet's deferred transfer check and the verification service,
 * :mod:`repro.crypto.keys` — identities and key stores,
-* :mod:`repro.crypto.signing` — signed envelopes and statements,
-* :mod:`repro.crypto.certificates` — a minimal CA / trust-anchor model.
+* :mod:`repro.crypto.signing` — signed envelopes and statements.
+
+Trust in a host comes from the owner's configured trusted hosts, not
+from certificates; host public keys come from the key store.
 """
 
 from repro.crypto.backend import (
@@ -25,7 +27,6 @@ from repro.crypto.backend import (
     ModArith,
     PythonBackend,
     available_backends,
-    backend_info,
     get_backend,
     set_backend,
     use_backend,
@@ -37,15 +38,6 @@ from repro.crypto.canonical import (
     canonical_decode,
     canonical_encode,
     canonical_equal,
-)
-from repro.crypto.certificates import (
-    Certificate,
-    CertificateAuthority,
-    ROLE_HOST,
-    ROLE_INPUT_PROVIDER,
-    ROLE_OWNER,
-    ROLE_TTP,
-    TrustAnchorSet,
 )
 from repro.crypto.dsa import (
     DSAParameters,
@@ -65,13 +57,11 @@ from repro.crypto.hashing import (
     DEFAULT_HASH_ALGORITHM,
     HashCache,
     StateDigest,
-    constant_time_equal,
-    digest_hex,
     hash_bytes,
     hash_chain,
     hash_value,
 )
-from repro.crypto.keys import Identity, IdentityRing, KeyStore, derive_seed
+from repro.crypto.keys import Identity, KeyStore, derive_seed
 from repro.crypto.signing import (
     RecoverableEnvelope,
     SignedEnvelope,
@@ -85,7 +75,6 @@ __all__ = [
     "ModArith",
     "PythonBackend",
     "available_backends",
-    "backend_info",
     "get_backend",
     "set_backend",
     "use_backend",
@@ -96,13 +85,6 @@ __all__ = [
     "canonical_decode",
     "canonical_encode",
     "canonical_equal",
-    "Certificate",
-    "CertificateAuthority",
-    "ROLE_HOST",
-    "ROLE_INPUT_PROVIDER",
-    "ROLE_OWNER",
-    "ROLE_TTP",
-    "TrustAnchorSet",
     "DSAParameters",
     "DSAPrivateKey",
     "DSAPublicKey",
@@ -118,13 +100,10 @@ __all__ = [
     "DEFAULT_HASH_ALGORITHM",
     "HashCache",
     "StateDigest",
-    "constant_time_equal",
-    "digest_hex",
     "hash_bytes",
     "hash_chain",
     "hash_value",
     "Identity",
-    "IdentityRing",
     "KeyStore",
     "derive_seed",
     "RecoverableEnvelope",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CryptoError
 
@@ -55,7 +55,6 @@ __all__ = [
     "get_backend",
     "set_backend",
     "use_backend",
-    "backend_info",
 ]
 
 #: Environment variable naming the requested backend (``python``,
@@ -379,20 +378,3 @@ def use_backend(backend: Optional[Any]) -> Iterator[ModArith]:
     finally:
         with _lock:
             _active = previous
-
-
-def backend_info() -> Dict[str, Any]:
-    """Report-friendly description of the selection state.
-
-    Resolves the active backend (if not already resolved) so reports
-    always record a concrete engine name.
-    """
-    active = get_backend()
-    info: Dict[str, Any] = {
-        "backend": active.name,
-        "requested": os.environ.get(BACKEND_ENV_VAR) or "auto",
-        "available": list(available_backends()),
-    }
-    if active.name == "gmpy2":
-        info["gmpy2_version"] = active._gmpy2.version()  # type: ignore[attr-defined]
-    return info

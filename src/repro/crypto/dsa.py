@@ -213,11 +213,6 @@ class DSAParameters:
         if pow(self.g, self.q, self.p) != 1:
             raise CryptoError("invalid DSA parameters: g^q != 1 mod p")
 
-    @property
-    def key_bits(self) -> int:
-        """Bit length of the modulus ``p`` (the advertised key size)."""
-        return self.p.bit_length()
-
     def generator_table(self) -> FixedBaseTable:
         """Fixed-base table for ``g``, built lazily and cached.
 

@@ -12,7 +12,6 @@ so that "hash of an agent state" is a single, well-defined operation.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Tuple
@@ -25,8 +24,6 @@ __all__ = [
     "hash_bytes",
     "hash_value",
     "hash_chain",
-    "digest_hex",
-    "constant_time_equal",
     "DEFAULT_HASH_ALGORITHM",
 ]
 
@@ -94,11 +91,6 @@ def hash_chain(
         hasher.update(b":")
         hasher.update(encoded)
     return StateDigest(algorithm=algorithm, digest=hasher.digest())
-
-
-def digest_hex(value: Any, algorithm: str = DEFAULT_HASH_ALGORITHM) -> str:
-    """Convenience wrapper returning the hex digest of ``value``."""
-    return hash_value(value, algorithm=algorithm).hex()
 
 
 class HashCache:
@@ -171,15 +163,3 @@ class HashCache:
             "entries": len(self),
             "hit_rate": (self.hits / total) if total else 0.0,
         }
-
-
-def constant_time_equal(left: StateDigest, right: StateDigest) -> bool:
-    """Compare two digests without leaking timing information.
-
-    The simulation does not have a realistic timing side channel, but
-    the comparison is still routed through :func:`hmac.compare_digest`
-    so the public API has the right shape for a real deployment.
-    """
-    if left.algorithm != right.algorithm:
-        return False
-    return hmac.compare_digest(left.digest, right.digest)

@@ -9,7 +9,7 @@ the public key of the host that claims to have signed a state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.crypto.dsa import (
@@ -154,46 +154,3 @@ class KeyStore:
         clone._public_keys.update(self._public_keys)
         return clone
 
-
-@dataclass
-class IdentityRing:
-    """A collection of identities owned by a single process.
-
-    Convenience container for simulation setups that create many
-    principals at once (e.g. the benchmark harness creating three hosts
-    and an owner).
-    """
-
-    parameters: DSAParameters = PARAMETERS_512
-    _identities: Dict[str, Identity] = field(default_factory=dict)
-
-    def create(self, name: str) -> Identity:
-        """Create and remember an identity for ``name``."""
-        if name in self._identities:
-            return self._identities[name]
-        identity = Identity.generate(name, parameters=self.parameters)
-        self._identities[name] = identity
-        return identity
-
-    def get(self, name: str) -> Identity:
-        """Return a previously created identity."""
-        try:
-            return self._identities[name]
-        except KeyError as exc:
-            raise KeyError_("no identity created for %r" % name) from exc
-
-    def export_keystore(self) -> KeyStore:
-        """Build a :class:`KeyStore` holding all public keys in the ring."""
-        store = KeyStore()
-        for identity in self._identities.values():
-            store.register_identity(identity)
-        return store
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._identities
-
-    def __len__(self) -> int:
-        return len(self._identities)
-
-
-__all__.append("IdentityRing")

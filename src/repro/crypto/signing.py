@@ -30,7 +30,6 @@ from repro.crypto.canonical import (
     canonical_encode,
 )
 from repro.crypto.dsa import DSASignature, RecoverableSignature
-from repro.crypto.hashing import StateDigest, hash_bytes
 from repro.crypto.keys import Identity, KeyStore
 from repro.exceptions import SignatureError
 
@@ -56,10 +55,6 @@ class SignedEnvelope:
     signer: str
     signature: DSASignature
 
-    def payload_digest(self) -> StateDigest:
-        """Digest of the canonical payload (useful for logging)."""
-        return hash_bytes(canonical_encode(self.payload))
-
     def to_canonical(self) -> dict:
         return {
             "payload": self.payload,
@@ -81,14 +76,6 @@ class SignedEnvelope:
         if message is None:
             message = canonical_encode(self.payload)
         return public_key.verify(message, self.signature)
-
-    def verify_or_raise(self, keystore: KeyStore) -> None:
-        """Verify and raise :class:`SignatureError` on failure."""
-        if not self.verify(keystore):
-            raise SignatureError(
-                "signature by %r over payload %s does not verify"
-                % (self.signer, self.payload_digest())
-            )
 
 
 @dataclass(frozen=True)
@@ -300,13 +287,3 @@ class Signer:
         if expected_signer is not None and envelope.signer != expected_signer:
             return False
         return envelope.verify(self._keystore, message=message)
-
-    def verify_or_raise(self, envelope: SignedEnvelope,
-                        expected_signer: Optional[str] = None) -> None:
-        """Verify an envelope, raising :class:`SignatureError` on failure."""
-        if expected_signer is not None and envelope.signer != expected_signer:
-            raise SignatureError(
-                "expected envelope signed by %r, got %r"
-                % (expected_signer, envelope.signer)
-            )
-        envelope.verify_or_raise(self._keystore)

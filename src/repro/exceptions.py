@@ -4,7 +4,8 @@ Every exception raised by :mod:`repro` derives from :class:`ReproError`
 so that callers can catch library failures with a single ``except``
 clause while still being able to distinguish the individual failure
 classes (crypto failures, migration failures, protocol violations,
-detected attacks, ...).
+...).  A detected attack is not an exception; it is reported through a
+:class:`repro.core.verdict.Verdict`.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class KeyError_(CryptoError):
 
 class SignatureError(CryptoError):
     """A digital signature could not be created or did not verify."""
-
-
-class CertificateError(CryptoError):
-    """A certificate was missing, malformed, or failed validation."""
 
 
 class NetworkError(ReproError):
@@ -92,7 +89,8 @@ class ProtocolError(ReproError):
 
     This covers malformed protocol payloads, missing reference data,
     and out-of-order protocol steps.  It does **not** signal a detected
-    attack; see :class:`AttackDetected` for that.
+    attack: detections are reported through a
+    :class:`repro.core.verdict.Verdict`.
     """
 
 
@@ -104,21 +102,6 @@ class CheckingError(ReproError):
     (i.e. the check ran and found a mismatch) is reported through a
     verdict, not an exception, unless the caller asked for strict mode.
     """
-
-
-class AttackDetected(ReproError):
-    """A protection mechanism detected an attack and strict mode is on.
-
-    The default reporting path for detections is the
-    :class:`repro.core.verdict.Verdict` value returned by the checking
-    framework; this exception is only raised when a caller explicitly
-    requests exception-on-detection semantics.
-    """
-
-    def __init__(self, message: str, verdict: object = None) -> None:
-        super().__init__(message)
-        #: The verdict that triggered the exception, if available.
-        self.verdict = verdict
 
 
 class ReplicationError(ReproError):

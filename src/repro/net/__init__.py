@@ -1,34 +1,16 @@
-"""Simulated distributed substrate: clocks, events, network, transport."""
+"""Simulated distributed substrate: clocks, events, latency, transfers."""
 
-from repro.net.clock import Clock, VirtualClock, WallClock
-from repro.net.network import (
-    LatencyModel,
-    Message,
-    Network,
-    NetworkStats,
-    UniformLatency,
-)
+from repro.net.clock import Clock, VirtualClock
+from repro.net.network import LatencyModel, UniformLatency
 from repro.net.simulator import Event, EventSimulator
-from repro.net.transport import (
-    AgentTransfer,
-    AgentTransport,
-    MSG_KIND_AGENT,
-    TransferCodec,
-)
+from repro.net.transport import AgentTransfer
 
 __all__ = [
     "Clock",
     "VirtualClock",
-    "WallClock",
     "LatencyModel",
-    "Message",
-    "Network",
-    "NetworkStats",
     "UniformLatency",
     "Event",
     "EventSimulator",
     "AgentTransfer",
-    "AgentTransport",
-    "MSG_KIND_AGENT",
-    "TransferCodec",
 ]

@@ -1,18 +1,15 @@
 """Clock abstractions.
 
-The benchmark harness needs *wall-clock* time (the paper's Tables 1 and
-2 are real measured milliseconds), while the discrete-event network
-simulation needs a *virtual* clock it can advance instantly.  Both are
-expressed through the :class:`Clock` interface so that components do not
-care which one they are running against.
+The discrete-event simulation needs a *virtual* clock it can advance
+instantly; it is expressed through the :class:`Clock` interface so that
+components do not care which clock they are running against.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
-__all__ = ["Clock", "WallClock", "VirtualClock"]
+__all__ = ["Clock", "VirtualClock"]
 
 
 class Clock(ABC):
@@ -21,21 +18,6 @@ class Clock(ABC):
     @abstractmethod
     def now(self) -> float:
         """Return the current time in (possibly virtual) seconds."""
-
-    def now_ms(self) -> float:
-        """Return the current time in milliseconds."""
-        return self.now() * 1000.0
-
-
-class WallClock(Clock):
-    """Real wall-clock time based on :func:`time.perf_counter`.
-
-    ``perf_counter`` is monotonic and high-resolution, which is what the
-    overhead measurements need.
-    """
-
-    def now(self) -> float:
-        return time.perf_counter()
 
 
 class VirtualClock(Clock):
@@ -65,9 +47,3 @@ class VirtualClock(Clock):
                 % (timestamp, self._now)
             )
         self._now = float(timestamp)
-
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds."""
-        if delta < 0:
-            raise ValueError("cannot advance virtual clock by a negative delta")
-        self._now += float(delta)

@@ -1,42 +1,17 @@
-"""Simulated network: topology, latency, and message channels.
+"""Link latency models for the simulated fleet.
 
 The paper measured agent migration "in one address space" (no real
 network transfer), and this reproduction likewise runs all hosts in a
-single Python process.  The network layer still exists so that
-
-* agent transfer goes through an explicit serialize → deliver →
-  deserialize path (so state really is only what is transported),
-* scenarios can attach a latency model and count bytes on the wire,
-* partitions and message loss can be injected for failure tests.
-
-Addresses are plain strings (host names).  The network does not inspect
-payloads; it moves :class:`Message` objects between registered
-endpoints.
+single Python process.  A latency model gives each hop a virtual
+delivery delay on the fleet's event timeline; addresses are plain
+strings (host names).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
 
-from repro.exceptions import HostNotFoundError, NetworkError
-
-__all__ = ["Message", "LatencyModel", "UniformLatency", "Network", "NetworkStats"]
-
-
-@dataclass(frozen=True)
-class Message:
-    """A unit of network traffic between two named endpoints."""
-
-    sender: str
-    recipient: str
-    kind: str
-    payload: bytes
-
-    @property
-    def size(self) -> int:
-        """Payload size in bytes (used for traffic accounting)."""
-        return len(self.payload)
+__all__ = ["LatencyModel", "UniformLatency"]
 
 
 class LatencyModel:
@@ -58,134 +33,3 @@ class UniformLatency(LatencyModel):
         if sender == recipient:
             return 0.0
         return self.base_seconds + self.seconds_per_byte * size
-
-
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters kept by the network."""
-
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    bytes_sent: int = 0
-    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def record_send(self, message: Message) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += message.size
-        self.bytes_by_kind[message.kind] = (
-            self.bytes_by_kind.get(message.kind, 0) + message.size
-        )
-
-    def record_delivery(self) -> None:
-        self.messages_delivered += 1
-
-    def record_drop(self) -> None:
-        self.messages_dropped += 1
-
-
-class Network:
-    """Connects named endpoints and delivers messages between them.
-
-    Endpoints register a handler ``handler(message) -> None``.  Delivery
-    is synchronous by default (suitable for the benchmark harness, which
-    wants real elapsed time, not virtual time); when a simulator is
-    attached, delivery is scheduled on the virtual timeline instead.
-    """
-
-    def __init__(self, latency_model: Optional[LatencyModel] = None,
-                 simulator=None) -> None:
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._latency_model = latency_model or LatencyModel()
-        self._simulator = simulator
-        self._partitions: Set[Tuple[str, str]] = set()
-        self._drop_kinds: Set[str] = set()
-        self.stats = NetworkStats()
-        self._delivery_log: List[Message] = []
-
-    # -- endpoint management ----------------------------------------------
-
-    def register(self, name: str, handler: Callable[[Message], None]) -> None:
-        """Register an endpoint under ``name``."""
-        if name in self._handlers:
-            raise NetworkError("endpoint %r is already registered" % name)
-        self._handlers[name] = handler
-
-    def unregister(self, name: str) -> None:
-        """Remove an endpoint; undelivered messages to it will fail."""
-        self._handlers.pop(name, None)
-
-    def endpoints(self) -> Tuple[str, ...]:
-        """Names of all registered endpoints, sorted."""
-        return tuple(sorted(self._handlers))
-
-    # -- fault injection ----------------------------------------------------
-
-    def partition(self, left: str, right: str) -> None:
-        """Cut the (bidirectional) link between two endpoints."""
-        self._partitions.add((left, right))
-        self._partitions.add((right, left))
-
-    def heal(self, left: str, right: str) -> None:
-        """Restore a previously cut link."""
-        self._partitions.discard((left, right))
-        self._partitions.discard((right, left))
-
-    def drop_kind(self, kind: str) -> None:
-        """Silently drop all messages of the given kind (lossy link)."""
-        self._drop_kinds.add(kind)
-
-    def allow_kind(self, kind: str) -> None:
-        """Stop dropping messages of the given kind."""
-        self._drop_kinds.discard(kind)
-
-    # -- sending ------------------------------------------------------------
-
-    def send(self, message: Message) -> None:
-        """Send a message, honouring partitions, drops, and latency.
-
-        Raises
-        ------
-        HostNotFoundError
-            If the recipient endpoint is not registered.
-        NetworkError
-            If the link between sender and recipient is partitioned.
-        """
-        self.stats.record_send(message)
-        if message.kind in self._drop_kinds:
-            self.stats.record_drop()
-            return
-        if (message.sender, message.recipient) in self._partitions:
-            self.stats.record_drop()
-            raise NetworkError(
-                "network partition between %r and %r"
-                % (message.sender, message.recipient)
-            )
-        handler = self._handlers.get(message.recipient)
-        if handler is None:
-            raise HostNotFoundError(
-                "no endpoint registered for %r" % message.recipient
-            )
-        delay = self._latency_model.latency(
-            message.sender, message.recipient, message.size
-        )
-        if self._simulator is not None and delay > 0:
-            self._simulator.schedule(delay, lambda: self._deliver(handler, message))
-        else:
-            self._deliver(handler, message)
-
-    def _deliver(self, handler: Callable[[Message], None], message: Message) -> None:
-        self._delivery_log.append(message)
-        self.stats.record_delivery()
-        handler(message)
-
-    # -- observability -------------------------------------------------------
-
-    @property
-    def delivery_log(self) -> Tuple[Message, ...]:
-        """All messages delivered so far, in delivery order."""
-        return tuple(self._delivery_log)
-
-    def delivered_of_kind(self, kind: str) -> Tuple[Message, ...]:
-        """Delivered messages filtered by kind."""
-        return tuple(m for m in self._delivery_log if m.kind == kind)

@@ -1,11 +1,10 @@
 """A small discrete-event simulator.
 
-Agent migrations, message deliveries, and replicated-stage voting in the
-server-replication baseline are modelled as events on a virtual
-timeline.  The simulator is intentionally minimal: a priority queue of
-``(timestamp, sequence, callback)`` entries drained in order, with the
-sequence number breaking ties deterministically (events scheduled first
-fire first).
+The fleet's agent sessions and migrations are modelled as events on a
+virtual timeline.  The simulator is intentionally minimal: a priority
+queue of ``(timestamp, sequence, callback)`` entries drained in order,
+with the sequence number breaking ties deterministically (events
+scheduled first fire first).
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ class Event:
     timestamp: float
     sequence: int
     callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
 
 
 class EventSimulator:
@@ -45,11 +39,6 @@ class EventSimulator:
         self._queue: List[Event] = []
         self._sequence = 0
         self._processed = 0
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
 
     @property
     def processed(self) -> int:
@@ -77,17 +66,15 @@ class EventSimulator:
         """Fire the next pending event.
 
         Returns ``True`` if an event fired, ``False`` if the queue was
-        empty (cancelled events are skipped silently).
+        empty.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.timestamp)
-            event.callback()
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)
+        self.clock.advance_to(event.timestamp)
+        event.callback()
+        self._processed += 1
+        return True
 
     def run(self, max_events: Optional[int] = None,
             until: Optional[float] = None) -> int:
@@ -110,16 +97,8 @@ class EventSimulator:
         while self._queue:
             if max_events is not None and executed >= max_events:
                 break
-            next_event = self._peek()
-            if next_event is None:
+            if until is not None and self._queue[0].timestamp > until:
                 break
-            if until is not None and next_event.timestamp > until:
-                break
-            if self.step():
-                executed += 1
+            self.step()
+            executed += 1
         return executed
-
-    def _peek(self) -> Optional[Event]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None

@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -51,7 +51,6 @@ __all__ = [
     "obs_enabled",
     "set_obs_enabled",
     "percentile",
-    "merge_snapshots",
 ]
 
 #: Version of the ``telemetry`` snapshot dict.  Bump on incompatible
@@ -419,17 +418,3 @@ NULL_REGISTRY = NullRegistry()
 def new_registry() -> Any:
     """A fresh live registry, or :data:`NULL_REGISTRY` when disabled."""
     return MetricsRegistry() if _enabled else NULL_REGISTRY
-
-
-def merge_snapshots(
-    snapshots: Iterable[Optional[Dict[str, Any]]],
-) -> Dict[str, Any]:
-    """Merge snapshot dicts (from workers, shards, or runs) into one.
-
-    The result is a plain (sample-free) telemetry block; inputs that
-    are ``None`` or disabled-empty contribute nothing.
-    """
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge_snapshot(snapshot)
-    return merged.snapshot()

@@ -11,7 +11,6 @@ from repro.platform.registry import (
     ProtectionMechanism,
 )
 from repro.platform.resources import (
-    CallableService,
     HostService,
     InputFeedService,
     PriceQuoteService,
@@ -30,7 +29,6 @@ __all__ = [
     "JourneyResult",
     "JourneyRunner",
     "ProtectionMechanism",
-    "CallableService",
     "HostService",
     "InputFeedService",
     "PriceQuoteService",

@@ -2,10 +2,9 @@
 
 A host executes agent sessions, offers services and system calls,
 maintains mailboxes for partner communication, and — for the protection
-framework — exposes the reference data of past sessions through the
-accessor methods of the paper's Figure 5 (``getInitialState``,
-``getResultingState``, ``getInput``, ``getExecutionLog``,
-``getResource``).
+framework — returns a :class:`~repro.platform.session.SessionRecord` per
+session, which carries the reference data of the paper's Figure 5
+(initial state, resulting state, input, execution log, resources).
 
 All signing and verification a host performs is funnelled through
 :meth:`Host.sign` / :meth:`Host.verify` so the benchmark harness can
@@ -14,13 +13,12 @@ attribute the cost to the "sign & verify" column of Tables 1 and 2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.agents.agent import AgentCodeRegistry, MobileAgent, default_registry
 from repro.agents.context import NullMetrics, OutwardAction
 from repro.agents.itinerary import Itinerary
 from repro.agents.messaging import MessageBoard
-from repro.agents.state import AgentState
 from repro.crypto.keys import Identity, KeyStore
 from repro.crypto.signing import (
     RecoverableEnvelope,
@@ -28,7 +26,6 @@ from repro.crypto.signing import (
     SignedStatement,
     Signer,
 )
-from repro.exceptions import ProtocolError
 from repro.platform.resources import ResourceCatalog, SystemFacilities
 from repro.platform.session import (
     ExecutionSession,
@@ -88,8 +85,6 @@ class Host:
         self.message_board = MessageBoard()
         self.system = SystemFacilities(host_name=name, seed=seed)
         self._host_data: Dict[str, Any] = {}
-        self._sessions: List[SessionRecord] = []
-        self._performed_actions: List[OutwardAction] = []
 
     # -- configuration ---------------------------------------------------------
 
@@ -121,7 +116,6 @@ class Host:
             resources_snapshot=self.resources.snapshot(),
             raise_on_error=raise_on_error,
         )
-        self._sessions.append(record)
         return record
 
     def _build_environment(self) -> SessionEnvironment:
@@ -140,67 +134,7 @@ class Host:
         remote effect; the acknowledgement is deterministic so it can be
         part of reference data if an agent stores it.
         """
-        self._performed_actions.append(action)
         return {"status": "accepted", "sequence": action.sequence, "host": self.name}
-
-    # -- session history & framework accessors (Fig. 5) ---------------------------
-
-    @property
-    def sessions(self) -> Tuple[SessionRecord, ...]:
-        """All sessions executed on this host, oldest first."""
-        return tuple(self._sessions)
-
-    @property
-    def performed_actions(self) -> Tuple[OutwardAction, ...]:
-        """All outward actions this host performed for agents."""
-        return tuple(self._performed_actions)
-
-    @property
-    def last_session(self) -> SessionRecord:
-        """The most recent session record.
-
-        Raises
-        ------
-        ProtocolError
-            If no session has been executed yet.
-        """
-        if not self._sessions:
-            raise ProtocolError("host %r has not executed any session" % self.name)
-        return self._sessions[-1]
-
-    def session_for(self, agent_id: str) -> SessionRecord:
-        """The most recent session of a specific agent on this host."""
-        for record in reversed(self._sessions):
-            if record.agent_id == agent_id:
-                return record
-        raise ProtocolError(
-            "host %r has no recorded session for agent %r" % (self.name, agent_id)
-        )
-
-    def get_initial_state(self, agent_id: Optional[str] = None) -> AgentState:
-        """Framework accessor: initial state of the (last) session."""
-        record = self.session_for(agent_id) if agent_id else self.last_session
-        return record.initial_state
-
-    def get_resulting_state(self, agent_id: Optional[str] = None) -> AgentState:
-        """Framework accessor: resulting state of the (last) session."""
-        record = self.session_for(agent_id) if agent_id else self.last_session
-        return record.resulting_state
-
-    def get_input(self, agent_id: Optional[str] = None):
-        """Framework accessor: input log of the (last) session."""
-        record = self.session_for(agent_id) if agent_id else self.last_session
-        return record.input_log
-
-    def get_execution_log(self, agent_id: Optional[str] = None):
-        """Framework accessor: execution log of the (last) session."""
-        record = self.session_for(agent_id) if agent_id else self.last_session
-        return record.execution_log
-
-    def get_resource(self, agent_id: Optional[str] = None) -> Dict[str, Any]:
-        """Framework accessor: replicable resource snapshot of the session."""
-        record = self.session_for(agent_id) if agent_id else self.last_session
-        return record.resources_snapshot
 
     # -- signing helpers (timed) -----------------------------------------------------
     #
@@ -247,6 +181,4 @@ class Host:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<Host %s trusted=%s sessions=%d>" % (
-            self.name, self.trusted, len(self._sessions),
-        )
+        return "<Host %s trusted=%s>" % (self.name, self.trusted)

@@ -34,12 +34,11 @@ migration time) is defined exactly once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.agents.agent import MobileAgent
 from repro.agents.itinerary import Itinerary
 from repro.attacks.injector import AttackInjector
-from repro.attacks.model import AttackDescriptor
 from repro.platform.host import Host
 from repro.platform.session import ExecutionSession, SessionRecord
 
@@ -86,8 +85,6 @@ def run_injected_session(
 
     for injector in injectors:
         record = injector.after_session(agent, record)
-
-    host._sessions.append(record)
     return record
 
 
@@ -123,17 +120,6 @@ class MaliciousHost(Host):
         self.collaborators: Set[str] = set(collaborators or ())
 
     # -- configuration ---------------------------------------------------------
-
-    def add_injector(self, injector: AttackInjector) -> None:
-        """Mount an additional attack on this host."""
-        self.injectors.append(injector)
-
-    def attack_descriptors(self) -> Tuple[AttackDescriptor, ...]:
-        """Descriptors of every attack this host mounts."""
-        collaboration = tuple(sorted(self.collaborators))
-        return tuple(
-            injector.describe(self.name, collaboration) for injector in self.injectors
-        )
 
     def collaborates_with(self, other: str) -> bool:
         """Whether this host colludes with ``other``."""

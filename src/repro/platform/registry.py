@@ -25,7 +25,6 @@ from repro.agents.itinerary import Itinerary, RouteEntry, RouteRecord
 from repro.agents.migration import MigrationEngine
 from repro.agents.state import AgentState
 from repro.crypto.canonical import canonical_copy, canonical_encode
-from repro.crypto.keys import KeyStore
 from repro.exceptions import ConfigurationError, HostNotFoundError, ProtocolError
 from repro.net.transport import AgentTransfer
 from repro.platform.host import Host
@@ -99,17 +98,6 @@ class HostRegistry:
     def hosts(self) -> Tuple[Host, ...]:
         """All registered hosts, sorted by name."""
         return tuple(self._hosts[name] for name in self.names())
-
-    def is_trusted(self, name: str) -> bool:
-        """Whether the owner considers ``name`` a trusted (reference) host."""
-        return self.get(name).trusted
-
-    def shared_keystore(self) -> KeyStore:
-        """Build a key store containing every registered host's key."""
-        store = KeyStore()
-        for host in self._hosts.values():
-            store.register_identity(host.identity)
-        return store
 
 
 class ProtectionMechanism:
@@ -346,11 +334,6 @@ class JourneyRunner:
         return self._started_at is not None
 
     @property
-    def next_hop_index(self) -> int:
-        """Index of the hop the next :meth:`step` call will execute."""
-        return self._hop_index
-
-    @property
     def agent(self) -> MobileAgent:
         """The current agent instance (re-instantiated at each hop)."""
         return self._agent
@@ -559,8 +542,7 @@ class AgentSystem:
         transfer = self._engine.pack(agent, itinerary, next_hop_index, protocol_data)
         # One canonical encoding per migration: the same bytes are the
         # wire payload AND the message the whole-transfer signature
-        # covers (TransferCodec.encode is canonical_encode of the same
-        # payload), so sign and verify below never re-encode.
+        # covers, so sign and verify below never re-encode.
         payload = transfer.to_canonical()
         wire_bytes = canonical_encode(payload)
 

@@ -22,7 +22,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "HostService",
     "StaticDataService",
-    "CallableService",
     "PriceQuoteService",
     "InputFeedService",
     "SystemFacilities",
@@ -71,17 +70,6 @@ class StaticDataService(HostService):
         self._table[request] = value
 
 
-class CallableService(HostService):
-    """A service backed by an arbitrary request handler function."""
-
-    def __init__(self, name: str, handler: Callable[[str], Any]) -> None:
-        super().__init__(name)
-        self._handler = handler
-
-    def handle(self, request: str) -> Any:
-        return self._handler(request)
-
-
 class PriceQuoteService(HostService):
     """A shop-like service quoting prices for products.
 
@@ -111,10 +99,6 @@ class PriceQuoteService(HostService):
         self._catalog[request] = price
         return price
 
-    def set_price(self, product: str, price: float) -> None:
-        """Pin the price quoted for ``product``."""
-        self._catalog[product] = float(price)
-
     def snapshot(self) -> Any:
         return dict(self._catalog)
 
@@ -139,10 +123,6 @@ class InputFeedService(HostService):
         value = self._elements[self._cursor % len(self._elements)]
         self._cursor += 1
         return value
-
-    def reset(self) -> None:
-        """Restart the feed from the first element."""
-        self._cursor = 0
 
     def snapshot(self) -> Any:
         return list(self._elements)

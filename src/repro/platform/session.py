@@ -102,16 +102,6 @@ class SessionRecord:
     ended_at: float = 0.0
     error: Optional[str] = None
 
-    @property
-    def duration_seconds(self) -> float:
-        """Wall-clock duration of the session."""
-        return max(0.0, self.ended_at - self.started_at)
-
-    @property
-    def succeeded(self) -> bool:
-        """Whether the agent code completed without raising."""
-        return self.error is None
-
     def to_canonical(self) -> Dict[str, Any]:
         """Canonical form (used when a session record must be signed)."""
         return {

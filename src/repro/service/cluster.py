@@ -55,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
+import selectors
 import subprocess
 import sys
 import time
@@ -72,7 +73,7 @@ from repro.service.batching import MicroBatcher
 from repro.service.cache import VerdictCache
 from repro.service.client import ServiceClient
 from repro.service.health import BackendState, HealthMonitor
-from repro.service.ring import DEFAULT_REPLICAS, HashRing
+from repro.service.ring import HashRing
 from repro.service.server import (
     EndpointThread,
     FrameCounters,
@@ -100,7 +101,10 @@ class ClusterConfig:
     *verifier* (cache size, fleet PKI, crypto backend) —
     the launcher passes it to every spawned backend — while the fields
     here describe the *gateway tier* (listen address, backend
-    addresses, routing, aggregation, health, failover).
+    addresses, routing, aggregation, health, failover).  The gateway
+    holds one pooled connection per backend and places each backend on
+    the hash ring at :data:`~repro.service.ring.DEFAULT_REPLICAS`
+    points; neither is a field.
     """
 
     #: Backend verifier addresses.  Empty only for launcher-built
@@ -115,7 +119,6 @@ class ClusterConfig:
     #: Gateway→backend aggregation window size bound; a smaller
     #: window ships at the end of the event-loop tick it opened in.
     gather_batch: int = 64
-    connections_per_backend: int = 1
     health_interval: float = 0.25
     #: Consecutive probe failures before a backend is marked down, and
     #: consecutive request-path failures before it is held out of
@@ -124,7 +127,6 @@ class ClusterConfig:
     #: Routing attempts per request before giving up (each failed
     #: attempt marks its backend down, so attempts never repeat a peer).
     max_attempts: int = 4
-    ring_replicas: int = DEFAULT_REPLICAS
     max_frame: int = MAX_FRAME_BYTES
 
 
@@ -162,7 +164,7 @@ class ClusterGateway(FrameServer):
             _backend_name(address): (str(address[0]), int(address[1]))
             for address in config.backends
         }
-        self.ring = HashRing(self._addresses, replicas=config.ring_replicas)
+        self.ring = HashRing(self._addresses)
         self.cache: Optional[VerdictCache] = (
             VerdictCache(config.cache_entries)
             if config.cache_entries > 0 else None
@@ -212,9 +214,7 @@ class ClusterGateway(FrameServer):
                 return client
             host, port = self._addresses[name]
             client = await ServiceClient.connect(
-                host, port,
-                connections=self.config.connections_per_backend,
-                max_frame=self.config.max_frame,
+                host, port, max_frame=self.config.max_frame,
             )
             try:
                 hello = await client.hello()
@@ -534,8 +534,9 @@ def spawn_verifier(
 ) -> SpawnedVerifier:
     """Launch one ``python -m repro.service serve`` verifier subprocess.
 
-    Blocks until the child announces ``listening on host:port`` on its
-    stdout (the same line the CI smoke jobs grep for) and returns the
+    Blocks, for at most ``startup_timeout`` seconds, until the child
+    announces ``listening on host:port`` on its stdout (the same line
+    the CI smoke jobs grep for) and returns the
     running process plus the bound address.  A child that fails to
     start is killed and reaped, and its stdout pipe closed, before the
     :class:`ServiceError` is raised.
@@ -555,40 +556,57 @@ def spawn_verifier(
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         env=_subprocess_env(),
-        text=True,
     )
-    deadline = time.monotonic() + startup_timeout
+    try:
+        line = _announcement(process, startup_timeout)
+        host, _, port = line[len("listening on "):].rpartition(":")
+        if not host or not port.isdigit():
+            raise ServiceError("unparseable verifier announcement %r" % line)
+    except BaseException:
+        # Leaving ``with process`` closes its stdout pipe and reaps it.
+        with process:
+            process.kill()
+        raise
+    return SpawnedVerifier(process=process, address=(host, int(port)))
+
+
+def _announcement(process: subprocess.Popen, startup_timeout: float) -> str:
+    """The child's ``listening on`` line, waited for at most
+    ``startup_timeout`` seconds in all.
+
+    The wait is on the pipe itself, so a child that prints nothing, or
+    never exits, cannot hold the caller past the deadline.  Bytes are
+    read raw and split here: a buffered text reader could hold a
+    partial line the selector no longer reports as readable.
+    """
     assert process.stdout is not None
-    while True:
-        if time.monotonic() >= deadline:
-            # Leaving ``with process`` closes its stdout pipe and reaps it.
-            with process:
-                process.kill()
-            raise ServiceError(
-                "verifier subprocess did not announce its address within "
-                "%.0fs" % startup_timeout
-            )
-        line = process.stdout.readline()
-        if not line:
-            with process:
-                code = process.wait()
-            raise ServiceError(
-                "verifier subprocess exited with code %r before binding"
-                % code
-            )
-        line = line.strip()
-        if line.startswith("listening on "):
-            target = line[len("listening on "):]
-            host, _, port = target.rpartition(":")
-            if not host or not port.isdigit():
-                with process:
-                    process.kill()
+    fd = process.stdout.fileno()
+    deadline = time.monotonic() + startup_timeout
+    pending = b""
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not selector.select(remaining):
                 raise ServiceError(
-                    "unparseable verifier announcement %r" % line
+                    "verifier subprocess did not announce its address "
+                    "within %.1fs" % startup_timeout
                 )
-            return SpawnedVerifier(
-                process=process, address=(host, int(port))
-            )
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                try:
+                    code = process.wait(max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    code = None
+                raise ServiceError(
+                    "verifier subprocess exited with code %r before binding"
+                    % code
+                )
+            *lines, pending = (pending + chunk).split(b"\n")
+            for raw in lines:
+                line = raw.decode("utf-8", "replace").strip()
+                if line.startswith("listening on "):
+                    return line
 
 
 class LocalCluster:
@@ -637,12 +655,6 @@ class LocalCluster:
         except BaseException:
             self.stop()
             raise
-
-    def kill_verifier(self, index: int = 0) -> SpawnedVerifier:
-        """SIGKILL one verifier (the failover drill); returns it."""
-        victim = self.verifiers[index]
-        victim.kill()
-        return victim
 
     def stop(self) -> None:
         if self.gateway_thread is not None:

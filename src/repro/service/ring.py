@@ -66,11 +66,6 @@ class HashRing:
         self._nodes[node] = points
         self._rebuild()
 
-    def remove(self, node: str) -> None:
-        """Remove ``node`` (idempotent); its keys spread over the rest."""
-        if self._nodes.pop(node, None) is not None:
-            self._rebuild()
-
     def _rebuild(self) -> None:
         pairs: List[Tuple[int, str]] = []
         for node, points in self._nodes.items():

@@ -134,9 +134,7 @@ class ServiceConfig:
     fleet_hosts:
         Size of the fleet-shaped host population whose deterministic
         public keys the server registers at startup (``home`` plus
-        ``host-001`` … ``host-NNN``).
-    extra_principals:
-        Additional principal names to register beyond the fleet shape.
+        ``host-001`` … ``host-NNN``); no other principal is registered.
     backend:
         Crypto backend to pin for this server process (``"python"``,
         ``"gmpy2"``, or ``"auto"``); ``None`` keeps whatever the
@@ -150,12 +148,10 @@ class ServiceConfig:
     cache_entries: int = 65536
     max_frame: int = MAX_FRAME_BYTES
     fleet_hosts: int = 40
-    extra_principals: Tuple[str, ...] = ()
     backend: Optional[str] = None
 
 
-def build_service_keystore(num_hosts: int,
-                           extra_principals: Tuple[str, ...] = ()) -> KeyStore:
+def build_service_keystore(num_hosts: int) -> KeyStore:
     """Deterministic PKI for a fleet-shaped host population.
 
     Key pairs derive from principal names alone
@@ -165,7 +161,7 @@ def build_service_keystore(num_hosts: int,
     """
     keystore = KeyStore()
     names = fleet_host_names(FleetConfig(num_hosts=max(1, int(num_hosts))))
-    for name in list(names) + list(extra_principals):
+    for name in names:
         keystore.register_identity(Identity.generate(name))
     return keystore
 
@@ -581,9 +577,7 @@ class VerificationService(FrameServer):
         # is built, so the whole lifetime of this instance runs on it.
         self.backend = get_backend()
         self.keystore = keystore if keystore is not None else (
-            build_service_keystore(
-                self.config.fleet_hosts, self.config.extra_principals
-            )
+            build_service_keystore(self.config.fleet_hosts)
         )
         self.code_registry = code_registry
         self.cache: Optional[VerdictCache] = (

@@ -29,13 +29,12 @@ live run, its seed, or its host processes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.sim.campaign import CampaignResult
 from repro.sim.fleet import FleetConfig, FleetResult, JourneyOutcome
 from repro.sim.trace import (
     _read_events_tolerant,
-    attack_events,
     journey_events,
     read_trace,
 )

@@ -24,11 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.trace import journey_timeline, list_journeys, load_trace
 from repro.trace.replay import checker_names, replay_journey
-from repro.trace.report import build_report, render_html, write_report
+from repro.trace.report import build_report, write_report
 
 
 def _fmt(value: Any) -> str:

@@ -99,9 +99,3 @@ class SurveyAgent(MobileAgent, InitialStateRequester, ResultingStateRequester,
         self.execution["finished"] = context.is_final_hop
 
     # -- derived values ----------------------------------------------------------------
-
-    def average_answer(self) -> Optional[float]:
-        """Mean of the collected answers, or ``None`` before any answer."""
-        if self.data["answer_count"] == 0:
-            return None
-        return self.data["answer_sum"] / self.data["answer_count"]

@@ -18,7 +18,6 @@ class TestTraceRecording:
         log = ExecutionLog(record_statements=False)
         entry = log.append("10", {"x": 5})
         assert entry.statement is None
-        assert log.record_statements is False
 
     def test_input_dependent_entries(self):
         log = ExecutionLog()

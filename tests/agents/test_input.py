@@ -36,13 +36,6 @@ class TestInputLog:
         with pytest.raises(InputReplayError):
             InputLog().record("telepathy", "host", "key", 1)
 
-    def test_values_of_kind(self):
-        log = InputLog()
-        log.record(INPUT_KIND_SERVICE, "shop", "a", 1)
-        log.record(INPUT_KIND_SYSTEM, "host", "random", 2)
-        log.record(INPUT_KIND_SERVICE, "shop", "b", 3)
-        assert log.values_of_kind(INPUT_KIND_SERVICE) == (1, 3)
-
     def test_canonical_round_trip(self):
         log = InputLog()
         log.record(INPUT_KIND_MESSAGE, "mailbox", "mailbox", {"body": 1})

@@ -16,8 +16,6 @@ class TestItinerary:
         assert itinerary.home == "home"
         assert itinerary.final == "archive"
         assert itinerary.host_at(1) == "vendor"
-        assert itinerary.next_host(0) == "vendor"
-        assert itinerary.next_host(2) is None
         assert itinerary.previous_host(1) == "home"
         assert itinerary.previous_host(0) is None
         assert itinerary.is_last_hop(2)

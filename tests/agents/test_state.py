@@ -112,9 +112,6 @@ class TestAgentState:
         with pytest.raises(AgentStateError):
             AgentState.from_canonical({"only_data": {}})
 
-    def test_size_bytes_positive(self):
-        assert AgentState(data={"a": "x" * 100}, execution={}).size_bytes() > 100
-
     def test_from_canonical_passes_a_snapshot_through(self):
         state = AgentState(data={"a": 1}, execution={})
         assert AgentState.from_canonical(state) is state

@@ -100,14 +100,6 @@ class TestDetectionReport:
         assert data_bucket == {"mounted": 2, "detected": 1, "expected": 2}
         assert by_area[AttackArea.SPYING_OUT_DATA]["expected"] == 0
 
-    def test_by_mechanism_split(self):
-        report = DetectionReport()
-        report.add(DetectionOutcome("alpha", _attack(), True, ("evil",), True))
-        report.add(DetectionOutcome("beta", _attack(), False, (), True))
-        split = report.by_mechanism()
-        assert split["alpha"].true_positives == 1
-        assert split["beta"].false_negatives == 1
-
     def test_summary_keys(self):
         summary = self._populated_report().summary()
         assert set(summary) == {
@@ -115,8 +107,3 @@ class TestDetectionReport:
             "accepted_misses", "bonus_detections", "false_positives",
             "detection_rate", "false_positive_rate", "blame_accuracy",
         }
-
-    def test_extend(self):
-        report = DetectionReport()
-        report.extend([DetectionOutcome("m", None, False)] * 3)
-        assert report.honest_runs == 3

@@ -20,7 +20,6 @@ from repro.bench.tables import (
     format_overhead_table,
     format_table,
     overall_factors,
-    paper_reference_breakdowns,
 )
 from repro.bench.reporting import comparison_section, markdown_table
 from repro.core.checkers.reexecution import ReExecutionChecker
@@ -98,11 +97,6 @@ class TestPaperReferenceValues:
         for label, factor in PAPER_OVERALL_FACTORS.items():
             ratio = PAPER_TABLE_2[label]["overall_ms"] / PAPER_TABLE_1[label]["overall_ms"]
             assert ratio == pytest.approx(factor, abs=0.06), label
-
-    def test_reference_breakdowns_conversion(self):
-        rows = paper_reference_breakdowns(PAPER_TABLE_1)
-        assert len(rows) == 4
-        assert all(isinstance(row, TimingBreakdown) for row in rows)
 
 
 class TestRendering:

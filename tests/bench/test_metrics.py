@@ -23,9 +23,6 @@ class TestTimingCollector:
             time.sleep(0.002)
         assert collector.total("work") >= 0.004
         assert collector.count("work") == 2
-        assert collector.total_ms("work") == pytest.approx(
-            collector.total("work") * 1000.0
-        )
 
     def test_unknown_category_is_zero(self):
         collector = TimingCollector()
@@ -44,13 +41,6 @@ class TestTimingCollector:
                 raise ValueError("boom")
         assert collector.count("risky") == 1
 
-    def test_reset(self):
-        collector = TimingCollector()
-        collector.add("x", 1.0)
-        collector.reset()
-        assert collector.total("x") == 0.0
-        assert collector.categories() == ()
-
     def test_merge(self):
         first = TimingCollector()
         second = TimingCollector()
@@ -60,7 +50,6 @@ class TestTimingCollector:
         first.merge(second)
         assert first.total("a") == 3.0
         assert first.total("b") == 3.0
-        assert first.categories() == ("a", "b")
 
 
 class TestTimingBreakdown:

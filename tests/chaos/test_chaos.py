@@ -53,10 +53,10 @@ class TestFaultValidation:
 
     def test_lethality_classification(self):
         assert set(LETHAL_FAULT_KINDS) <= set(FAULT_KINDS)
-        assert Fault(kind=WORKER_CRASH, worker=0).lethal
-        assert Fault(kind=CHANNEL_TRUNCATION, worker=0).lethal
-        assert not Fault(kind=WORKER_STALL, worker=0).lethal
-        assert not Fault(kind=SLOW_FRAME, worker=0).lethal
+        assert WORKER_CRASH in LETHAL_FAULT_KINDS
+        assert CHANNEL_TRUNCATION in LETHAL_FAULT_KINDS
+        assert WORKER_STALL not in LETHAL_FAULT_KINDS
+        assert SLOW_FRAME not in LETHAL_FAULT_KINDS
 
     def test_describe_carries_only_the_relevant_knobs(self):
         entry = Fault(kind=WORKER_STALL, worker=1, at_unit=2,
@@ -108,17 +108,6 @@ class TestFaultPlan:
         assert [f.kind for f in plan.for_worker(0)] == [WORKER_CRASH]
         assert [f.kind for f in plan.for_worker(1)] == [WORKER_STALL]
         assert plan.for_worker(2) == ()
-        assert len(plan.worker_faults()) == 2
-        assert len(plan.backend_faults()) == 1
-
-    def test_without_worker_strips_only_that_workers_injuries(self):
-        plan = FaultPlan(faults=(
-            Fault(kind=WORKER_CRASH, worker=0),
-            Fault(kind=WORKER_CRASH, worker=1),
-        ))
-        stripped = plan.without_worker(0)
-        assert stripped.for_worker(0) == ()
-        assert len(stripped.for_worker(1)) == 1
 
 
 class TestFaultInjector:

@@ -24,30 +24,8 @@ class TestReferenceDataKind:
         assert len(ReferenceDataKind) == 5
         assert len(ALL_REFERENCE_DATA) == 5
 
-    def test_requester_interface_names_match_figure_4(self):
-        # The library corrects the paper's "Inital" typo to "Initial".
-        assert ReferenceDataKind.INITIAL_STATE.requester_interface == "InitialStateRequester"
-        assert ReferenceDataKind.RESULTING_STATE.requester_interface == "ResultingStateRequester"
-        assert ReferenceDataKind.INPUT.requester_interface == "InputRequester"
-        assert ReferenceDataKind.EXECUTION_LOG.requester_interface == "ExecutionLogRequester"
-        assert ReferenceDataKind.RESOURCES.requester_interface == "ResourceRequester"
-
-    def test_host_accessor_names_match_figure_5(self):
-        assert ReferenceDataKind.INITIAL_STATE.host_accessor == "getInitialState"
-        assert ReferenceDataKind.RESULTING_STATE.host_accessor == "getResultingState"
-        assert ReferenceDataKind.INPUT.host_accessor == "getInput"
-        assert ReferenceDataKind.EXECUTION_LOG.host_accessor == "getExecutionLog"
-        assert ReferenceDataKind.RESOURCES.host_accessor == "getResource"
-
 
 class TestCheckerKind:
-    def test_power_ordering(self):
-        ranks = [CheckerKind.RULES, CheckerKind.PROOFS,
-                 CheckerKind.RE_EXECUTION, CheckerKind.ARBITRARY_PROGRAM]
-        assert [kind.power_rank for kind in ranks] == sorted(
-            kind.power_rank for kind in ranks
-        )
-        assert CheckerKind.ARBITRARY_PROGRAM.power_rank > CheckerKind.RULES.power_rank
 
     def test_required_data_per_kind(self):
         assert CheckerKind.RULES.required_data == (ReferenceDataKind.RESULTING_STATE,)

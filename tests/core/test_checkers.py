@@ -14,7 +14,7 @@ from repro.core.checkers.arbitrary import (
     partner_confirmation_program,
     state_equality_program,
 )
-from repro.core.checkers.base import CheckContext, Checker, CheckerRegistry
+from repro.core.checkers.base import CheckContext, Checker
 from repro.core.checkers.proofs import ExecutionProof, ProofChecker, build_proof
 from repro.core.checkers.reexecution import ReExecutionChecker
 from repro.core.reference_data import ReferenceDataSet
@@ -282,23 +282,11 @@ class TestArbitraryProgramChecker:
 
 
 # ---------------------------------------------------------------------------
-# checker registry
+# base checker
 # ---------------------------------------------------------------------------
 
 
-class TestCheckerRegistry:
-    def test_register_and_create(self):
-        registry = CheckerRegistry()
-        registry.register("re-execution", ReExecutionChecker)
-        registry.register("proofs", ProofChecker)
-        assert "re-execution" in registry
-        assert registry.names() == ["proofs", "re-execution"]
-        assert isinstance(registry.create("proofs"), ProofChecker)
-
-    def test_unknown_checker_raises(self):
-        with pytest.raises(KeyError):
-            CheckerRegistry().create("nope")
-
+class TestBaseChecker:
     def test_base_checker_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Checker().check(None)

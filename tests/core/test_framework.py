@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.attacks.injector import DataTamperInjector, ProtocolDataTamperInjector
 from repro.core.checkers.rules import Rule, var
-from repro.core.framework import CheckingFramework, ProtectedAgentMixin
+from repro.core.framework import CheckingFramework
 from repro.core.policy import (
     maximal_policy,
     minimal_policy,
@@ -108,11 +108,11 @@ class TestAttackDetection:
         assert "vendor" in result.blamed_hosts()
 
 
-class TestProtectedAgentMixin:
+class TestProtectionRulesHook:
     def test_protection_rules_hook_feeds_the_framework(self):
         from repro.workloads.shopping import ShoppingAgent
 
-        class RuleCarryingAgent(ShoppingAgent, ProtectedAgentMixin):
+        class RuleCarryingAgent(ShoppingAgent):
             code_name = "rule-carrying-shopping-agent"
 
             def protection_rules(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.attributes import CheckerKind, CheckMoment, ReferenceDataKind
 from repro.core.checkers.arbitrary import ArbitraryProgramChecker
-from repro.core.checkers.rules import Rule, RuleChecker, const, var
+from repro.core.checkers.rules import Const, Rule, RuleChecker, var
 from repro.core.policy import (
     ProtectionPolicy,
     maximal_policy,
@@ -34,7 +34,7 @@ class TestMinimalPolicy:
         policy = minimal_policy([Rule("non-negative", var("total") >= 0)])
         assert policy.checks_after_task()
         assert not policy.checks_after_session()
-        assert policy.strongest_checker_kind() is CheckerKind.RULES
+        assert [c.kind for c in policy.checkers] == [CheckerKind.RULES]
         assert ReferenceDataKind.RESULTING_STATE in policy.required_data_kinds()
         assert ReferenceDataKind.INPUT not in policy.required_data_kinds()
         assert not policy.sign_reference_data
@@ -45,7 +45,7 @@ class TestSessionReexecutionPolicy:
         policy = session_reexecution_policy()
         assert policy.checks_after_session()
         assert not policy.checks_after_task()
-        assert policy.strongest_checker_kind() is CheckerKind.RE_EXECUTION
+        assert [c.kind for c in policy.checkers] == [CheckerKind.RE_EXECUTION]
         required = policy.required_data_kinds()
         assert {ReferenceDataKind.INITIAL_STATE, ReferenceDataKind.INPUT,
                 ReferenceDataKind.RESULTING_STATE} <= required
@@ -64,7 +64,6 @@ class TestMaximalPolicy:
         extra = ArbitraryProgramChecker(lambda ctx: True, name="extra")
         policy = maximal_policy(extra_checkers=[extra])
         assert any(checker.name == "extra" for checker in policy.checkers)
-        assert policy.strongest_checker_kind() is CheckerKind.ARBITRARY_PROGRAM
 
 
 class TestPolicyIntrospection:
@@ -79,7 +78,7 @@ class TestPolicyIntrospection:
         policy = ProtectionPolicy(
             name="proofy",
             moments=frozenset({CheckMoment.AFTER_TASK}),
-            checkers=(RuleChecker([Rule("always", const(True))]),),
+            checkers=(RuleChecker([Rule("always", Const(True))]),),
             attach_proofs=True,
         )
         required = policy.required_data_kinds()

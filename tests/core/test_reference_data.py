@@ -100,4 +100,4 @@ class TestTransport:
             record, kinds=[ReferenceDataKind.RESULTING_STATE]
         )
         large = ReferenceDataSet.from_session_record(record)
-        assert large.size_bytes() > small.size_bytes()
+        assert len(large.canonical_bytes()) > len(small.canonical_bytes())

@@ -6,12 +6,10 @@ from repro.agents.agent import MobileAgent
 from repro.core.attributes import ReferenceDataKind
 from repro.core.requesters import (
     ExecutionLogRequester,
-    FullReferenceDataRequester,
     InitialStateRequester,
     InputRequester,
     ResourceRequester,
     ResultingStateRequester,
-    kinds_to_names,
     requested_data_kinds,
 )
 
@@ -38,8 +36,10 @@ class TestRequestedDataKinds:
 
         assert requested_data_kinds(OnlyInput) == frozenset({ReferenceDataKind.INPUT})
 
-    def test_full_requester_covers_everything(self):
-        class Everything(MobileAgent, FullReferenceDataRequester):
+    def test_all_five_markers_cover_everything(self):
+        class Everything(MobileAgent, InitialStateRequester,
+                         ResultingStateRequester, InputRequester,
+                         ExecutionLogRequester, ResourceRequester):
             pass
 
         assert requested_data_kinds(Everything) == frozenset(ReferenceDataKind)
@@ -55,8 +55,3 @@ class TestRequestedDataKinds:
         for marker, kind in pairs:
             cls = type("Agent_%s" % marker.__name__, (MobileAgent, marker), {})
             assert requested_data_kinds(cls) == frozenset({kind})
-
-    def test_kinds_to_names_is_sorted_and_stable(self):
-        names = kinds_to_names({ReferenceDataKind.INPUT,
-                                ReferenceDataKind.INITIAL_STATE})
-        assert names == ("initial-state", "input")

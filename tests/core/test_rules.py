@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.agents.state import AgentState
 from repro.core.checkers.base import CheckContext
 from repro.core.checkers.rules import (
+    Const,
     Rule,
     RuleChecker,
     RuleSet,
     build_rule_environment,
-    const,
     var,
 )
 from repro.core.reference_data import ReferenceDataSet
@@ -40,18 +40,6 @@ class TestExpressions:
         negation = ~(var("x") > 0)
         assert negation.evaluate({"x": -1})
 
-    def test_aggregates(self):
-        environment = {"prices": [3.0, 2.0, 5.0]}
-        assert var("prices").sum().evaluate(environment) == 10.0
-        assert var("prices").length().evaluate(environment) == 3
-        assert var("prices").minimum().evaluate(environment) == 2.0
-        assert var("prices").maximum().evaluate(environment) == 5.0
-
-    def test_membership(self):
-        expression = var("hosts").contains(const("vendor"))
-        assert expression.evaluate({"hosts": ["home", "vendor"]})
-        assert not expression.evaluate({"hosts": ["home"]})
-
     def test_unknown_variable_raises(self):
         with pytest.raises(CheckingError):
             var("missing").evaluate({})
@@ -63,10 +51,6 @@ class TestExpressions:
     def test_division_by_zero_is_wrapped(self):
         with pytest.raises(CheckingError):
             (var("a") / 0).evaluate({"a": 1})
-
-    def test_aggregate_on_scalar_is_wrapped(self):
-        with pytest.raises(CheckingError):
-            var("a").sum().evaluate({"a": 5})
 
 
 class TestRuleSet:
@@ -129,7 +113,7 @@ class TestRuleChecker:
                                      code_name="c", owner="o")
         context = CheckContext(reference_data=reference, observed_state=None,
                                checked_host="v", checking_host="w", hop_index=0)
-        result = RuleChecker([Rule("any", const(True))]).check(context)
+        result = RuleChecker([Rule("any", Const(True))]).check(context)
         assert result.status is VerdictStatus.INCONCLUSIVE
 
 
@@ -143,10 +127,3 @@ class TestRuleProperties:
         assert rule.holds(environment)
         environment["initial.total"] = spent + rest + 1
         assert not rule.holds(environment)
-
-    @given(values=st.lists(st.floats(min_value=0, max_value=1e6,
-                                     allow_nan=False), min_size=1, max_size=10))
-    @settings(max_examples=100)
-    def test_minimum_rule_matches_python_min(self, values):
-        rule = Rule("best-is-min", var("best") == var("quotes").minimum())
-        assert rule.holds({"best": min(values), "quotes": values})

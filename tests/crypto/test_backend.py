@@ -24,7 +24,6 @@ from repro.crypto.backend import (
     Gmpy2Backend,
     PythonBackend,
     available_backends,
-    backend_info,
     get_backend,
     set_backend,
     use_backend,
@@ -152,13 +151,6 @@ class TestSelection:
             with use_backend("python"):
                 raise RuntimeError("boom")
         assert get_backend() is pinned
-
-    def test_backend_info_names_a_concrete_engine(self):
-        set_backend("python")
-        info = backend_info()
-        assert info["backend"] == "python"
-        assert "python" in info["available"]
-        assert info["requested"] in ("auto", "python", "gmpy2")
 
     def test_env_variable_selects_the_backend_in_a_fresh_process(self):
         code = ("from repro.crypto.backend import get_backend;"

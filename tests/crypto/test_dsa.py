@@ -37,11 +37,11 @@ class TestPrimality:
 class TestParameters:
     def test_builtin_512_parameters_are_valid(self):
         PARAMETERS_512.validate()
-        assert PARAMETERS_512.key_bits == 512
+        assert PARAMETERS_512.p.bit_length() == 512
 
     def test_builtin_1024_parameters_are_valid(self):
         PARAMETERS_1024.validate()
-        assert PARAMETERS_1024.key_bits == 1024
+        assert PARAMETERS_1024.p.bit_length() == 1024
 
     def test_invalid_parameters_rejected(self):
         broken = DSAParameters(p=PARAMETERS_512.p, q=PARAMETERS_512.q + 2,
@@ -52,7 +52,7 @@ class TestParameters:
     def test_generate_small_parameters(self):
         params = generate_parameters(modulus_bits=128, subgroup_bits=48, seed=7)
         params.validate()
-        assert params.key_bits == 128
+        assert params.p.bit_length() == 128
 
     def test_generation_is_deterministic_per_seed(self):
         first = generate_parameters(modulus_bits=96, subgroup_bits=40, seed=3)

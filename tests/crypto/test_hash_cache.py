@@ -64,7 +64,6 @@ class TestAgentStateMemo:
         assert left.digest() == hash_value(left.to_canonical())
         assert left.equals(right)
         assert not left.equals(different)
-        assert left.size_bytes() == len(left.canonical_bytes())
 
 
 class TestReferenceDataSetMemo:
@@ -79,11 +78,10 @@ class TestReferenceDataSetMemo:
             resulting_state=AgentState(data={"x": 2}),
         )
 
-    def test_size_and_digest_match_the_canonical_encoding(self):
+    def test_bytes_and_digest_match_the_canonical_encoding(self):
         bundle = self._bundle()
         encoded = canonical_encode(bundle.to_canonical())
         assert bundle.canonical_bytes() == encoded
-        assert bundle.size_bytes() == len(encoded)
         assert bundle.digest() == hash_value(bundle.to_canonical())
 
     def test_repeated_calls_reuse_the_memo(self):
@@ -91,8 +89,8 @@ class TestReferenceDataSetMemo:
         assert bundle.canonical_bytes() is bundle.canonical_bytes()
 
     def test_field_assignment_invalidates_the_memo(self):
-        """Regression: digest()/size_bytes() must never describe stale
-        contents after a field is reassigned."""
+        """Regression: digest() must never describe stale contents after
+        a field is reassigned."""
         bundle = self._bundle()
         before = bundle.digest()
         bundle.resulting_state = AgentState(data={"x": 99})

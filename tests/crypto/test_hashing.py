@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import (
     DEFAULT_HASH_ALGORITHM,
-    constant_time_equal,
-    digest_hex,
     hash_bytes,
     hash_chain,
     hash_value,
@@ -23,10 +21,6 @@ class TestHashValue:
 
     def test_different_values_different_digest(self):
         assert hash_value({"a": 1}) != hash_value({"a": 2})
-
-    def test_digest_hex_matches_digest(self):
-        value = {"state": [1, 2, 3]}
-        assert digest_hex(value) == hash_value(value).hex()
 
     def test_algorithm_recorded(self):
         digest = hash_value("x")
@@ -54,19 +48,6 @@ class TestHashChain:
 
     def test_chain_differs_from_single_hash(self):
         assert hash_chain(["a"]) != hash_value("a")
-
-
-class TestConstantTimeEqual:
-    def test_equal_digests(self):
-        assert constant_time_equal(hash_value("x"), hash_value("x"))
-
-    def test_unequal_digests(self):
-        assert not constant_time_equal(hash_value("x"), hash_value("y"))
-
-    def test_algorithm_mismatch_is_unequal(self):
-        left = hash_value("x", algorithm="sha256")
-        right = hash_value("x", algorithm="sha1")
-        assert not constant_time_equal(left, right)
 
 
 class TestHashBytes:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.keys import Identity, IdentityRing, KeyStore, derive_seed
+from repro.crypto.keys import Identity, KeyStore, derive_seed
 from repro.exceptions import KeyError_
 
 
@@ -71,26 +71,3 @@ class TestKeyStore:
         replacement = Identity.generate("host-replacement")
         store.register("host", replacement.public_key)
         assert store.get("host").y == replacement.public_key.y
-
-
-class TestIdentityRing:
-    def test_create_and_get(self):
-        ring = IdentityRing()
-        created = ring.create("owner")
-        assert ring.get("owner") is created
-        assert "owner" in ring and len(ring) == 1
-
-    def test_create_is_idempotent(self):
-        ring = IdentityRing()
-        assert ring.create("owner") is ring.create("owner")
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(KeyError_):
-            IdentityRing().get("nobody")
-
-    def test_export_keystore(self):
-        ring = IdentityRing()
-        ring.create("a")
-        ring.create("b")
-        store = ring.export_keystore()
-        assert store.names() == ("a", "b")

@@ -58,28 +58,10 @@ class TestSignedEnvelope:
         envelope = principals["mallory"].sign({"amount": 100})
         assert not envelope.verify(principals["keystore"])
 
-    def test_verify_or_raise(self, principals):
-        envelope = principals["alice"].sign("payload")
-        envelope.verify_or_raise(principals["keystore"])
-        broken = SignedEnvelope(payload="other", signer="alice",
-                                signature=envelope.signature)
-        with pytest.raises(SignatureError):
-            broken.verify_or_raise(principals["keystore"])
-
     def test_expected_signer_pinning(self, principals):
         envelope = principals["alice"].sign("payload")
         assert principals["bob"].verify(envelope, expected_signer="alice")
         assert not principals["bob"].verify(envelope, expected_signer="bob")
-
-    def test_verify_or_raise_with_wrong_expected_signer(self, principals):
-        envelope = principals["alice"].sign("payload")
-        with pytest.raises(SignatureError):
-            principals["bob"].verify_or_raise(envelope, expected_signer="bob")
-
-    def test_payload_digest_stable(self, principals):
-        first = principals["alice"].sign({"a": 1, "b": 2})
-        second = principals["alice"].sign({"b": 2, "a": 1})
-        assert first.payload_digest() == second.payload_digest()
 
 
 class TestSignedStatement:

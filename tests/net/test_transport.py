@@ -1,12 +1,12 @@
-"""Tests for agent transfer over the simulated network."""
+"""Tests for the agent transfer payload."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.crypto.canonical import canonical_decode, canonical_encode
 from repro.exceptions import TransportError
-from repro.net.network import Network
-from repro.net.transport import AgentTransfer, AgentTransport, TransferCodec
+from repro.net.transport import AgentTransfer
 
 
 def _transfer(**overrides):
@@ -23,79 +23,30 @@ def _transfer(**overrides):
     return AgentTransfer(**base)
 
 
-class TestTransferCodec:
+def _round_trip(transfer):
+    wire = canonical_encode(transfer.to_canonical())
+    return AgentTransfer.from_canonical(canonical_decode(wire))
+
+
+class TestAgentTransfer:
     def test_round_trip(self):
-        codec = TransferCodec()
         transfer = _transfer()
-        restored = codec.decode(codec.encode(transfer))
+        restored = _round_trip(transfer)
         assert restored.agent_class == transfer.agent_class
         assert restored.state == transfer.state
         assert restored.hop_index == 1
         assert restored.protocol_data == {"mechanism": "none"}
 
     def test_none_protocol_data_round_trips(self):
-        codec = TransferCodec()
-        restored = codec.decode(codec.encode(_transfer(protocol_data=None)))
+        restored = _round_trip(_transfer(protocol_data=None))
         assert restored.protocol_data is None
 
-    def test_garbage_bytes_rejected(self):
-        with pytest.raises(TransportError):
-            TransferCodec().decode(b"definitely not canonical")
-
-    def test_non_dict_payload_rejected(self):
-        from repro.crypto.canonical import canonical_encode
-
-        with pytest.raises(TransportError):
-            TransferCodec().decode(canonical_encode([1, 2, 3]))
-
     def test_missing_field_rejected(self):
-        from repro.crypto.canonical import canonical_encode
-
         payload = _transfer().to_canonical()
         payload.pop("owner")
         with pytest.raises(TransportError):
-            TransferCodec().decode(canonical_encode(payload))
+            AgentTransfer.from_canonical(payload)
 
-
-class TestAgentTransport:
-    def test_send_agent_between_endpoints(self):
-        network = Network()
-        sender = AgentTransport("home", network)
-        receiver = AgentTransport("vendor", network)
-        arrived = []
-        receiver.set_handlers(
-            on_transfer=lambda source, transfer: arrived.append((source, transfer))
-        )
-        size = sender.send_agent("vendor", _transfer())
-        assert size > 0
-        assert len(arrived) == 1
-        source, transfer = arrived[0]
-        assert source == "home"
-        assert transfer.agent_id == "owner/agent-1"
-
-    def test_send_control_payload(self):
-        network = Network()
-        sender = AgentTransport("home", network)
-        receiver = AgentTransport("vendor", network)
-        control = []
-        receiver.set_handlers(
-            on_transfer=lambda *_: None,
-            on_control=lambda source, payload: control.append((source, payload)),
-        )
-        sender.send_control("vendor", {"verdict": "ok"})
-        assert control == [("home", {"verdict": "ok"})]
-
-    def test_transfer_without_handler_raises(self):
-        network = Network()
-        sender = AgentTransport("home", network)
-        AgentTransport("vendor", network)  # registered, but no handler set
+    def test_non_dict_payload_rejected(self):
         with pytest.raises(TransportError):
-            sender.send_agent("vendor", _transfer())
-
-    def test_traffic_is_counted_by_network(self):
-        network = Network()
-        sender = AgentTransport("home", network)
-        receiver = AgentTransport("vendor", network)
-        receiver.set_handlers(on_transfer=lambda *_: None)
-        sender.send_agent("vendor", _transfer())
-        assert network.stats.bytes_by_kind["agent-transfer"] > 0
+            AgentTransfer.from_canonical([1, 2, 3])

@@ -1,4 +1,4 @@
-"""Tests for hosts: execution, accessors (Fig. 5), and timed signing."""
+"""Tests for hosts: execution and timed signing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.agents.itinerary import Itinerary
 from repro.bench.metrics import TimingCollector
 from repro.crypto.keys import KeyStore
-from repro.exceptions import ProtocolError
 from repro.platform.host import Host
 
 from tests.helpers import CounterAgent, make_number_service
@@ -27,7 +26,6 @@ class TestExecution:
         record = host.execute_agent(agent, itinerary, hop_index=0)
         assert record.host == "vendor"
         assert record.resulting_state.data["counter"] == 5
-        assert len(host.sessions) == 1
 
     def test_host_data_reaches_agents(self, keystore):
         host = Host("vendor", keystore=keystore)
@@ -42,37 +40,6 @@ class TestExecution:
 
         ack = host.perform_action(OutwardAction(sequence=0, kind="purchase", payload={}))
         assert ack["status"] == "accepted"
-        assert len(host.performed_actions) == 1
-
-
-class TestAccessors:
-    def test_framework_accessors_return_last_session_data(self, host):
-        agent = CounterAgent()
-        itinerary = Itinerary(hosts=["vendor"])
-        record = host.execute_agent(agent, itinerary, hop_index=0)
-        assert host.get_initial_state().equals(record.initial_state)
-        assert host.get_resulting_state().equals(record.resulting_state)
-        assert len(host.get_input()) == len(record.input_log)
-        assert host.get_execution_log().matches(record.execution_log)
-        assert host.get_resource() == record.resources_snapshot
-
-    def test_accessors_by_agent_id(self, host):
-        first = CounterAgent()
-        second = CounterAgent()
-        itinerary = Itinerary(hosts=["vendor"])
-        host.execute_agent(first, itinerary, 0)
-        host.execute_agent(second, itinerary, 0)
-        assert host.get_resulting_state(first.agent_id).data["counter"] == 5
-        assert host.session_for(second.agent_id).agent_id == second.agent_id
-
-    def test_accessors_without_sessions_raise(self, keystore):
-        empty = Host("idle", keystore=keystore)
-        with pytest.raises(ProtocolError):
-            empty.last_session
-        with pytest.raises(ProtocolError):
-            empty.get_initial_state()
-        with pytest.raises(ProtocolError):
-            empty.session_for("unknown-agent")
 
 
 class TestSigning:

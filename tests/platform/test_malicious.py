@@ -10,7 +10,6 @@ from repro.attacks.injector import (
     InputLyingInjector,
     ReadAttackInjector,
 )
-from repro.attacks.model import AttackArea
 from repro.platform.malicious import MaliciousHost
 
 from tests.helpers import CounterAgent, make_number_service
@@ -81,20 +80,3 @@ class TestCollaborationAndDescriptors:
         host = _malicious(keystore, collaborators=["accomplice"])
         assert host.collaborates_with("accomplice")
         assert not host.collaborates_with("honest")
-
-    def test_attack_descriptors_reflect_injectors(self, keystore):
-        host = _malicious(keystore, injectors=[
-            DataTamperInjector("counter", 1),
-            ReadAttackInjector(),
-        ], collaborators=["accomplice"])
-        descriptors = host.attack_descriptors()
-        assert len(descriptors) == 2
-        assert descriptors[0].area is AttackArea.MANIPULATION_OF_DATA
-        assert descriptors[0].collaboration == ("accomplice",)
-        assert descriptors[1].area is AttackArea.SPYING_OUT_DATA
-
-    def test_add_injector_later(self, keystore):
-        host = _malicious(keystore)
-        host.add_injector(DataTamperInjector("counter", 7))
-        record = host.execute_agent(CounterAgent(), Itinerary(hosts=["evil"]), 0)
-        assert record.resulting_state.data["counter"] == 7

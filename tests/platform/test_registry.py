@@ -20,7 +20,7 @@ class TestHostRegistry:
         registry.add(host)
         assert registry.get("home") is host
         assert "home" in registry and len(registry) == 1
-        assert registry.is_trusted("home")
+        assert registry.get("home").trusted
 
     def test_duplicate_registration_rejected(self, keystore):
         registry = HostRegistry()
@@ -38,13 +38,6 @@ class TestHostRegistry:
             registry.add(Host(name, keystore=keystore))
         assert registry.names() == ("alpha", "zeta")
         assert [host.name for host in registry.hosts()] == ["alpha", "zeta"]
-
-    def test_shared_keystore_covers_all_hosts(self, keystore):
-        registry = HostRegistry()
-        registry.add(Host("a", keystore=keystore))
-        registry.add(Host("b", keystore=keystore))
-        exported = registry.shared_keystore()
-        assert "a" in exported and "b" in exported
 
 
 class _CountingMechanism(ProtectionMechanism):
@@ -137,7 +130,7 @@ class TestAgentSystem:
             FaultyAgent(), three_host_setup["itinerary"]
         )
         assert result.hops == 3
-        assert all(not record.succeeded for record in result.records)
+        assert all(record.error is not None for record in result.records)
 
     def test_journey_result_bookkeeping_helpers(self, three_host_setup):
         result = three_host_setup["system"].launch(

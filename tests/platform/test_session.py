@@ -60,19 +60,17 @@ class TestExecutionSession:
         agent = CounterAgent()
         session = ExecutionSession("vendor", _environment(increment=4))
         record = session.execute(agent, hop_index=1, is_final_hop=False)
-        assert record.succeeded
+        assert record.error is None
         assert record.host == "vendor"
         assert record.hop_index == 1
         assert record.initial_state.data["counter"] == 0
         assert record.resulting_state.data["counter"] == 4
         assert len(record.input_log) == 1
-        assert record.duration_seconds >= 0.0
         assert agent.data["counter"] == 4  # live agent was mutated
 
     def test_failed_session_is_recorded_not_raised(self):
         session = ExecutionSession("vendor", _environment())
         record = session.execute(FaultyAgent(), hop_index=0, is_final_hop=True)
-        assert not record.succeeded
         assert "RuntimeError" in record.error
 
     def test_failed_session_can_raise_when_asked(self):

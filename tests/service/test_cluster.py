@@ -7,6 +7,8 @@ import dataclasses
 import functools
 import gc
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -520,7 +522,7 @@ class TestNoBreakerKnobs:
 
     def test_the_cluster_config_has_no_breaker_fields(self):
         names = [f.name for f in dataclasses.fields(ClusterConfig)]
-        assert len(names) == 12
+        assert len(names) == 10
         assert not any(name.startswith("breaker") for name in names)
         with pytest.raises(TypeError):
             ClusterConfig(breaker_threshold=3)
@@ -552,7 +554,7 @@ class TestNoDelayKnobs:
         assert flag in capsys.readouterr().err
 
     def test_the_configs_have_no_delay_fields(self):
-        assert len(dataclasses.fields(ServiceConfig)) == 7
+        assert len(dataclasses.fields(ServiceConfig)) == 6
         with pytest.raises(TypeError):
             ServiceConfig(max_delay=0.002)
         with pytest.raises(TypeError):
@@ -628,6 +630,28 @@ class TestSpawnFailure:
                  if issubclass(warning.category, ResourceWarning)]
         assert leaks == []
 
+    def test_a_silent_child_cannot_outlast_the_startup_deadline(
+            self, monkeypatch):
+        # A child that prints nothing and never exits: the wait must end
+        # at the deadline, not when the child does.
+        real_popen = subprocess.Popen
+        children = []
+
+        def sleeper(command, **kwargs):
+            child = real_popen(
+                [sys.executable, "-c", "import time; time.sleep(30)"],
+                **kwargs,
+            )
+            children.append(child)
+            return child
+
+        monkeypatch.setattr(cluster_module.subprocess, "Popen", sleeper)
+        with pytest.raises(ServiceError, match="did not announce"):
+            spawn_verifier(ServiceConfig(), startup_timeout=0.5)
+        (child,) = children
+        assert child.returncode is not None
+        assert child.stdout.closed
+
 
 class TestLocalCluster:
     def test_spawned_cluster_survives_a_sigkill(self, tmp_path, monkeypatch):
@@ -649,7 +673,8 @@ class TestLocalCluster:
                         for message, signature in _signed(20, prefix=b"s1")
                     ))
                     assert all(r["verdict"] is True for r in first)
-                    victim = cluster.kill_verifier(0)
+                    victim = cluster.verifiers[0]
+                    victim.kill()
                     second = await asyncio.gather(*(
                         client.verify("host-001", message, signature)
                         for message, signature in _signed(20, prefix=b"s2")

@@ -451,11 +451,10 @@ class TestCounterNames:
 
 class TestOps:
     def test_service_keystore_covers_the_fleet_population(self):
-        keystore = build_service_keystore(3, extra_principals=("owner",))
+        keystore = build_service_keystore(3)
         assert "home" in keystore
         assert "host-001" in keystore and "host-003" in keystore
         assert "host-004" not in keystore
-        assert "owner" in keystore
 
     def test_stats_op_reports_counters_cache_and_batching(self):
         config = ServiceConfig(fleet_hosts=4)

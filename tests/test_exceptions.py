@@ -18,7 +18,6 @@ class TestHierarchy:
     def test_crypto_family(self):
         assert issubclass(exceptions.SignatureError, exceptions.CryptoError)
         assert issubclass(exceptions.KeyError_, exceptions.CryptoError)
-        assert issubclass(exceptions.CertificateError, exceptions.CryptoError)
 
     def test_network_family(self):
         assert issubclass(exceptions.TransportError, exceptions.NetworkError)
@@ -35,12 +34,3 @@ class TestHierarchy:
             raise exceptions.ProofError("bad proof")
         with pytest.raises(exceptions.ReproError):
             raise exceptions.ReplicationError("no quorum")
-
-    def test_attack_detected_carries_the_verdict(self):
-        verdict = object()
-        error = exceptions.AttackDetected("tampering found", verdict=verdict)
-        assert error.verdict is verdict
-        assert "tampering found" in str(error)
-
-    def test_attack_detected_without_verdict(self):
-        assert exceptions.AttackDetected("found").verdict is None

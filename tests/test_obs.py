@@ -20,7 +20,6 @@ from repro.obs import (
     NullRegistry,
     STATS_SCHEMA,
     TELEMETRY_SCHEMA,
-    merge_snapshots,
     new_registry,
     obs_enabled,
     percentile,
@@ -112,7 +111,10 @@ class TestSnapshots:
         b = MetricsRegistry()
         b.counter("ops").inc(5)
         b.gauge("depth").set(7.0)
-        merged = merge_snapshots([a.snapshot(), b.snapshot(), None])
+        registry = MetricsRegistry()
+        for snapshot in (a.snapshot(), b.snapshot(), None):
+            registry.merge_snapshot(snapshot)
+        merged = registry.snapshot()
         assert merged["counters"]["ops"] == 8
         assert merged["gauges"]["depth"] == 7.0
 

@@ -8,6 +8,8 @@ the exception hierarchy.  These tests catch broken re-exports early.
 from __future__ import annotations
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,33 @@ def test_key_classes_are_reachable_from_package_roots():
     from repro.bench import TimingCollector  # noqa: F401
     from repro.core import CheckingFramework, ReferenceStateProtocol  # noqa: F401
     from repro.crypto import Signer  # noqa: F401
-    from repro.net import Network  # noqa: F401
+    from repro.net import EventSimulator  # noqa: F401
     from repro.platform import AgentSystem, Host  # noqa: F401
     from repro.workloads import ShoppingAgent  # noqa: F401
+
+
+def _tracer_targets():
+    """``TARGETS`` of the benchmark's span tracer, loaded by file path
+    (the tracer imports only the standard library)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize(
+    "module_name, attribute",
+    [target[:2] for target in _tracer_targets()],
+)
+def test_every_tracer_target_resolves(module_name, attribute):
+    """The traced benchmark run wraps each target with a bare lookup, so
+    a deleted or renamed target would crash every traced run."""
+    module = importlib.import_module(module_name)
+    owner_name, _, method = attribute.rpartition(".")
+    if not owner_name:
+        assert callable(getattr(module, attribute))
+        return
+    owner = getattr(module, owner_name)
+    assert callable(getattr(owner.__dict__[method], "__func__",
+                            owner.__dict__[method]))

@@ -49,15 +49,12 @@ class TestSurveyJourney:
         answers = result.final_state.data["answers"]
         assert all(not entry["signed"] for entry in answers.values())
 
-    def test_average_helper(self):
+    def test_answers_are_summed(self):
         scenario, agent = build_survey_scenario(num_participants=2,
                                                 answers=[4.0, 8.0])
         result = scenario.system.launch(agent, scenario.itinerary)
-        assert result.agent.average_answer() == pytest.approx(6.0)
-
-    def test_average_is_none_before_any_answer(self):
-        _, agent = build_survey_scenario(num_participants=1)
-        assert agent.average_answer() is None
+        assert result.agent.data["answer_count"] == 2
+        assert result.agent.data["answer_sum"] == pytest.approx(12.0)
 
 
 class TestSurveyUnderProtection:
