@@ -191,25 +191,47 @@ def _gateway_config(args: argparse.Namespace,
     )
 
 
-def _run_gateway(config: ClusterConfig) -> int:
+def _run_gateway(config: ClusterConfig, exit_on_sigterm: bool = False) -> int:
     return _run_endpoint(
         ClusterGateway(config),
         "routing over %d backend(s): %s"
         % (len(config.backends),
            ", ".join("%s:%d" % address for address in config.backends)),
         label="cluster listening",
+        exit_on_sigterm=exit_on_sigterm,
     )
 
 
 def _run_endpoint(endpoint: FrameServer, banner: str,
-                  label: str = "listening") -> int:
+                  label: str = "listening",
+                  exit_on_sigterm: bool = False) -> int:
     """Serve ``endpoint`` until interrupted, announcing its address.
 
     The ``<label> on HOST:PORT`` line is what CI and
-    :func:`repro.service.cluster.spawn_verifier` wait for.
+    :func:`repro.service.cluster.spawn_verifier` wait for.  With
+    ``exit_on_sigterm`` a SIGTERM stops the endpoint cleanly and then
+    raises ``SystemExit(128 + SIGTERM)``.
     """
+    terminated = []
+
+    def _on_sigterm(task: "asyncio.Task[None]") -> None:
+        # Later SIGTERMs must not cut the shutdown short.
+        asyncio.get_running_loop().remove_signal_handler(signal.SIGTERM)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        terminated.append(True)
+        task.cancel()
 
     async def _serve() -> None:
+        if exit_on_sigterm:
+            # The loop handles the signal, not a Python-level handler:
+            # that one raises wherever the main thread happens to be,
+            # and inside asyncio's own task bookkeeping a raise can
+            # lose a task's wake-up, leaving ``asyncio.run``'s final
+            # cancel-and-wait blocked for good.  The loop's wake-up fd
+            # also wakes it whichever thread the kernel delivers to.
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, _on_sigterm, asyncio.current_task()
+            )
         host, port = await endpoint.start()
         print(banner, flush=True)
         print("%s on %s:%d" % (label, host, port), flush=True)
@@ -224,6 +246,12 @@ def _run_endpoint(endpoint: FrameServer, banner: str,
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
+    except asyncio.CancelledError:
+        # A SIGTERM during ``endpoint.start()``, before serving began.
+        if not terminated:
+            raise
+    if terminated:
+        raise SystemExit(128 + signal.SIGTERM)
     return 0
 
 
@@ -238,7 +266,8 @@ def _exit_on_sigterm(signum: int, _frame: object) -> None:
 def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
     # A SIGTERM (what CI's stop step and most supervisors send) must
     # unwind through the ``finally`` below like Ctrl-C does, or every
-    # verifier subprocess outlives the launcher.
+    # verifier subprocess outlives the launcher.  This handler covers
+    # the spawning; the gateway's event loop takes over once it runs.
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     service = ServiceConfig(
         fleet_hosts=args.fleet_hosts,
@@ -254,7 +283,7 @@ def _cmd_spawn_cluster(args: argparse.Namespace) -> int:
         config = _gateway_config(
             args, tuple(v.address for v in verifiers), service
         )
-        return _run_gateway(config)
+        return _run_gateway(config, exit_on_sigterm=True)
     finally:
         # A second SIGTERM must not cut the cleanup short.
         signal.signal(signal.SIGTERM, signal.SIG_IGN)

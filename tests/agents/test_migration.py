@@ -89,3 +89,33 @@ class TestUnpacking:
         transfer = MigrationEngine(default_registry).pack(travelling_agent, itinerary, 1)
         with pytest.raises(MigrationError):
             lonely.unpack(transfer)
+
+
+class TestInProcessHandOff:
+    def test_engine_exposes_its_registry(self, engine):
+        assert engine.registry is default_registry
+
+    def test_packed_state_encodes_like_its_canonical_dict(
+            self, engine, travelling_agent):
+        itinerary = Itinerary(hosts=["home", "vendor"])
+        transfer = engine.pack(travelling_agent, itinerary, 1)
+        as_dict = transfer.to_canonical()
+        as_dict["state"] = transfer.state.to_canonical()
+        assert canonical_encode(transfer.to_canonical()) == canonical_encode(as_dict)
+
+    def test_unpack_without_the_wire(self, engine, travelling_agent):
+        itinerary = Itinerary(hosts=["home", "vendor"])
+        unpacked = engine.unpack(engine.pack(travelling_agent, itinerary, 1))
+        assert isinstance(unpacked.agent, CounterAgent)
+        assert unpacked.agent.data["counter"] == 5
+        assert unpacked.agent.execution.hop_index == 1
+        assert unpacked.protocol_data is None
+
+    def test_unpacked_agent_does_not_share_the_transfer_state(
+            self, engine, travelling_agent):
+        itinerary = Itinerary(hosts=["home", "vendor"])
+        transfer = engine.pack(travelling_agent, itinerary, 1)
+        unpacked = engine.unpack(transfer)
+        unpacked.agent.data["counter"] = 42
+        assert transfer.state.data["counter"] == 5
+        assert engine.unpack(transfer).agent.data["counter"] == 5

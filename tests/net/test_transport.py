@@ -50,3 +50,47 @@ class TestAgentTransfer:
     def test_non_dict_payload_rejected(self):
         with pytest.raises(TransportError):
             AgentTransfer.from_canonical([1, 2, 3])
+
+
+_WIRE_FIELDS = ("agent_class", "agent_id", "owner", "state",
+                "protocol_data", "itinerary", "hop_index")
+
+
+class TestAgentTransferWireForm:
+    def test_canonical_form_carries_exactly_the_wire_fields(self):
+        assert sorted(_transfer().to_canonical()) == sorted(_WIRE_FIELDS)
+
+    @pytest.mark.parametrize("field", _WIRE_FIELDS)
+    def test_every_field_is_required(self, field):
+        payload = _transfer().to_canonical()
+        payload.pop(field)
+        with pytest.raises(TransportError):
+            AgentTransfer.from_canonical(payload)
+
+    def test_non_integral_hop_index_rejected(self):
+        payload = _transfer().to_canonical()
+        payload["hop_index"] = "second"
+        with pytest.raises(TransportError):
+            AgentTransfer.from_canonical(payload)
+
+    def test_missing_hop_index_value_rejected(self):
+        payload = _transfer().to_canonical()
+        payload["hop_index"] = None
+        with pytest.raises(TransportError):
+            AgentTransfer.from_canonical(payload)
+
+    def test_hop_index_is_normalised_to_int(self):
+        payload = _transfer().to_canonical()
+        payload["hop_index"] = "2"
+        restored = AgentTransfer.from_canonical(payload)
+        assert restored.hop_index == 2 and isinstance(restored.hop_index, int)
+
+    def test_malformed_payload_keeps_the_cause(self):
+        with pytest.raises(TransportError) as info:
+            AgentTransfer.from_canonical({})
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_encoding_is_deterministic(self):
+        assert canonical_encode(_transfer().to_canonical()) == canonical_encode(
+            _transfer().to_canonical()
+        )
