@@ -19,7 +19,8 @@ speed gate:
   none and with 10% of the signatures forged — the mix the
   ``gateway-mixed`` benchmark sends;
 * a count: replaying a stream's session checks twice re-executes each
-  distinct session exactly once.
+  distinct session exactly once, at a verifier and through a gateway
+  over one verifier, whose cache answers every repeat.
 
 Every timed replay must also match the in-process verdicts with zero
 drops.  Verdict parity, the SIGKILL failover drill and the session
@@ -41,7 +42,7 @@ from benchmarks.reportutil import write_report
 from repro.crypto.batch import verify_window
 from repro.crypto.canonical import canonical_encode
 from repro.crypto.dsa import RecoverableSignature
-from repro.service.cluster import ClusterConfig, LocalCluster
+from repro.service.cluster import ClusterConfig, ClusterGateway, LocalCluster
 from repro.service.loadgen import replay_requests
 from repro.service.server import (
     ServiceConfig,
@@ -289,10 +290,12 @@ def test_verifier_settle_step_report(verify_requests):
 SESSION_REPLAY_JOURNEYS = 40
 
 
-def test_replayed_sessions_re_execute_once(monkeypatch):
+@pytest.mark.parametrize("tier", ["verifier", "gateway"])
+def test_replayed_sessions_re_execute_once(monkeypatch, tier):
     """Count, not time: two passes of a session stream over TCP
     re-execute each distinct session once, and answer every check with
-    its in-process verdict."""
+    its in-process verdict.  Through a gateway over one verifier, the
+    repeats never reach the verifier: the gateway answers them."""
     stream = journey_request_stream(FleetConfig(
         num_agents=SESSION_REPLAY_JOURNEYS, seed=CONFIG.seed,
     )).session_requests
@@ -308,14 +311,25 @@ def test_replayed_sessions_re_execute_once(monkeypatch):
 
     async def replay_twice():
         service = VerificationService(ServiceConfig())
+        endpoint = service
         await service.start()
+        if tier == "gateway":
+            endpoint = ClusterGateway(ClusterConfig(
+                backends=(service.address,), health_interval=30.0,
+            ))
+            await endpoint.start()
         try:
             for _ in range(2):
-                await _replay(service.address, stream)
-            return service.counters.cache_hits
+                await _replay(endpoint.address, stream)
+            return endpoint.counters, service.counters
         finally:
+            if endpoint is not service:
+                await endpoint.stop()
             await service.stop()
 
-    hits = asyncio.run(replay_twice())
+    counters, verifier_counters = asyncio.run(replay_twice())
     assert len(executions) == len(distinct)
-    assert hits == 2 * len(stream) - len(distinct)
+    assert counters.cache_hits == 2 * len(stream) - len(distinct)
+    if tier == "gateway":
+        assert verifier_counters.session_requests == len(distinct)
+        assert verifier_counters.cache_hits == 0

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional
 
 from repro.crypto.canonical import (
+    CanonicalSpan,
     canonical_copy,
     canonical_encode,
     canonical_equal,
@@ -226,15 +227,30 @@ class AgentState:
 
     @classmethod
     def from_canonical(cls, value: Any) -> "AgentState":
-        """Rebuild a snapshot from its canonical form (or pass one through)."""
+        """Rebuild a snapshot from its canonical form (or pass one through).
+
+        A :class:`~repro.crypto.canonical.CanonicalSpan` stands for its
+        decoded value.  When that value is exactly the canonical form,
+        ``{"data": dict, "execution": dict}``, the span's bytes are the
+        snapshot's encoding and seed :meth:`canonical_bytes`; any other
+        form is normalised here and encoded when first needed.
+        """
         if isinstance(value, AgentState):
             return value
+        encoding = None
+        if type(value) is CanonicalSpan:
+            encoding, value = value.data, value.decoded()
         try:
-            return cls(
+            state = cls(
                 data=dict(value["data"]), execution=dict(value["execution"])
             )
         except (KeyError, TypeError) as exc:
             raise AgentStateError("malformed agent state snapshot") from exc
+        if (encoding is not None and type(value) is dict and len(value) == 2
+                and type(value["data"]) is dict
+                and type(value["execution"]) is dict):
+            _ENCODING_CACHE.encode_object(state, lambda: encoding)
+        return state
 
     def canonical_bytes(self) -> bytes:
         """Canonical encoding of the snapshot, memoized per instance.

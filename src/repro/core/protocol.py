@@ -57,7 +57,7 @@ from repro.core.checkers.base import Checker, CheckContext
 from repro.core.checkers.reexecution import ReExecutionChecker
 from repro.core.reference_data import ReferenceDataSet
 from repro.core.verdict import CheckResult, Verdict, VerdictStatus
-from repro.crypto.canonical import CanonicalSpan, canonical_decode
+from repro.crypto.canonical import CanonicalSpan
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.signing import SignedEnvelope, SignedStatement
 from repro.platform.host import Host
@@ -522,7 +522,11 @@ class ReferenceStateProtocol(ProtectionMechanism):
     @staticmethod
     def _pinned_input(value: Any, manifest: Dict[str, Any],
                       results: List[CheckResult]) -> Optional[InputLog]:
-        """The transported input log, if it hashes to the signed digest."""
+        """The transported input log, if it hashes to the signed digest.
+
+        A span is hashed as it came; a kept span's value is read, not
+        decoded again.
+        """
         try:
             span = CanonicalSpan.of(value)
             if hash_bytes(span.data).hex() != manifest["input_digest"]:
@@ -532,7 +536,7 @@ class ReferenceStateProtocol(ProtectionMechanism):
                     "digest the checked host signed",
                 ))
                 return None
-            return InputLog.from_canonical(canonical_decode(span.data))
+            return InputLog.from_canonical(span.decoded())
         except Exception:
             results.append(_attack(
                 "session-input", "the transported input log is malformed"
@@ -624,9 +628,13 @@ def check_session_payload(
     performs on arrival.  ``prev_session`` is the previous session's
     payload joined with its two manifests, under ``manifest`` (the
     checked host's) and ``sender_manifest`` (its sender's, or ``None``),
-    in canonical form exactly as they travel.  Given it, the observed
-    agent state and the name of the checked host, the check verifies
-    both manifests, re-executes the session, and returns the same
+    in canonical form exactly as they travel; the manifests' payloads,
+    the initial state and the input may be
+    :class:`~repro.crypto.canonical.CanonicalSpan` objects the decoder
+    kept, whose bytes are then hashed and verified as received.  Given
+    it, the observed agent state and the name of the checked host, the
+    check verifies both manifests, re-executes the session, and returns
+    the same
     :class:`~repro.core.verdict.Verdict` the in-process protocol would
     produce — bit for bit, because verdicts contain no wall-clock or
     transport-dependent data.  ``checking_host`` names the principal on

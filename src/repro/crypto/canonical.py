@@ -33,12 +33,16 @@ members strictly increasing by encoding, floats neither NaN nor
 ``-0.0``, strings valid UTF-8, and nesting no deeper than
 :attr:`CanonicalEncoder.max_depth`.
 
-:func:`canonical_decode` can also decode a frame *shallowly*: the
-values of the top-level dict keys named in ``spans`` are kept as
-:class:`CanonicalSpan` objects holding their exact bytes, with only
-their tag-and-length header checked.  Encoding splices a span back
-unchanged, so a relay can forward a value it never decoded; whoever
-reads the value decodes ``span.data`` strictly.
+:func:`canonical_decode` can also keep parts of a value as the bytes
+they arrived in, as :class:`CanonicalSpan` objects.  A flat ``spans``
+collection cuts the named top-level dict values *shallowly*: only their
+tag-and-length header is checked, so a relay can forward a value it
+never decoded, and whoever reads it decodes ``span.data`` strictly.  A
+nested ``spans`` dict descends into the values it names and *keeps*
+the parts mapped to :data:`KEEP`: each is decoded strictly, in place,
+and comes back as a span of its exact bytes carrying the decoded value,
+so a reader can hash or verify those bytes without re-encoding them.
+Encoding splices a span back unchanged either way.
 
 :func:`canonical_copy` is the in-process shortcut for a round trip: it
 builds the value the decoder would return without producing bytes.
@@ -48,8 +52,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Any, Collection, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Collection, List, Mapping, Optional, Union
 
 from repro.exceptions import SerializationError
 
@@ -61,6 +65,7 @@ __all__ = [
     "CanonicalEncoder",
     "CanonicalDecoder",
     "CanonicalSpan",
+    "KEEP",
 ]
 
 
@@ -72,6 +77,15 @@ _CONSTANTS = {78: None, 84: True, 70: False}
 _SMALL = {b"%d" % n: n for n in range(1000)}
 #: Every tag byte the decoder knows.
 _TAGS = frozenset(b"sdiblfeNTF")
+
+#: What a nested ``spans`` spec maps a key to when that value is to be
+#: kept: decoded strictly and returned as a :class:`CanonicalSpan` of
+#: its bytes carrying the decoded value.
+KEEP = "keep"
+
+#: A ``spans`` argument: a flat collection of top-level keys cut
+#: header-only, or a nested dict of sub-specs and :data:`KEEP` markers.
+Spans = Union[Collection[str], Mapping[str, Any]]
 
 
 def _length(head: bytes) -> int:
@@ -250,16 +264,27 @@ class CanonicalDecoder:
     max_depth = CanonicalEncoder.max_depth
 
     def decode(self, data: bytes, *,
-               spans: Optional[Collection[str]] = None,
+               spans: Optional[Spans] = None,
                max_depth: Optional[int] = None) -> Any:
         """Decode a canonical byte string back into a Python value.
 
-        ``spans`` names top-level dict keys whose values are returned as
-        :class:`CanonicalSpan` objects instead of being decoded; only
-        their tag-and-length header is checked, and it must fit inside
-        ``data``.  Everything else is checked and decoded as usual.
-        ``max_depth`` lowers the nesting bound, for bytes that were
-        nested inside a larger value (such as a span's).
+        ``spans`` takes one of two forms:
+
+        * a flat collection names top-level dict keys whose values are
+          returned as :class:`CanonicalSpan` objects instead of being
+          decoded; only their tag-and-length header is checked, and it
+          must fit inside ``data``;
+        * a nested dict maps a key either to a sub-spec, applied to that
+          key's value if it is a dict, or to :data:`KEEP`: that value is
+          decoded strictly where it stands and returned as a
+          :class:`CanonicalSpan` of its exact bytes whose ``value`` is
+          the decoded value.  A nested spec decodes every byte by the
+          usual rules, so it accepts exactly the inputs a plain decode
+          accepts.
+
+        Everything else is checked and decoded as usual.  ``max_depth``
+        lowers the nesting bound, for bytes that were nested inside a
+        larger value (such as a span's).
 
         Raises
         ------
@@ -290,12 +315,13 @@ class CanonicalDecoder:
     # -- internal helpers -------------------------------------------------
 
     def _read(self, data: bytes, offset: int, limit: int, room: int,
-              spans: Optional[Collection[str]] = None) -> tuple:
+              spans: Optional[Spans] = None) -> tuple:
         """Decode the value at ``offset``; return ``(value, end)``.
 
         The value must end by ``limit``; ``room`` is how many more
         levels of nesting are allowed below it.  If the value is a dict,
-        its keys named in ``spans`` get :meth:`_span` values.
+        its keys named in ``spans`` are cut, kept or descended into (see
+        :meth:`decode`).
         """
         if room < 0:
             raise SerializationError(
@@ -337,10 +363,18 @@ class CanonicalDecoder:
                 key = data[colon + 1:start].decode("utf-8")
                 if previous is not None and key <= previous:
                     raise SerializationError("dict keys unsorted or repeated")
-                if spans is not None and key in spans:
-                    result[key], start = self._span(data, start, end)
-                else:
+                if spans is None or key not in spans:
                     result[key], start = self._read(data, start, end, room)
+                elif not isinstance(spans, Mapping):
+                    result[key], start = self._span(data, start, end)
+                elif spans[key] == KEEP:
+                    value, after = self._read(data, start, end, room)
+                    result[key] = CanonicalSpan(data[start:after], value)
+                    start = after
+                else:
+                    result[key], start = self._read(
+                        data, start, end, room, spans[key]
+                    )
             return result, end
         if tag == 105:  # i
             text = data[start:end]
@@ -402,20 +436,36 @@ class CanonicalDecoder:
 
 @dataclass(frozen=True)
 class CanonicalSpan:
-    """The canonical bytes of one value, kept undecoded.
+    """The canonical bytes of one value, as they were made or received.
 
     The encoder splices ``data`` verbatim wherever the span is encoded,
-    so a value cut from one frame travels into another unchanged.  A
-    span from :meth:`CanonicalDecoder.decode` has had only its header
-    checked: decode ``data`` strictly before reading the value.
+    so a value cut from one frame travels into another unchanged.
+
+    ``value`` is the decoded value when the span was *kept* by a nested
+    ``spans`` spec of :meth:`CanonicalDecoder.decode`: ``data`` was
+    decoded strictly in place and ``canonical_encode(value) == data``.
+    Otherwise it is ``None`` — a span cut by a flat spec has had only
+    its header checked.  Read the value with :meth:`decoded`.  Two
+    spans are equal (and hash alike) when their bytes are; ``value``
+    takes no part.
     """
 
     data: bytes
+    value: Any = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, value: Any) -> "CanonicalSpan":
         """``value`` if it is a span, else a span of its encoding."""
         return value if type(value) is cls else cls(canonical_encode(value))
+
+    def decoded(self) -> Any:
+        """The kept ``value``, else ``data`` decoded strictly.
+
+        A kept value is shared, not copied: treat it as read-only.
+        """
+        if self.value is not None:
+            return self.value
+        return canonical_decode(self.data)
 
     def __canonical_bytes__(self) -> bytes:
         return self.data
@@ -431,7 +481,7 @@ def canonical_encode(value: Any) -> bytes:
 
 
 def canonical_decode(data: bytes, *,
-                     spans: Optional[Collection[str]] = None,
+                     spans: Optional[Spans] = None,
                      max_depth: Optional[int] = None) -> Any:
     """Decode canonical bytes using the default :class:`CanonicalDecoder`.
 

@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.canonical import (
-    CanonicalSpan,
-    canonical_decode,
-    canonical_encode,
-)
+from repro.crypto.canonical import CanonicalSpan, canonical_encode
 from repro.crypto.dsa import DSASignature, RecoverableSignature
 from repro.crypto.keys import Identity, KeyStore
 from repro.exceptions import SignatureError
@@ -148,8 +144,10 @@ class SignedStatement:
     memoizes that encoding too.
 
     Read the payload with :meth:`payload`: the signer's own value for a
-    statement made by :meth:`Signer.sign_statement`, else ``body``
-    decoded strictly, once.  Like an
+    statement made by :meth:`Signer.sign_statement`, the decoded value a
+    kept ``body`` carries (see
+    :meth:`~repro.crypto.canonical.CanonicalSpan.decoded`), else
+    ``body`` decoded strictly, once.  Like an
     :class:`~repro.agents.state.AgentState` snapshot, a statement is
     immutable by contract, so an in-process hop shares it (payload
     included) where a remote receiver would decode the same bytes.
@@ -163,8 +161,10 @@ class SignedStatement:
     def from_canonical(cls, data: Any) -> "SignedStatement":
         """The statement ``data`` stands for; a statement passes unchanged.
 
-        ``data`` decoded from bytes carries its payload as a value,
-        which is encoded once here to recover the signed bytes.
+        ``data`` decoded from bytes carries its payload either as a
+        value, which is encoded once here to recover the signed bytes,
+        or as a :class:`~repro.crypto.canonical.CanonicalSpan` kept by
+        the decoder, which becomes ``body`` as it is.
 
         Raises
         ------
@@ -189,7 +189,7 @@ class SignedStatement:
         """The signed payload (read-only: it is shared, not copied)."""
         cached = self.__dict__.get("_payload", _UNSET)
         if cached is _UNSET:
-            cached = canonical_decode(self.body.data)
+            cached = self.body.decoded()
             object.__setattr__(self, "_payload", cached)
         return cached
 

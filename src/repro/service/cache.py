@@ -124,6 +124,11 @@ class VerdictCache:
         self.invalidations += dropped
         return dropped
 
+    def clear(self) -> None:
+        """Drop every entry (the counters are kept)."""
+        self._entries.clear()
+        self._tagged.clear()
+
     def _discard_tag(self, key: Any) -> None:
         """Remove ``key`` from its tag index entry, if it has one."""
         entry = self._entries.get(key)

@@ -10,17 +10,25 @@ verifier processes.
 
 Design points, in the order a request meets them:
 
-* **content routing** — every verify is routed by its verdict content
-  key (:meth:`repro.service.cache.VerdictCache.key`: signer, digest,
-  signature) over a consistent-hash ring
-  (:class:`repro.service.ring.HashRing`), so one reference state always
-  lands on the same backend and that backend's verdict cache stays
-  hot.  Membership changes move only ~1/N keys.
+* **content routing** — every request is routed by its verdict content
+  key over a consistent-hash ring
+  (:class:`repro.service.ring.HashRing`): a verify by
+  :meth:`~repro.service.cache.VerdictCache.key` (signer, digest,
+  signature), a session check by
+  :meth:`~repro.service.cache.VerdictCache.session_key` (both host
+  names and the hashes of its two span bytes).  So one reference state
+  always lands on the same backend and that backend's verdict cache
+  stays hot.  Membership changes move only ~1/N keys.
 * **gateway verdict cache** — a second :class:`VerdictCache` tier in
-  the gateway, each entry *tagged* with the backend that produced it.
-  When the health monitor detects a backend restart (its announced
-  ``instance`` id changed), every verdict attributed to the old process
-  is explicitly invalidated in one sweep.
+  the gateway, keyed exactly as the verifier's, for both ops: verify
+  verdicts, and ``ok`` session verdicts of at most
+  :data:`~repro.service.server.MAX_CACHED_VERDICT_BYTES` kept as their
+  canonical bytes and spliced into later answers, so a repeated check
+  never crosses the gateway→verifier hop.  Each entry is *tagged* with
+  the backend that produced it.  When the health monitor detects a
+  backend restart (its announced ``instance`` id changed), every
+  verdict attributed to the old process, of either op, is explicitly
+  invalidated in one sweep.
 * **aggregation** — one :class:`~repro.service.batching.MicroBatcher`
   per backend coalesces the singles that become ready in one event-loop
   tick into one window (no timer holds it open); the gateway's settle
@@ -75,6 +83,7 @@ from repro.service.client import ServiceClient
 from repro.service.health import BackendState, HealthMonitor
 from repro.service.ring import HashRing
 from repro.service.server import (
+    MAX_CACHED_VERDICT_BYTES,
     EndpointThread,
     FrameCounters,
     FrameServer,
@@ -114,7 +123,8 @@ class ClusterConfig:
     port: int = 0
     #: Per-verifier tunables (consumed by the launcher / CLI).
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Gateway-tier verdict-cache capacity; ``0`` disables the tier.
+    #: Gateway-tier verdict-cache capacity, shared by verify and session
+    #: verdicts as at the verifier; ``0`` disables the tier.
     cache_entries: int = 65536
     #: Gateway→backend aggregation window size bound; a smaller
     #: window ships at the end of the event-loop tick it opened in.
@@ -279,13 +289,21 @@ class ClusterGateway(FrameServer):
         return await super().start()
 
     async def stop(self) -> None:
-        """Stop probing, ship open windows, close, drop backend clients."""
+        """Stop probing, ship open windows, close, drop backend clients
+        and cached verdicts.
+
+        The gateway sits in reference cycles (its batchers and monitor
+        call back into it), so only the cyclic collector frees it; the
+        cache, which holds session verdict bytes, is released here.
+        """
         await self.monitor.stop()
         for batcher in self._batchers.values():
             batcher.flush()
         await super().stop()
         for name in list(self._clients):
             await self._drop_client(name)
+        if self.cache is not None:
+            self.cache.clear()
 
     # -- request handling --------------------------------------------------------
 
@@ -361,13 +379,32 @@ class ClusterGateway(FrameServer):
                               request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters.session_requests += 1
         # The two large fields arrive as the client's canonical spans,
-        # never decoded here; the ring key and the forwarded frame (and
-        # any re-issue) splice those bytes.
+        # never decoded here; the content key and the forwarded frame
+        # (and any re-issue) use those bytes.
+        prev_session = CanonicalSpan.of(request.get("prev_session"))
+        observed_state = CanonicalSpan.of(request.get("observed_state"))
+        checked_host = request.get("checked_host")
+        checking_host = request.get("checking_host")
+        # The verifier's own session key: a verdict cached here is one
+        # the backend would have served from its cache.
+        key = VerdictCache.session_key(
+            checking_host,
+            checked_host if isinstance(checked_host, str) else None,
+            prev_session.data, observed_state.data,
+        )
+        cache = self.cache if isinstance(checking_host, str) else None
+        if cache is not None:
+            cached = cache.get(key)
+            if cached is not None:
+                self.counters.cache_hits += 1
+                verdict, backend = cached
+                return {"id": request_id, "status": "ok",
+                        "verdict": verdict, "backend": backend}
         payload = {
-            "prev_session": CanonicalSpan.of(request.get("prev_session")),
-            "observed_state": CanonicalSpan.of(request.get("observed_state")),
-            "checked_host": request.get("checked_host"),
-            "checking_host": request.get("checking_host"),
+            "prev_session": prev_session,
+            "observed_state": observed_state,
+            "checked_host": checked_host,
+            "checking_host": checking_host,
             "op": "check-session",
         }
 
@@ -375,18 +412,23 @@ class ClusterGateway(FrameServer):
             client = await self._client(backend)
             return await client.request(payload)
 
-        # Session checks route by their canonical content, through the
-        # same failover loop as verifies — re-execution is pure too.
+        # Session checks route by their content key, through the same
+        # failover loop as verifies — re-execution is pure too.
         try:
-            response, backend = await self._route(
-                canonical_encode(payload), send
-            )
+            response, backend = await self._route(key, send)
         except NoBackendAvailable as exc:
             self.counters.no_backend += 1
             return self._error_response(request_id, "no-backend", str(exc))
         response = dict(response)
         response["id"] = request_id
         response.setdefault("backend", backend)
+        if (cache is not None and response.get("status") == "ok"
+                and "verdict" in response):
+            verdict = CanonicalSpan(canonical_encode(response["verdict"]))
+            # The relayed answer splices the same bytes.
+            response["verdict"] = verdict
+            if len(verdict.data) <= MAX_CACHED_VERDICT_BYTES:
+                cache.put(key, (verdict, backend), tag=backend)
         return response
 
     async def _route(

@@ -37,8 +37,12 @@ into the response without decoding or re-executing anything.
 Every endpoint decodes a request frame's top level only: the two bulky
 fields of a session check (:data:`SPAN_FIELDS`) arrive as canonical
 spans.  The gateway forwards them as they came; the verifier decodes
-them strictly in its session handler, and one that does not decode is
-answered with a ``malformed-frame`` error carrying the request id.
+each strictly, once, in its session handler, and one that does not
+decode is answered with a ``malformed-frame`` error carrying the
+request id.  That one decode keeps the parts a check hashes or
+verifies — both manifest payloads, the initial state and the input —
+as the bytes that arrived, and the observed state's bytes become its
+encoding, so the check re-encodes none of them.
 
 Every response carries structured per-request metrics (cache hit,
 batch size, queue wait) and the ``stats`` op exposes the aggregate
@@ -67,6 +71,7 @@ import repro.workloads.survey  # noqa: F401
 from repro.agents.state import AgentState
 from repro.core.protocol import check_session_payload
 from repro.crypto.canonical import (
+    KEEP,
     CanonicalDecoder,
     CanonicalSpan,
     canonical_decode,
@@ -174,12 +179,22 @@ _OPS = ("verify", "verify-batch", "check-session", "stats", "ping")
 SPAN_FIELDS = frozenset(("prev_session", "observed_state"))
 #: The nesting bound left for a span: it sat one level into the frame.
 _SPAN_DEPTH = CanonicalDecoder.max_depth - 1
+#: The parts of ``prev_session`` a session check hashes or verifies,
+#: kept as the bytes that arrived (each decoded in place).
+_PREV_SESSION_PARTS = {
+    "manifest": {"payload": KEEP},
+    "sender_manifest": {"payload": KEEP},
+    "initial_state": KEEP,
+    "input": KEEP,
+}
 
 
-def _open_span(value: Any) -> Any:
-    """Strictly decode a span cut from a request; other values pass."""
+def _open_span(value: Any, spans: Optional[Dict[str, Any]] = None) -> Any:
+    """Strictly decode a span cut from a request, keeping the parts
+    ``spans`` names (see :func:`canonical_decode`); other values pass."""
     if type(value) is CanonicalSpan:
-        return canonical_decode(value.data, max_depth=_SPAN_DEPTH)
+        return canonical_decode(value.data, spans=spans,
+                                max_depth=_SPAN_DEPTH)
     return value
 
 
@@ -645,7 +660,7 @@ class VerificationService(FrameServer):
                 self.counters.cache_hits += 1
                 return self._session_response(request_id, *cached)
         try:
-            prev_session = _open_span(prev_span)
+            prev_session = _open_span(prev_span, _PREV_SESSION_PARTS)
             observed_state = _open_span(observed_span)
         except SerializationError as exc:
             # The frame's top level decoded, so its id is known: answer
@@ -664,6 +679,9 @@ class VerificationService(FrameServer):
                 "check-session needs prev_session:dict, "
                 "observed_state:dict, checking_host:str",
             )
+        if type(observed_span) is CanonicalSpan:
+            # The received bytes become the state's encoding.
+            observed_state = CanonicalSpan(observed_span.data, observed_state)
         try:
             observed_state = AgentState.from_canonical(observed_state)
         except AgentStateError as exc:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agents.state import AgentState
 from repro.crypto.canonical import (
+    KEEP,
     CanonicalDecoder,
     CanonicalEncoder,
     CanonicalSpan,
@@ -719,3 +720,137 @@ class TestShallowDecode:
         )
         with pytest.raises(AttributeError):
             span.data = b"N0:"
+
+
+# ---------------------------------------------------------------------------
+# nested spans: named parts decoded in place and kept with their bytes
+# ---------------------------------------------------------------------------
+
+_NESTED = {"outer": {"kept": KEEP, "inner": {"kept": KEEP}}, "top": KEEP}
+
+_outer_values = st.one_of(
+    _values,
+    st.builds(
+        lambda named, others: {**others, **named},
+        st.fixed_dictionaries({}, optional={
+            "kept": _values,
+            "inner": st.one_of(
+                _values,
+                st.fixed_dictionaries({}, optional={"kept": _values}),
+            ),
+        }),
+        st.dictionaries(st.text(max_size=4), _values, max_size=2),
+    ),
+)
+
+_nested_frames = st.one_of(
+    _values,
+    st.builds(
+        lambda named, others: {**others, **named},
+        st.fixed_dictionaries({}, optional={"top": _values,
+                                            "outer": _outer_values}),
+        st.dictionaries(st.text(max_size=8), _values, max_size=3),
+    ),
+)
+
+
+def _kept_spans(value, found):
+    """Every span a nested decode left in ``value``'s dicts."""
+    if type(value) is CanonicalSpan:
+        found.append(value)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _kept_spans(item, found)
+    return found
+
+
+def _plain(value):
+    """``value`` with every kept span replaced by its decoded value."""
+    if type(value) is CanonicalSpan:
+        return value.value
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+class TestNestedSpans:
+    @given(frame=_nested_frames)
+    @settings(max_examples=300)
+    def test_a_kept_part_is_its_value_and_its_exact_bytes(self, frame):
+        data = canonical_encode(frame)
+        nested = canonical_decode(data, spans=_NESTED)
+        for span in _kept_spans(nested, []):
+            assert canonical_encode(span.value) == span.data
+            assert span.decoded() is span.value
+        # Spans splice back verbatim, and the values are the full decode.
+        assert canonical_encode(nested) == data
+        assert canonical_encode(_plain(nested)) == data
+
+    def test_the_spec_keeps_exactly_the_parts_it_names(self):
+        frame = {"outer": {"kept": {"a": [1]}, "inner": {"kept": "x"},
+                           "other": {"kept": 2}},
+                 "top": None, "rest": {"top": 3}}
+        nested = canonical_decode(canonical_encode(frame), spans=_NESTED)
+        assert nested["outer"]["kept"] == CanonicalSpan(
+            canonical_encode({"a": [1]}))
+        assert nested["outer"]["kept"].value == {"a": [1]}
+        assert nested["outer"]["inner"]["kept"].value == "x"
+        assert nested["outer"]["other"] == {"kept": 2}
+        assert nested["top"] == CanonicalSpan(b"N0:")
+        assert nested["top"].decoded() is None
+        assert nested["rest"] == {"top": 3}
+
+    def test_a_sub_spec_over_a_value_that_is_no_dict_decodes_it_plainly(self):
+        frame = {"outer": [{"kept": 1}], "top": 2}
+        nested = canonical_decode(canonical_encode(frame), spans=_NESTED)
+        assert nested["outer"] == [{"kept": 1}]
+        assert nested["top"].value == 2
+
+    def test_value_takes_no_part_in_equality(self):
+        data = canonical_encode({"a": 1})
+        assert CanonicalSpan(data, {"a": 1}) == CanonicalSpan(data)
+        assert hash(CanonicalSpan(data, {"a": 1})) == hash(CanonicalSpan(data))
+        assert CanonicalSpan(data).decoded() == {"a": 1}
+
+    @given(frame=_nested_frames, data=st.data())
+    @settings(max_examples=400)
+    def test_a_nested_spec_never_changes_which_inputs_are_accepted(
+            self, frame, data):
+        encoded = bytearray(canonical_encode(frame))
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        index = data.draw(st.integers(0, len(encoded) - (kind != "insert")))
+        if kind == "delete":
+            del encoded[index]
+        else:
+            byte = data.draw(st.integers(0, 255))
+            if kind == "insert":
+                encoded.insert(index, byte)
+            else:
+                encoded[index] = byte
+        mutated = bytes(encoded)
+        try:
+            full = canonical_decode(mutated)
+        except SerializationError:
+            with pytest.raises(SerializationError):
+                canonical_decode(mutated, spans=_NESTED)
+            return
+        nested = canonical_decode(mutated, spans=_NESTED)
+        assert canonical_encode(_plain(nested)) == canonical_encode(full)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_input_is_rejected_with_a_nested_spec_too(self, name):
+        with pytest.raises(SerializationError):
+            canonical_decode(HOSTILE[name], spans={"a": KEEP, "b": {"a": KEEP}})
+
+    @pytest.mark.parametrize("levels", [CanonicalEncoder.max_depth - 1,
+                                        CanonicalEncoder.max_depth])
+    def test_a_kept_part_is_held_to_the_depth_bound(self, levels):
+        lists = _nested_lists(levels)
+        data = b"d%d:s3:top%s" % (6 + len(lists), lists)
+        if levels < CanonicalEncoder.max_depth:
+            assert canonical_decode(data, spans=_NESTED)["top"].data == lists
+            return
+        with pytest.raises(SerializationError):
+            canonical_decode(data)
+        with pytest.raises(SerializationError):
+            canonical_decode(data, spans=_NESTED)

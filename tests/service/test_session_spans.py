@@ -3,8 +3,9 @@
 Every endpoint decodes a request frame's top level only and keeps a
 check-session's ``prev_session`` and ``observed_state`` as the client's
 own canonical bytes.  The gateway forwards those bytes untouched; the
-verifier decodes them strictly, and answers a span that does not decode
-with a typed error carrying the request id.
+verifier decodes each span strictly, once, keeping the parts the check
+hashes or verifies as the bytes that arrived, and answers a span that
+does not decode with a typed error carrying the request id.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import asyncio
 from contextlib import asynccontextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.service.server as server_module
+from repro.agents.state import AgentState
 from repro.crypto.canonical import (
+    CanonicalDecoder,
     CanonicalEncoder,
     CanonicalSpan,
     canonical_decode,
     canonical_encode,
 )
-from repro.exceptions import SerializationError
+from repro.exceptions import AgentStateError, SerializationError
 from repro.service.cluster import ClusterConfig, ClusterGateway
 from repro.service.server import (
     SPAN_FIELDS,
@@ -273,3 +278,142 @@ class TestMalformedStatements:
         response = asyncio.run(run())
         assert response["status"] == "error" and response["id"] == 8
         assert response["error"] == "malformed-request"
+
+
+_FLEET = FleetConfig(num_agents=6, num_hosts=4, seed=5)
+_CAPTURED = journey_request_stream(_FLEET).session_requests
+#: Strict decoding of a span allows one level less than a frame.
+_SPAN_DEPTH = CanonicalDecoder.max_depth - 1
+
+
+def _spliced(payload, request_id=1, **spans):
+    """``payload`` as the verifier's dispatcher sees it off the wire,
+    with any span replaced by the raw bytes given for it."""
+    request = decode_body(
+        canonical_encode(dict(payload, id=request_id, op="check-session")),
+        SPAN_FIELDS,
+    )
+    for name, data in spans.items():
+        request[name] = CanonicalSpan(data)
+    return request
+
+
+class TestDecodeOnce:
+    """The verifier decodes each span once and re-encodes nothing that
+    arrived: counted, never timed."""
+
+    @pytest.mark.parametrize("index", range(len(_CAPTURED)))
+    def test_a_check_decodes_each_span_once_and_reencodes_no_part(
+            self, index, monkeypatch):
+        captured = _CAPTURED[index]
+        prev = captured.payload["prev_session"]
+        received = {
+            "manifest payload": canonical_encode(prev["manifest"]["payload"]),
+            "initial state": canonical_encode(prev["initial_state"]),
+            "input": canonical_encode(prev["input"]),
+        }
+        if prev["sender_manifest"] is not None:
+            received["sender manifest payload"] = canonical_encode(
+                prev["sender_manifest"]["payload"]
+            )
+        observed = canonical_encode(captured.payload["observed_state"])
+        service = VerificationService(ServiceConfig(
+            fleet_hosts=_FLEET.num_hosts, cache_entries=0,
+        ))
+        request = _spliced(captured.payload)
+
+        encoded, decoded = [], []
+        encode, decode = CanonicalEncoder.encode, CanonicalDecoder.decode
+
+        def counting_encode(self, value):
+            encoded.append(encode(self, value))
+            return encoded[-1]
+
+        def counting_decode(self, data, **kwargs):
+            decoded.append(bytes(data))
+            return decode(self, data, **kwargs)
+
+        monkeypatch.setattr(CanonicalEncoder, "encode", counting_encode)
+        monkeypatch.setattr(CanonicalDecoder, "decode", counting_decode)
+        response = asyncio.run(service._handle_session(1, request))
+        monkeypatch.undo()
+
+        assert response["verdict"].data == canonical_encode(captured.expected)
+        assert decoded == [request["prev_session"].data,
+                           request["observed_state"].data]
+        for name, data in received.items():
+            assert data not in encoded, "the %s was re-encoded" % name
+        # The re-executed reference state is a new value: on an honest
+        # session its encoding equals the observed state's bytes.  Any
+        # second encode of those bytes would be the arrived state's.
+        assert encoded.count(observed) <= 1
+
+
+def _mutated(data, kind, position, byte):
+    """``data`` with one byte replaced, inserted or deleted."""
+    edited = bytearray(data)
+    if kind == "delete":
+        del edited[position % len(edited)]
+    elif kind == "insert":
+        edited.insert(position % (len(edited) + 1), byte)
+    else:
+        position %= len(edited)
+        edited[position] = byte if edited[position] != byte else byte ^ 1
+    return bytes(edited)
+
+
+def _todays_answer(service, request):
+    """The answer of a plain strict decode of both spans, then
+    :func:`check_session_payload` on the decoded values."""
+    try:
+        prev_session = canonical_decode(request["prev_session"].data,
+                                        max_depth=_SPAN_DEPTH)
+        observed = canonical_decode(request["observed_state"].data,
+                                    max_depth=_SPAN_DEPTH)
+    except SerializationError:
+        return "malformed-frame"
+    if not isinstance(prev_session, dict) or not isinstance(observed, dict):
+        return "malformed-request"
+    try:
+        observed = AgentState.from_canonical(observed)
+    except AgentStateError:
+        return "malformed-request"
+    return canonical_encode(server_module.check_session_payload(
+        prev_session, observed, request["checked_host"],
+        checking_host=request["checking_host"], keystore=service.keystore,
+    ).to_canonical())
+
+
+class TestDecodeOnceParity:
+    """Keeping parts as received changes no answer: a one-byte edit of
+    either span gets today's answer, byte for byte."""
+
+    _service = VerificationService(ServiceConfig(
+        fleet_hosts=_FLEET.num_hosts, cache_entries=0,
+    ))
+
+    @given(
+        index=st.integers(0, len(_CAPTURED) - 1),
+        field=st.sampled_from(sorted(SPAN_FIELDS)),
+        # Weighted towards edits that can leave the span canonical: a
+        # hex digit or a digit replacing one inside a string or number.
+        kind=st.sampled_from(["replace"] * 3 + ["insert", "delete"]),
+        position=st.integers(0, 1 << 16),
+        byte=st.one_of(st.sampled_from(b"0123456789abcdef"),
+                       st.integers(0, 255)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_one_byte_edit_gets_todays_answer(
+            self, index, field, kind, position, byte):
+        payload = _CAPTURED[index].payload
+        span = _mutated(canonical_encode(payload[field]), kind, position, byte)
+        request = _spliced(payload, 77, **{field: span})
+        expected = _todays_answer(self._service, request)
+        response = asyncio.run(self._service._respond(request))
+        assert response["id"] == 77
+        if expected in ("malformed-frame", "malformed-request"):
+            assert response["status"] == "error"
+            assert response["error"] == expected
+        else:
+            assert response["status"] == "ok"
+            assert response["verdict"].data == expected
